@@ -1,4 +1,4 @@
-"""Fraction-free Gauss-Jordan elimination, pure-Python reference kernels.
+"""Fraction-free Gauss-Jordan elimination kernels.
 
 Single-step fraction-free elimination: at pivot step with pivot value p and
 previous pivot value q (initially 1), every other row is updated as
@@ -9,9 +9,16 @@ and the division is exact (the entries stay minors of the input matrix).
 Pivot rule is pinned for determinism: columns scanned left to right, the
 first row at or below the next pivot position with a nonzero entry is
 swapped up; no other row reordering ever happens.
+
+ff_gauss_jordan_int runs over Python ints (rational elimination after
+clearing denominators); ff_gauss_jordan_ring runs over any integral domain
+whose operations are passed in (polynomial entries).
 """
 
 from __future__ import annotations
+
+# kept for perfbench/run.py, which records it in every result's `machine` block
+BACKEND = "python"
 
 
 def ff_gauss_jordan_int(rows, ncols):

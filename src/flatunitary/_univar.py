@@ -71,13 +71,6 @@ def pmul(a, b) -> tuple:
     return tuple(out)
 
 
-def pscale(a, c) -> tuple:
-    c = Fraction(c)
-    if c == 0:
-        return ZERO
-    return tuple(x * c for x in a)
-
-
 def pdivmod(a, b) -> tuple:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")

@@ -20,13 +20,11 @@ Linear algebra is pinned down to the last bit:
   order, with 1 at that free column and 0 at the other free columns.
 * lift_solve solves M(s) x(s) = b(s) over jets order by order via the RREF
   of the order-0 matrix, reporting the first inconsistent order on failure.
-
-Identical inputs give identical outputs regardless of the compiled-kernel
-backend in use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -481,21 +479,11 @@ def _clear_rational_rows(rows, scales=None):
     solvers need them to express results against the original matrix."""
     out = []
     for row in rows:
-        lcm = 1
-        for e in row:
-            d = e.denominator
-            if d != 1:
-                lcm = lcm * d // _gcd(lcm, d)
+        lcm = math.lcm(*(e.denominator for e in row))
         if scales is not None:
             scales.append(lcm)
         out.append([int(e * lcm) for e in row])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _clear_ratfun_rows(rows, scales=None):
@@ -516,11 +504,6 @@ def _clear_ratfun_rows(rows, scales=None):
     return out
 
 
-def _jordan_int(rows, pivot_width):
-    pivots = ff_gauss_jordan_int(rows, pivot_width)
-    return pivots
-
-
 def _jordan_poly(rows, pivot_width):
     return ff_gauss_jordan_ring(
         rows,
@@ -539,7 +522,7 @@ def rref(matrix: Matrix) -> RrefResult:
         raise DomainMismatchError("rref over jets is not defined; use lift_solve")
     if isinstance(matrix.domain, RationalDomain):
         work = _clear_rational_rows(matrix.rows)
-        pivots = _jordan_int(work, matrix.ncols)
+        pivots = ff_gauss_jordan_int(work, matrix.ncols)
         out = []
         for k, c in enumerate(pivots):
             pv = work[k][c]
@@ -615,7 +598,7 @@ class LinearSolver:
             work = _clear_rational_rows(matrix.rows, scales)
             for i, row in enumerate(work):
                 row.extend(1 if j == i else 0 for j in range(matrix.nrows))
-            pivots = _jordan_int(work, matrix.ncols)
+            pivots = ff_gauss_jordan_int(work, matrix.ncols)
         else:
             work = _clear_ratfun_rows(matrix.rows, scales)
             zero, one = up.ZERO, up.ONE

@@ -91,7 +91,7 @@ class _DegreeData:
 class JacobianFiber:
     """One fibre (or jet/generic-fibre thickening) of a Jacobian ring."""
 
-    def __init__(self, F: HomPoly, degrees, *, _cert_mode=None):
+    def __init__(self, F: HomPoly, degrees):
         if F.degree < 3:
             raise ValueError(f"curve degree must be >= 3, got {F.degree}")
         if F.is_zero:
@@ -107,12 +107,12 @@ class JacobianFiber:
         self._order0 = None
         if isinstance(self.domain, JetDomain):
             F0 = F.map_coefficients(lambda c: c.order0, domain=RATIONAL)
-            self._order0 = JacobianFiber(F0, degrees, _cert_mode=_cert_mode)
+            self._order0 = JacobianFiber(F0, degrees)
             self.certificate = self._order0.certificate
             self.dims = dict(self._order0.dims)
             return
         cert_degree = 3 * self.d - 5
-        self.certificate = self._smoothness_certificate(cert_degree, _cert_mode)
+        self.certificate = self._smoothness_certificate(cert_degree)
         self.dims = {}
         for k in sorted(set(degrees)):
             self.dims[k] = self._prepare_degree(k).dim
@@ -136,12 +136,12 @@ class JacobianFiber:
             vecs.append(prod.to_vector())
         return vecs
 
-    def _smoothness_certificate(self, cert_degree: int, mode):
+    def _smoothness_certificate(self, cert_degree: int):
         ncols = monomial_count(cert_degree)
         gen_matrix = Matrix(
             self._generator_vectors(cert_degree), ncols=ncols, domain=self.domain
         )
-        if mode != "exact" and full_column_rank_certificate(gen_matrix):
+        if full_column_rank_certificate(gen_matrix):
             return {"degree": cert_degree, "dim": 0, "method": "reduction"}
         rank = rref(gen_matrix).rank
         if rank != ncols:
@@ -304,19 +304,3 @@ def make_fiber(F: HomPoly, degrees=None) -> JacobianFiber:
     if degrees is None:
         degrees = standard_degrees(F.degree)
     return JacobianFiber(F, degrees)
-
-
-def normal_form(fiber: JacobianFiber, p: HomPoly) -> RingElement:
-    return fiber.normal_form(p)
-
-
-def delta_class(fiber: JacobianFiber, p: HomPoly) -> RingElement:
-    return fiber.delta_class(p)
-
-
-def higgs_matrix(fiber: JacobianFiber, xi: RingElement) -> Matrix:
-    return fiber.higgs_matrix(xi)
-
-
-def socle_pair(fiber: JacobianFiber, p: RingElement, q: RingElement):
-    return fiber.socle_pair(p, q)

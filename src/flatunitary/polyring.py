@@ -33,11 +33,6 @@ def graded_basis(k: int):
     )
 
 
-@lru_cache(maxsize=None)
-def _index_of(k: int):
-    return {e: i for i, e in enumerate(graded_basis(k))}
-
-
 def monomial_sort_key(e):
     """Sort key realizing the graded-lex order within one degree."""
     return (-e[0], -e[1])

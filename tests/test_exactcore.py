@@ -1,5 +1,7 @@
 """Exact scalar domains and the pinned-pivot linear algebra kernel."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import flatunitary._univar as up
+from flatunitary._kernels import ff_gauss_jordan_int, ff_gauss_jordan_ring
 from flatunitary.exactcore import (
     DomainMismatchError,
     Jet,
@@ -191,6 +194,34 @@ class TestRationalElimination:
             Matrix([[1, 0], [0, 1], [1, 1]])
         )
         assert not full_column_rank_certificate(Matrix([[1, 2], [2, 4]]))
+
+    def test_int_and_ring_kernels_agree_on_random_matrices(self):
+        def divexact(a, b):
+            q, r = divmod(a, b)
+            if r:
+                raise ArithmeticError("inexact division")
+            return q
+
+        rng = random.Random(9001)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            m = rng.randint(1, 7)
+            extra = rng.randint(0, 2)  # augmented columns beyond the pivot region
+            rows = [
+                [rng.randint(-9, 9) for _ in range(m + extra)] for _ in range(n)
+            ]
+            if rng.random() < 0.4:  # force repeated/zero structure
+                for i in range(n):
+                    if rng.random() < 0.4:
+                        rows[i] = [0] * (m + extra)
+            a = copy.deepcopy(rows)
+            b = copy.deepcopy(rows)
+            piv_a = ff_gauss_jordan_int(a, m)
+            piv_b = ff_gauss_jordan_ring(
+                b, m, lambda x, y: x * y, lambda x, y: x - y, divexact, lambda x: x == 0
+            )
+            assert piv_a == piv_b
+            assert a == b
 
 
 # ---------------------------------------------------------------------------
