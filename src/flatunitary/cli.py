@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .exactcore import Jet, PrecisionExhaustedError, RatFun
+from .exactcore import Jet, RatFun
 from .family import (
     FamilyParseError,
     FamilySpec,
@@ -251,12 +251,11 @@ def _load_family(arg: str):
 
 
 def _resolve_basepoint(fam: FamilySpec, t0, seed: int):
-    """Return (t0, rejected candidates); certify the fibre is smooth."""
+    """Return (t0, its certified-smooth fibre, rejected candidates)."""
     if t0 is not None:
-        make_fiber(specialize(fam, t0))
-        return Fraction(t0), []
+        return Fraction(t0), make_fiber(specialize(fam, t0)), []
     bp = pick_basepoint(fam, seed)
-    return bp.t0, list(bp.rejected)
+    return bp.t0, bp.fiber, list(bp.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +263,7 @@ def _resolve_basepoint(fam: FamilySpec, t0, seed: int):
 
 
 def _cmd_validate(fam, args):
-    if args.t0 is not None:
-        make_fiber(specialize(fam, args.t0))
-        t0, rejected = Fraction(args.t0), []
-    else:
-        bp = pick_basepoint(fam, args.seed)
-        t0, rejected = bp.t0, list(bp.rejected)
+    t0, _, rejected = _resolve_basepoint(fam, args.t0, args.seed)
     result = {
         "ok": True,
         "terms": _family_terms(fam),
@@ -280,8 +274,7 @@ def _cmd_validate(fam, args):
 
 
 def _cmd_hodge(fam, args):
-    t0, rejected = _resolve_basepoint(fam, args.t0, args.seed)
-    fiber = make_fiber(specialize(fam, t0))
+    t0, fiber, rejected = _resolve_basepoint(fam, args.t0, args.seed)
     dims = []
     for k in sorted(set(standard_degrees(fam.degree))):
         dims.append({"degree": k, "dim": fiber.dim(k)})
@@ -399,11 +392,15 @@ def run(argv=None) -> int:
             "rejected": _rejected_json(rejected),
         }
         code = 3
-    except (PrecisionExhaustedError, ValueError) as exc:
+    except ValueError as exc:
         print(f"flatunitary: {exc}", file=sys.stderr)
         return 2
     report["timings"] = {"total": round(time.monotonic() - started, 6)}
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+    except OSError as exc:
+        print(f"flatunitary: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

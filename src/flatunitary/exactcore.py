@@ -704,9 +704,10 @@ class LiftSolution:
 class JetSystemSolver:
     """Order-by-order solver for M(s) x(s) = b(s), M over one jet domain.
 
-    Splits M into rational coefficient blocks M_0..M_{N-1}, prepares the
-    order-0 solver once, and then answers jet solves in N back-substitution
-    rounds each.
+    Splits M into rational coefficient blocks M_0..M_{N-1} and prepares the
+    order-0 solver once. A solve runs to the precision m of its right-hand
+    side, up to N, in m back-substitution rounds: the precision-m system is
+    the prefix M_0..M_{m-1}, so one solver serves every lower precision.
     """
 
     def __init__(self, matrix: Matrix):
@@ -741,14 +742,19 @@ class JetSystemSolver:
         return rhs
 
     def try_solve(self, b: Sequence, order0_value=None):
-        """Solve to full precision. b: jets of the matrix precision.
+        """Solve to the precision of b: jets of one precision m <= N.
 
         order0_value, when given, is used as the order-0 solution instead of
         solving (the caller asserting M_0 * order0_value = b_0); used for
         lifting prescribed kernel vectors. Returns (solution, None) on
-        success, (None, failing_order) on failure.
+        success, (None, failing_order) on failure; raises
+        PrecisionExhaustedError when m exceeds the solver's precision.
         """
-        n = self.precision
+        n = b[0].precision if b else self.precision
+        if n > self.precision:
+            raise PrecisionExhaustedError(
+                f"right-hand side has precision {n}; solver has {self.precision}"
+            )
         b_orders = [[Fraction(e.coeffs[k]) for e in b] for k in range(n)]
         xs = []
         for order in range(n):

@@ -104,7 +104,7 @@ def membership_witness(fiber: JacobianFiber, q: HomPoly) -> Witness:
         rank = solver.rank
     block = monomial_count(mult_deg)
     parts = tuple(
-        HomPoly.from_vector(mult_deg, x[i * block : (i + 1) * block], fiber.domain)
+        HomPoly.from_vector(mult_deg, x[i * block : (i + 1) * block], q.domain)
         for i in range(3)
     )
     return Witness(degree=k, parts=parts, unique=(rank == solver.ncols))
@@ -114,14 +114,15 @@ def theta_eval(fiber: JacobianFiber, Ft: HomPoly, p) -> RingElement:
     """Higgs action of the deformation class: the class of F_T * p.
 
     p may be a degree-(d-3) polynomial or a RingElement in that degree;
-    the result lives in degree 2d-3."""
+    the result lives in degree 2d-3. Over jets F_T is truncated to the
+    precision of p, which may be any up to the fibre's."""
     if isinstance(p, RingElement):
         p = fiber.representative(p)
     if p.degree != fiber.d - 3:
         raise ValueError(f"theta_eval needs degree {fiber.d - 3}, got {p.degree}")
     if Ft.degree != fiber.d:
         raise ValueError(f"deformation form must have degree {fiber.d}")
-    return fiber.normal_form(poly_mul(Ft, p))
+    return fiber.normal_form(poly_mul(_truncate_poly(Ft, _precision(p)), p))
 
 
 def _coeff_derivative(p: HomPoly) -> HomPoly:
@@ -139,6 +140,11 @@ def _coeff_derivative(p: HomPoly) -> HomPoly:
     raise ExactCoreError(f"no derivative on domain {dom!r}")
 
 
+def _precision(p: HomPoly):
+    """The jet precision of p's coefficients; None over field domains."""
+    return p.domain.precision if isinstance(p.domain, JetDomain) else None
+
+
 def _truncate_poly(p: HomPoly, n) -> HomPoly:
     if n is None or not isinstance(p.domain, JetDomain) or p.domain.precision == n:
         return p
@@ -150,18 +156,15 @@ def gm_derivative(fiber: JacobianFiber, Ft: HomPoly, p: HomPoly) -> HomPoly:
     action: dp/dt - sum_i dA_i/dY_i where F_T * p = sum_i A_i * dF/dY_i.
 
     Requires F_T * p to lie in the partials ideal (that is what theta = 0
-    means); raises NotKernelSectionError otherwise. Over jets the result
-    carries one order less of s-precision than the input.
+    means); raises NotKernelSectionError otherwise. Over jets p may have
+    any precision up to the fibre's, and the result carries one order
+    less of s-precision than p.
     """
     if p.degree != fiber.d - 3:
         raise ValueError(f"gm_derivative needs degree {fiber.d - 3}, got {p.degree}")
-    w = membership_witness(fiber, poly_mul(Ft, p))
-    out_prec = (
-        fiber.domain.precision - 1
-        if isinstance(fiber.domain, JetDomain)
-        else None
-    )
-    div = _truncate_poly(w.divergence(), out_prec)
+    prec = _precision(p)
+    w = membership_witness(fiber, poly_mul(_truncate_poly(Ft, prec), p))
+    div = _truncate_poly(w.divergence(), None if prec is None else prec - 1)
     return _coeff_derivative(p) - div
 
 
@@ -179,12 +182,7 @@ def reduce_pole(fiber: JacobianFiber, q: HomPoly):
     return cls, w
 
 
-def connection_class(
-    fiber: JacobianFiber,
-    Ft: HomPoly,
-    cls: CohomClass,
-    out_fiber: JacobianFiber = None,
-) -> CohomClass:
+def connection_class(fiber: JacobianFiber, Ft: HomPoly, cls: CohomClass) -> CohomClass:
     """Gauss-Manin derivative of a mixed class.
 
     The pole-one part contributes dp1/dt - divergence(A) at pole one
@@ -193,40 +191,29 @@ def connection_class(
     dp2/dt - divergence(B) with F_T * p2 = sum B_i dF/dY_i, the
     pole-three constant 1/2 cancelling half of the -2 from d/dt(1/F^2).
 
-    Over jets both output parts lose one order of s-precision, so the
-    reductions of the results happen in `out_fiber`, the same fibre one
-    jet order down; field domains ignore it.
+    Over jets both output parts carry one order of s-precision less than
+    the input class.
     """
-    jet = isinstance(fiber.domain, JetDomain)
-    out_prec = fiber.domain.precision - 1 if jet else None
-    if jet:
-        if out_fiber is None:
-            raise ValueError("jet connection needs out_fiber one order down")
-        if not isinstance(out_fiber.domain, JetDomain) or (
-            out_fiber.domain.precision != out_prec
-        ):
-            raise ValueError(f"out_fiber must have jet precision {out_prec}")
-        rf = out_fiber
-    else:
-        rf = fiber
-
     p1rep = fiber.representative(cls.p1)
     p2rep = fiber.representative(cls.p2)
+    prec = _precision(p1rep)
+    out_prec = None if prec is None else prec - 1
+    Ft = _truncate_poly(Ft, prec)
 
     # pole-one input: split F_T * p1 into ideal part and class remainder
     q1 = poly_mul(Ft, p1rep)
     r1 = fiber.normal_form(q1)
     wa = membership_witness(fiber, q1 - fiber.representative(r1))
     new_p1_poly = _coeff_derivative(p1rep) - _truncate_poly(wa.divergence(), out_prec)
-    new_p1 = rf.normal_form(new_p1_poly)
+    new_p1 = fiber.normal_form(new_p1_poly)
 
     # pole-two input: fully reducible one degree past the socle
     q2 = poly_mul(Ft, p2rep)
     wb = membership_witness(fiber, q2)
     new_p2_poly = _coeff_derivative(p2rep) - _truncate_poly(wb.divergence(), out_prec)
-    new_p2 = rf.normal_form(new_p2_poly)
+    new_p2 = fiber.normal_form(new_p2_poly)
     minus_r1 = [-c for c in r1.coords]
-    if jet:
+    if prec is not None:
         minus_r1 = [c.truncate(out_prec) for c in minus_r1]
     new_p2 = RingElement(
         new_p2.degree,

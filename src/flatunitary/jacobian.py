@@ -23,6 +23,7 @@ from .exactcore import (
     RATIONAL,
     DomainMismatchError,
     ExactCoreError,
+    Jet,
     JetDomain,
     JetSystemSolver,
     LinearSolver,
@@ -182,8 +183,16 @@ class JacobianFiber:
         return tuple(basis[i] for i in data.cobasis_idx)
 
     def normal_form(self, p: HomPoly) -> RingElement:
-        """Canonical cobasis coordinates of p's residue class."""
-        if p.domain != self.domain:
+        """Canonical cobasis coordinates of p's residue class.
+
+        Over jets p may have any precision up to the fibre's; the result
+        carries p's precision."""
+        lower_jet = (
+            self._order0 is not None
+            and isinstance(p.domain, JetDomain)
+            and p.domain.precision <= self.domain.precision
+        )
+        if p.domain != self.domain and not lower_jet:
             raise DomainMismatchError(
                 f"polynomial domain {p.domain} does not match fibre domain {self.domain}"
             )
@@ -229,13 +238,17 @@ class JacobianFiber:
         return RingElement(p.degree, tuple(x[ngens:]))
 
     def representative(self, elt: RingElement) -> HomPoly:
-        """The canonical polynomial representative, supported on the cobasis."""
+        """The canonical polynomial representative, supported on the cobasis.
+
+        Over jets the representative carries the precision of elt's
+        coordinates, which may be any up to the fibre's."""
         cob = self.cobasis(elt.degree)
         if len(cob) != len(elt.coords):
             raise ValueError("coordinate length does not match the cobasis")
-        return HomPoly(
-            elt.degree, dict(zip(cob, elt.coords)), domain=self.domain
-        )
+        domain = self.domain
+        if self._order0 is not None and elt.coords and isinstance(elt.coords[0], Jet):
+            domain = JetDomain(elt.coords[0].precision)
+        return HomPoly(elt.degree, dict(zip(cob, elt.coords)), domain=domain)
 
     def column_solver(self, k: int):
         """Solver for expressing degree-k vectors in the ideal generators.

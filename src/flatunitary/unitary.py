@@ -175,15 +175,16 @@ class FiltrationResult:
         return self.ranks[-1]
 
 
-def _chain_trajectory(fibers, Fts, p: HomPoly, depth: int):
+def _chain_trajectory(fiber: JacobianFiber, Ft: HomPoly, p: HomPoly, depth: int):
     """[p, D p, D^2 p, ...] up to D^depth, re-deriving every step.
 
     Each gm_derivative step proves the previous element is killed by
     theta, so a completed chain certifies the filtration conditions up
-    through level `depth` for this section."""
+    through level `depth` for this section. Over jets each step spends one
+    order of s-precision; the one fibre serves them all."""
     out = [p]
-    for k in range(depth):
-        out.append(gm_derivative(fibers[k], Fts[k], out[-1]))
+    for _ in range(depth):
+        out.append(gm_derivative(fiber, Ft, out[-1]))
     return out
 
 
@@ -217,11 +218,6 @@ def filtration_ranks(
     if mode == "ratfun":
         fiber = make_fiber(generic_fibre(fam))
         Ft = generic_fibre(t_derivative(fam))
-
-        def level_env(r):
-            # one fibre serves every depth over Q(t)
-            return fiber, Ft
-
         t0_used = None
         order_used = None
     else:
@@ -234,32 +230,16 @@ def filtration_ranks(
                 f"jet order {order} cannot support {rmax} levels; "
                 f"need at least {rmax}"
             )
-        if t0 is None:
-            t0 = pick_basepoint(fam, seed).t0
-        else:
-            t0 = Fraction(t0)
-            make_fiber(specialize(fam, t0))  # certify before any jet work
-        Ftfam = t_derivative(fam)
-        cache = {}
-
-        def env(prec):
-            if prec not in cache:
-                cache[prec] = (
-                    make_fiber(jet_expand(fam, t0, prec)),
-                    jet_expand(Ftfam, t0, prec),
-                )
-            return cache[prec]
-
-        def level_env(r):
-            return env(order - r)
-
+        t0 = pick_basepoint(fam, seed).t0 if t0 is None else Fraction(t0)
+        # the order-0 build certifies the fibre at t0; lower precisions
+        # are prefixes of this one, so it serves every level
+        fiber = make_fiber(jet_expand(fam, t0, order))
+        Ft = jet_expand(t_derivative(fam), t0, order)
         t0_used = t0
         order_used = order
 
     # level 1: the Higgs kernel itself
-    fiber0, Ft0 = level_env(0)
-    xi = fiber0.delta_class(Ft0)
-    H = fiber0.higgs_matrix(xi)
+    H = fiber.higgs_matrix(fiber.delta_class(Ft))
     if mode == "ratfun":
         combos = kernel_basis(H)
         rank = len(combos)
@@ -268,8 +248,8 @@ def filtration_ranks(
             tuple(H.rows[r][j] for r in range(H.nrows)) for j in range(H.ncols)
         ]
         rank, combos = _stacked_kernel(hcols, order)
-    cob = fiber0.cobasis(d - 3)
-    dom = fiber0.domain
+    cob = fiber.cobasis(d - 3)
+    dom = fiber.domain
     unit_sections = [HomPoly.monomial(e, dom.one(), domain=dom) for e in cob]
     sections = [_combine(unit_sections, c) for c in combos]
     ranks = [rank]
@@ -280,30 +260,22 @@ def filtration_ranks(
             sections = []
             break
         # depth-r trajectories for the current basis
-        fibers = []
-        Fts = []
-        for k in range(r):
-            fb, ft = level_env(k)
-            fibers.append(fb)
-            Fts.append(ft)
-        level_fiber, level_Ft = level_env(r)
         wcols = []
         for p in sections:
-            traj = _chain_trajectory(fibers, Fts, p, r)
-            wcols.append(theta_eval(level_fiber, level_Ft, traj[r]).coords)
+            traj = _chain_trajectory(fiber, Ft, p, r)
+            wcols.append(theta_eval(fiber, Ft, traj[r]).coords)
         if mode == "ratfun":
             nrows = len(wcols[0])
             M = Matrix(
                 [[wc[i] for wc in wcols] for i in range(nrows)],
                 ncols=len(wcols),
-                domain=fiber0.domain,
+                domain=fiber.domain,
             )
             combos = kernel_basis(M)
             rank = len(combos)
         else:
-            m = order_used - r
-            trunc = [tuple(c.truncate(m) for c in wc) for wc in wcols]
-            rank, combos = _stacked_kernel(trunc, m)
+            m = order_used - r  # theta values carry the trajectory's precision
+            rank, combos = _stacked_kernel(wcols, m)
             combos = [
                 tuple(
                     Jet(c.coeffs + (Fraction(0),) * (order_used - m)) for c in cv
@@ -324,7 +296,7 @@ def filtration_ranks(
         sections=tuple(sections),
     )
     if verify and sections:
-        _verify_chain(result, level_env)
+        _verify_chain(result, fiber, Ft)
     return result
 
 
@@ -338,22 +310,15 @@ def _combine(sections, coeffs):
     return out
 
 
-def _verify_chain(result: FiltrationResult, level_env):
+def _verify_chain(result: FiltrationResult, fiber: JacobianFiber, Ft: HomPoly):
     """Re-derive every section's trajectory and check the final condition.
 
     The chain raises if any lower theta-condition fails; the last theta
     is checked explicitly, so all max_level conditions are certified."""
     depth = result.max_level - 1
-    fibers = []
-    Fts = []
-    for k in range(depth):
-        fb, ft = level_env(k)
-        fibers.append(fb)
-        Fts.append(ft)
-    last_fiber, last_Ft = level_env(depth)
     for p in result.sections:
-        traj = _chain_trajectory(fibers, Fts, p, depth)
-        th = theta_eval(last_fiber, last_Ft, traj[depth])
+        traj = _chain_trajectory(fiber, Ft, p, depth)
+        th = theta_eval(fiber, Ft, traj[depth])
         if not th.is_zero:
             raise ExactCoreError(
                 "filtration invariant violated: final theta-condition nonzero"
@@ -402,12 +367,10 @@ def unitary_rank(
     seed: int = 0,
 ) -> UnitaryRank:
     """Rank of the flat unitary subbundle, with stability diagnostics."""
-    if mode is None:
-        mode = "ratfun" if fam.degree <= 5 else "jet"
     primary = filtration_ranks(
         fam, mode=mode, t0=t0, order=order, max_level=max_level, seed=seed
     )
-    if mode == "ratfun":
+    if primary.mode == "ratfun":
         return UnitaryRank(primary=primary, checks=(), stable=True)
     higher = filtration_ranks(
         fam,
@@ -473,10 +436,7 @@ def eta2_on_K(
         return Eta2Result(t0=pk.t0, basis=(), matrix=(), flags=())
 
     fib2 = make_fiber(jet_expand(fam, pk.t0, 2))
-    Ftfam = t_derivative(fam)
-    Ft2 = jet_expand(Ftfam, pk.t0, 2)
-    fib1 = make_fiber(jet_expand(fam, pk.t0, 1))
-    Ft1 = jet_expand(Ftfam, pk.t0, 1)
+    Ft2 = jet_expand(t_derivative(fam), pk.t0, 2)
     H0 = pk.fiber.higgs_matrix(pk.fiber.delta_class(pk.Ft))
     H2 = fib2.higgs_matrix(fib2.delta_class(Ft2))
     solver = JetSystemSolver(H2)
@@ -508,7 +468,7 @@ def eta2_on_K(
             )
         ext = fib2.representative(RingElement(d - 3, x))
         dext = gm_derivative(fib2, Ft2, ext)
-        th = theta_eval(fib1, Ft1, dext)
+        th = theta_eval(fib2, Ft2, dext)
         minus_th0 = RingElement(
             2 * d - 3, tuple(-c.coeffs[0] for c in th.coords)
         )

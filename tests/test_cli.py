@@ -40,6 +40,12 @@ class TestExitCodes:
         assert cli.run(["validate", "Y0^4 + Y1^3"]) == 2
         assert "homogeneous" in capsys.readouterr().err
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        assert cli.run(["validate", MIX, "--output", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("flatunitary: ")
+        assert not target.parent.exists()
+
     def test_bad_order(self, capsys):
         assert cli.run(["unitary-rank", MIX, "--mode", "jet", "--order", "0"]) == 2
 

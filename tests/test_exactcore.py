@@ -340,6 +340,17 @@ class TestJetSystems:
         assert fail is None
         assert got[0].order0 == 2 and got[1].order0 == -1
 
+    def test_solves_to_the_rhs_precision(self):
+        rows = [[Jet((1, 2, 3)), Jet((0, 1, 1))], [Jet((2, 0, 5)), Jet((1, 1, 0))]]
+        top = JetSystemSolver(Matrix(rows))
+        for m in (1, 2):
+            low = JetSystemSolver(Matrix([[e.truncate(m) for e in row] for row in rows]))
+            b = (Jet((1, -1)[:m]), Jet((3, 2)[:m]))
+            assert top.try_solve(b) == low.try_solve(b)
+            assert all(x.precision == m for x in top.try_solve(b)[0])
+        with pytest.raises(PrecisionExhaustedError):
+            top.try_solve((Jet((1, 0, 0, 0)), Jet((0, 0, 0, 0))))
+
     def test_field_matrix_rejected(self):
         with pytest.raises(DomainMismatchError):
             JetSystemSolver(Matrix([[Fraction(1)]]))

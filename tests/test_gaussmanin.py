@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import flatunitary._univar as up
-from flatunitary.exactcore import Jet, RatFun
+from flatunitary.exactcore import Jet, PrecisionExhaustedError, RatFun
 from flatunitary.family import generic_fibre, jet_expand, specialize, t_derivative
 from flatunitary.gaussmanin import (
     CohomClass,
@@ -196,19 +196,75 @@ class TestConnection:
         want = (_rf(up.ZERO), _rf(up.ZERO), _rf((-1,), (0, 2)))
         assert moved.p1.coords == want
 
-    def test_jet_transport_needs_output_fibre(self, mix):
+    def test_jet_transport_drops_one_order(self, mix):
         t0, n = Fraction(1), 3
         fiber = make_fiber(jet_expand(mix, t0, n))
-        out_fiber = make_fiber(jet_expand(mix, t0, n - 1))
         Ft = jet_expand(t_derivative(mix), t0, n)
         dom = fiber.F.domain
         y0 = _mono((1, 0, 0), dom.one(), domain=dom)
         zero5 = RingElement(5, tuple(dom.zero() for _ in range(fiber.dim(5))))
         cls = CohomClass(fiber.normal_form(y0), zero5)
-        with pytest.raises(ValueError):
-            connection_class(fiber, Ft, cls)
-        moved = connection_class(fiber, Ft, cls, out_fiber=out_fiber)
+        moved = connection_class(fiber, Ft, cls)
         [(e, c)] = [
             (e, c) for e, c in zip(range(3), moved.p1.coords) if not c.is_zero
         ]
         assert e == 0 and c == Jet((Fraction(1, 6), Fraction(5, 18)))
+        assert all(c.precision == n - 1 for c in moved.p2.coords)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestPrecisionPrefix:
+    """A jet fibre serves every precision below its own: the precision-m
+    system is the prefix M_0..M_{m-1} of the top one, so each result must
+    equal the one from a fibre built at precision m."""
+
+    T0 = Fraction(1)
+    TOP = 4
+
+    @pytest.fixture(scope="class")
+    def top(self, mix):
+        return (
+            make_fiber(jet_expand(mix, self.T0, self.TOP)),
+            jet_expand(t_derivative(mix), self.T0, self.TOP),
+        )
+
+    @staticmethod
+    def _random_jet(rng, m):
+        return Jet(tuple(Fraction(rng.randint(-4, 4)) for _ in range(m)))
+
+    def _random_jet_poly(self, rng, k, m):
+        return HomPoly(k, {e: self._random_jet(rng, m) for e in graded_basis(k)})
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_results_match_the_fibre_built_at_m(self, mix, top, m):
+        fiber, Ft = top
+        own = make_fiber(jet_expand(mix, self.T0, m))
+        own_Ft = jet_expand(t_derivative(mix), self.T0, m)
+        rng = random.Random(m)
+        for k in (4, 5):
+            p = self._random_jet_poly(rng, k, m)
+            assert fiber.normal_form(p) == own.normal_form(p)
+        p1 = self._random_jet_poly(rng, 1, m)
+        assert theta_eval(fiber, Ft, p1) == theta_eval(own, own_Ft, p1)
+        # a*Y0 + b*Y1 is killed by theta, so its derivative exists
+        section = HomPoly(
+            1, {(1, 0, 0): self._random_jet(rng, m), (0, 1, 0): self._random_jet(rng, m)}
+        )
+        got = _outcome(gm_derivative, fiber, Ft, section)
+        assert got == _outcome(gm_derivative, own, own_Ft, section)
+        if m > 1:
+            assert got.domain.precision == m - 1
+
+    def test_longer_rhs_exhausts_the_solver(self, top):
+        fiber, _ = top
+        solver = fiber.column_solver(5)
+        b = [Jet.from_fraction(0, self.TOP + 1)] * solver.nrows
+        with pytest.raises(PrecisionExhaustedError):
+            solver.try_solve(b)
