@@ -26,7 +26,7 @@ from .family import (
     specialize,
 )
 from .jacobian import SingularFibreError, make_fiber, standard_degrees
-from .polyring import monomial_sort_key
+from .polyring import graded_basis, monomial_sort_key
 from .unitary import mu_report, pointwise_kernel, unitary_rank
 
 SCHEMA = "flatunitary-report/1"
@@ -340,7 +340,8 @@ def _cmd_mu_report(fam, args):
         order=args.order,
         max_level=args.max_level,
     )
-    exps = make_fiber(specialize(fam, rep.t0)).cobasis(fam.degree - 3)
+    # no generators below degree d-1: the cobasis of R_{d-3} is every monomial
+    exps = graded_basis(fam.degree - 3)
     result = {
         "t0": _frac(rep.t0),
         "kernel_dim": rep.kernel_dim,

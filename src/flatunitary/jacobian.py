@@ -93,6 +93,16 @@ class JacobianFiber:
     """One fibre (or jet/generic-fibre thickening) of a Jacobian ring."""
 
     def __init__(self, F: HomPoly, degrees):
+        if isinstance(F.domain, JetDomain):
+            raise ValueError("build a jet fibre by thickening its order-0 fibre")
+        self._setup(F)
+        cert_degree = 3 * self.d - 5
+        self.certificate = self._smoothness_certificate(cert_degree)
+        self.dims = {}
+        for k in sorted(set(degrees)):
+            self.dims[k] = self._prepare_degree(k).dim
+
+    def _setup(self, F: HomPoly):
         if F.degree < 3:
             raise ValueError(f"curve degree must be >= 3, got {F.degree}")
         if F.is_zero:
@@ -106,17 +116,16 @@ class JacobianFiber:
         self._column_solvers = {}
         self._jet_stacked = {}
         self._order0 = None
-        if isinstance(self.domain, JetDomain):
-            F0 = F.map_coefficients(lambda c: c.order0, domain=RATIONAL)
-            self._order0 = JacobianFiber(F0, degrees)
-            self.certificate = self._order0.certificate
-            self.dims = dict(self._order0.dims)
-            return
-        cert_degree = 3 * self.d - 5
-        self.certificate = self._smoothness_certificate(cert_degree)
-        self.dims = {}
-        for k in sorted(set(degrees)):
-            self.dims[k] = self._prepare_degree(k).dim
+
+    def thicken(self, F: HomPoly) -> "JacobianFiber":
+        """The jet fibre of F, sharing this rational fibre's certificate and
+        echelon data; F's order-0 part must be this fibre's polynomial."""
+        if not isinstance(F.domain, JetDomain) or _order0_part(F) != self.F:
+            raise ValueError("F is not a jet thickening of this rational fibre")
+        jet = JacobianFiber.__new__(JacobianFiber)
+        jet._setup(F)
+        jet._order0, jet.certificate, jet.dims = self, self.certificate, dict(self.dims)
+        return jet
 
     # -- construction internals ------------------------------------------
 
@@ -310,10 +319,17 @@ class JacobianFiber:
         return nf.coords[-1]
 
 
+def _order0_part(F: HomPoly) -> HomPoly:
+    return F.map_coefficients(lambda c: c.order0, domain=RATIONAL)
+
+
 def make_fiber(F: HomPoly, degrees=None) -> JacobianFiber:
     """Build a fibre with the given degrees prepared (plus the certificate
     degree 3d-5, which is always checked). Raises SingularFibreError when
-    the smoothness certificate fails."""
+    the smoothness certificate fails. A jet polynomial gets its order-0
+    fibre built, then thickened."""
     if degrees is None:
         degrees = standard_degrees(F.degree)
+    if isinstance(F.domain, JetDomain):
+        return JacobianFiber(_order0_part(F), degrees).thicken(F)
     return JacobianFiber(F, degrees)

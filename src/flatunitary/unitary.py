@@ -12,7 +12,10 @@ parameter derivative corrected by pole reduction. The chain stabilizes
 by level g and its stable rank is the rank of the flat unitary
 subbundle. Conditions at level r+1 are linear over the scalar field
 because every lower theta-condition vanishes on V_r, so each level is
-one exact kernel computation.
+one exact kernel computation. One pass walks the chain: each section of
+V_r keeps its trajectory [p, D p, ..., D^r p], and the Leibniz rule
+passes these on to the sections of V_{r+1}, so no derivative is taken
+twice.
 
 Two computation modes share the level logic. Over the rational-function
 field the kernels are taken over Q(t) and the answer is the generic
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .exactcore import (
     ExactCoreError,
@@ -41,6 +45,7 @@ from .exactcore import (
     Matrix,
     PrecisionExhaustedError,
     RATIONAL,
+    _is_zero,
     kernel_basis,
 )
 from .family import (
@@ -52,7 +57,7 @@ from .family import (
     specialize,
     t_derivative,
 )
-from .gaussmanin import gm_derivative, theta_eval
+from .gaussmanin import _precision, _truncate_poly, gm_derivative, theta_eval
 from .jacobian import JacobianFiber, RingElement, make_fiber
 from .polyring import HomPoly, poly_mul
 
@@ -83,17 +88,20 @@ def pointwise_kernel(fam: FamilySpec, t0=None, seed: int = 0) -> PointKernel:
     This is the pointwise kernel K(t0); on a jumping parameter value it
     can be strictly larger than the rank of the kernel bundle nearby.
     """
-    if t0 is None:
-        bp = pick_basepoint(fam, seed)
-        t0, fiber, rejected = bp.t0, bp.fiber, bp.rejected
-    else:
-        t0 = Fraction(t0)
-        fiber = make_fiber(specialize(fam, t0))
-        rejected = ()
+    t0, fiber, rejected = _certified_fibre(fam, t0, seed)
     Ft = specialize(t_derivative(fam), t0)
     H = fiber.higgs_matrix(fiber.delta_class(Ft))
     basis = kernel_basis(H)
     return PointKernel(t0=t0, fiber=fiber, Ft=Ft, basis=basis, rejected=rejected)
+
+
+def _certified_fibre(fam: FamilySpec, t0, seed: int):
+    """(t0, its certified rational fibre, rejected candidates); seeded if t0 is None."""
+    if t0 is None:
+        bp = pick_basepoint(fam, seed)
+        return bp.t0, bp.fiber, bp.rejected
+    t0 = Fraction(t0)
+    return t0, make_fiber(specialize(fam, t0)), ()
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +127,12 @@ def _stacked_kernel(cols, m: int):
 
     cols: J coordinate vectors of jets (precision m). Couples all jet
     orders of Sum_j c_j(s) cols_j(s) = 0 (mod s^m) into one rational
-    system; returns (rank, picks) where rank is the dimension of the
-    order-0 values of solutions and picks are kernel vectors c (tuples of
-    precision-m jets) with independent order-0 parts, chosen greedily
-    from the deterministic kernel basis.
+    system; returns kernel vectors c (tuples of precision-m jets) whose
+    order-0 parts are independent and span the order-0 values of all
+    solutions, chosen greedily from the deterministic kernel basis. Their
+    number is the level rank.
     """
     J = len(cols)
-    if J == 0:
-        return 0, []
     nrows = len(cols[0])
     big = []
     for a in range(m):
@@ -145,7 +151,7 @@ def _stacked_kernel(cols, m: int):
             picks.append(
                 tuple(Jet(tuple(v[b * J + j] for b in range(m))) for j in range(J))
             )
-    return len(picks), picks
+    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +181,6 @@ class FiltrationResult:
         return self.ranks[-1]
 
 
-def _chain_trajectory(fiber: JacobianFiber, Ft: HomPoly, p: HomPoly, depth: int):
-    """[p, D p, D^2 p, ...] up to D^depth, re-deriving every step.
-
-    Each gm_derivative step proves the previous element is killed by
-    theta, so a completed chain certifies the filtration conditions up
-    through level `depth` for this section. Over jets each step spends one
-    order of s-precision; the one fibre serves them all."""
-    out = [p]
-    for _ in range(depth):
-        out.append(gm_derivative(fiber, Ft, out[-1]))
-    return out
-
-
 def filtration_ranks(
     fam: FamilySpec,
     mode: str = None,
@@ -204,6 +197,12 @@ def filtration_ranks(
     of the given order (default 2*genus + 4). The chain never stops
     early except on hitting rank zero, so stabilization is observed
     rather than assumed.
+
+    Level r+1 extends the held trajectory of each basis section p of V_r
+    (cobasis unit sections at level 1) to D^r p by one gm_derivative step,
+    takes the kernel of theta on the D^r p (precision order - r over jets)
+    and builds the new trajectories by the Leibniz rule. verify checks the
+    trajectories the pass ends with.
     """
     d = fam.degree
     g = fam.genus
@@ -218,8 +217,7 @@ def filtration_ranks(
     if mode == "ratfun":
         fiber = make_fiber(generic_fibre(fam))
         Ft = generic_fibre(t_derivative(fam))
-        t0_used = None
-        order_used = None
+        t0 = order = None
     else:
         if order is None:
             order = default_jet_order(g)
@@ -230,96 +228,79 @@ def filtration_ranks(
                 f"jet order {order} cannot support {rmax} levels; "
                 f"need at least {rmax}"
             )
-        t0 = pick_basepoint(fam, seed).t0 if t0 is None else Fraction(t0)
-        # the order-0 build certifies the fibre at t0; lower precisions
-        # are prefixes of this one, so it serves every level
-        fiber = make_fiber(jet_expand(fam, t0, order))
+        t0, base, _ = _certified_fibre(fam, t0, seed)
+        # lower precisions are prefixes of this fibre's: it serves every level
+        fiber = base.thicken(jet_expand(fam, t0, order))
         Ft = jet_expand(t_derivative(fam), t0, order)
-        t0_used = t0
-        order_used = order
 
-    # level 1: the Higgs kernel itself
-    H = fiber.higgs_matrix(fiber.delta_class(Ft))
-    if mode == "ratfun":
-        combos = kernel_basis(H)
-        rank = len(combos)
-    else:
-        hcols = [
-            tuple(H.rows[r][j] for r in range(H.nrows)) for j in range(H.ncols)
-        ]
-        rank, combos = _stacked_kernel(hcols, order)
-    cob = fiber.cobasis(d - 3)
     dom = fiber.domain
-    unit_sections = [HomPoly.monomial(e, dom.one(), domain=dom) for e in cob]
-    sections = [_combine(unit_sections, c) for c in combos]
-    ranks = [rank]
-
-    for r in range(1, rmax):
-        if ranks[-1] == 0:
-            ranks.extend([0] * (rmax - len(ranks)))
-            sections = []
-            break
-        # depth-r trajectories for the current basis
-        wcols = []
-        for p in sections:
-            traj = _chain_trajectory(fiber, Ft, p, r)
-            wcols.append(theta_eval(fiber, Ft, traj[r]).coords)
+    trajs = [
+        [HomPoly.monomial(e, dom.one(), domain=dom)] for e in fiber.cobasis(d - 3)
+    ]
+    ranks = []
+    for r in range(rmax):
+        if r:
+            for traj in trajs:
+                traj.append(gm_derivative(fiber, Ft, traj[-1]))
+        wcols = [theta_eval(fiber, Ft, traj[-1]).coords for traj in trajs]
         if mode == "ratfun":
-            nrows = len(wcols[0])
-            M = Matrix(
-                [[wc[i] for wc in wcols] for i in range(nrows)],
-                ncols=len(wcols),
-                domain=fiber.domain,
-            )
-            combos = kernel_basis(M)
-            rank = len(combos)
+            combos = kernel_basis(Matrix(list(zip(*wcols)), domain=dom))
         else:
-            m = order_used - r  # theta values carry the trajectory's precision
-            rank, combos = _stacked_kernel(wcols, m)
+            # pad the precision-(order - r) kernel vectors back to order
             combos = [
-                tuple(
-                    Jet(c.coeffs + (Fraction(0),) * (order_used - m)) for c in cv
-                )
-                for cv in combos
+                tuple(Jet(c.coeffs + (Fraction(0),) * r) for c in cv)
+                for cv in _stacked_kernel(wcols, order - r)
             ]
-        sections = [_combine(sections, c) for c in combos]
-        ranks.append(rank)
+        trajs = [_leibniz(trajs, c) for c in combos]
+        ranks.append(len(trajs))
+        if not trajs:
+            break
+    ranks.extend([0] * (rmax - len(ranks)))
 
     result = FiltrationResult(
         mode=mode,
         degree=d,
         genus=g,
-        t0=t0_used,
-        order=order_used,
+        t0=t0,
+        order=order,
         max_level=rmax,
         ranks=tuple(ranks),
-        sections=tuple(sections),
+        sections=tuple(traj[0] for traj in trajs),
     )
-    if verify and sections:
-        _verify_chain(result, fiber, Ft)
+    if verify and trajs:
+        _verify_chain(fiber, Ft, trajs)
     return result
 
 
-def _combine(sections, coeffs):
-    out = None
-    for c, p in zip(coeffs, sections):
-        term = p.scale(c)
-        out = term if out is None else out + term
-    if out is None:
-        raise ExactCoreError("empty combination")
+def _leibniz(trajs, coeffs):
+    """The trajectory of Sum_j c_j p_j from those of the p_j by
+    D^k(Sum_j c_j p_j) = Sum_i C(k, i) Sum_j c_j^(i) D^(k-i) p_j; over
+    jets each term is cut to the precision of D^k p_j."""
+    derivs = [coeffs]
+    for _ in range(len(trajs[0]) - 1):
+        derivs.append([c.derivative() for c in derivs[-1]])
+    out = []
+    for k, first in enumerate(trajs[0]):
+        n = _precision(first)
+        total = HomPoly.zero(first.degree, first.domain)
+        for i in range(k + 1):
+            for c, traj in zip(derivs[i], trajs):
+                if _is_zero(c):
+                    continue
+                if n is not None:
+                    c = c.truncate(n)
+                total = total + _truncate_poly(traj[k - i], n).scale(comb(k, i) * c)
+        out.append(total)
     return out
 
 
-def _verify_chain(result: FiltrationResult, fiber: JacobianFiber, Ft: HomPoly):
-    """Re-derive every section's trajectory and check the final condition.
-
-    The chain raises if any lower theta-condition fails; the last theta
-    is checked explicitly, so all max_level conditions are certified."""
-    depth = result.max_level - 1
-    for p in result.sections:
-        traj = _chain_trajectory(fiber, Ft, p, depth)
-        th = theta_eval(fiber, Ft, traj[depth])
-        if not th.is_zero:
+def _verify_chain(fiber: JacobianFiber, Ft: HomPoly, trajectories):
+    """Check theta(D^(L-1) p) = 0 on each held trajectory [p, .., D^(L-1) p]
+    of a final section, L = max_level. The lower conditions hold already:
+    the entries combine ones gm_derivative was applied to, which raises
+    unless theta kills them."""
+    for traj in trajectories:
+        if not theta_eval(fiber, Ft, traj[-1]).is_zero:
             raise ExactCoreError(
                 "filtration invariant violated: final theta-condition nonzero"
             )
@@ -435,7 +416,7 @@ def eta2_on_K(
     if k == 0:
         return Eta2Result(t0=pk.t0, basis=(), matrix=(), flags=())
 
-    fib2 = make_fiber(jet_expand(fam, pk.t0, 2))
+    fib2 = pk.fiber.thicken(jet_expand(fam, pk.t0, 2))
     Ft2 = jet_expand(t_derivative(fam), pk.t0, 2)
     H0 = pk.fiber.higgs_matrix(pk.fiber.delta_class(pk.Ft))
     H2 = fib2.higgs_matrix(fib2.delta_class(Ft2))

@@ -166,6 +166,19 @@ class TestFixtureReports:
         "stem,argv,want_code", cli.FIXTURE_RUNS, ids=[r[0] for r in cli.FIXTURE_RUNS]
     )
     def test_matches_bundled_expectation(self, stem, argv, want_code, tmp_path, monkeypatch):
+        self._check(stem, argv, want_code, tmp_path, monkeypatch)
+
+    def test_mu_report_builds_no_fibre_of_its_own(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mu-report rebuilt a fibre")
+
+        monkeypatch.setattr(cli, "make_fiber", refuse)
+        stem, argv, want_code = cli.FIXTURE_RUNS[-1]
+        assert argv[0] == "mu-report"
+        self._check(stem, argv, want_code, tmp_path, monkeypatch)
+
+    @staticmethod
+    def _check(stem, argv, want_code, tmp_path, monkeypatch):
         fixdir = os.path.dirname(flatunitary.fixture_path("fermat_mix.fam"))
         monkeypatch.chdir(fixdir)
         out = tmp_path / "report.json"

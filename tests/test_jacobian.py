@@ -127,6 +127,16 @@ class TestNormalForm:
         rnf = rfiber.normal_form(p)
         assert tuple(c.order0 for c in jnf.coords) == rnf.coords
 
+    def test_thicken_checks_the_order0_part(self, mix):
+        rfiber = make_fiber(specialize(mix, Fraction(1)))
+        jfiber = rfiber.thicken(jet_expand(mix, Fraction(1), 3))
+        assert jfiber.certificate is rfiber.certificate
+        assert jfiber.dims == rfiber.dims
+        with pytest.raises(ValueError):
+            rfiber.thicken(jet_expand(mix, Fraction(-1), 3))
+        with pytest.raises(ValueError):
+            jfiber.thicken(jet_expand(mix, Fraction(1), 3))
+
 
 class TestSoclePairing:
     def test_bilinear_in_both_slots(self, mix):

@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from flatunitary.exactcore import PrecisionExhaustedError
-from flatunitary.family import parse_family
+from flatunitary import unitary
+from flatunitary.exactcore import ExactCoreError, PrecisionExhaustedError
+from flatunitary.family import (
+    generic_fibre,
+    jet_expand,
+    parse_family,
+    specialize,
+    t_derivative,
+)
+from flatunitary.gaussmanin import gm_derivative, theta_eval
+from flatunitary.jacobian import JacobianFiber, make_fiber
+from flatunitary.polyring import HomPoly
 from flatunitary.unitary import (
     default_jet_order,
     eta2_on_K,
@@ -94,6 +104,64 @@ class TestFiltrationRanks:
             filtration_ranks(mix, mode="symbolic")
 
 
+def _chain_trajectory(fiber, Ft, p, depth):
+    """Test oracle: [p, D p, ..., D^depth p], every step re-derived."""
+    out = [p]
+    for _ in range(depth):
+        out.append(gm_derivative(fiber, Ft, out[-1]))
+    return out
+
+
+class TestHeldTrajectories:
+    """The pass builds each final section's trajectory by the Leibniz rule
+    and verifies the trajectories it holds; re-deriving them step by step
+    on a fresh fibre must give the same polynomials, ending in a zero
+    theta value."""
+
+    @pytest.mark.parametrize(
+        "name,mode,t0",
+        [
+            ("mix", "ratfun", None),
+            ("mix", "jet", Fraction(1)),
+            ("path_family", "jet", Fraction(0)),
+            ("tfree", "ratfun", None),
+            ("tfree", "jet", None),
+        ],
+    )
+    def test_match_the_rederived_chain(self, request, monkeypatch, name, mode, t0):
+        fam = request.getfixturevalue(name)
+        held = []
+        real = unitary._verify_chain
+
+        def capture(fiber, Ft, trajectories):
+            held.append(trajectories)
+            real(fiber, Ft, trajectories)
+
+        monkeypatch.setattr(unitary, "_verify_chain", capture)
+        res = filtration_ranks(fam, mode=mode, t0=t0)
+        if mode == "ratfun":
+            fiber = make_fiber(generic_fibre(fam))
+            Ft = generic_fibre(t_derivative(fam))
+        else:
+            fiber = make_fiber(jet_expand(fam, res.t0, res.order))
+            Ft = jet_expand(t_derivative(fam), res.t0, res.order)
+        (trajs,) = held
+        assert res.sections and [t[0] for t in trajs] == list(res.sections)
+        for traj in trajs:
+            want = _chain_trajectory(fiber, Ft, traj[0], res.max_level - 1)
+            assert traj == want
+            assert theta_eval(fiber, Ft, want[-1]).is_zero
+
+    def test_verify_rejects_a_nonzero_final_theta(self, mix):
+        fiber = make_fiber(specialize(mix, Fraction(1)))
+        Ft = specialize(t_derivative(mix), Fraction(1))
+        y0 = HomPoly.monomial((1, 0, 0), 1)
+        y2 = HomPoly.monomial((0, 0, 1), 1)  # outside the Higgs kernel at t = 1
+        unitary._verify_chain(fiber, Ft, [[y0]])
+        with pytest.raises(ExactCoreError):
+            unitary._verify_chain(fiber, Ft, [[y0], [y2]])
+
+
 class TestUnitaryRank:
     def test_function_field_mode_is_stable_by_construction(self, mix):
         rk = unitary_rank(mix, mode="ratfun")
@@ -157,6 +225,20 @@ class TestEta2:
         )
         with pytest.raises(ValueError):
             eta2_on_K(mix, t0=Fraction(1), extension_tweaks={0: bad})
+
+    def test_extension_fibre_thickens_the_kernel_fibre(self, mix, monkeypatch):
+        pk = pointwise_kernel(mix, t0=Fraction(1))
+        certified = []
+        real = JacobianFiber._smoothness_certificate
+
+        def counting(self, degree):
+            certified.append(degree)
+            return real(self, degree)
+
+        monkeypatch.setattr(JacobianFiber, "_smoothness_certificate", counting)
+        eta = eta2_on_K(mix, t0=Fraction(1), _pk=pk)
+        assert eta.flags == () and eta.matrix == ((0, 0), (0, 0))
+        assert certified == []
 
     def test_empty_kernel_gives_empty_result(self, hesse):
         eta = eta2_on_K(hesse, t0=Fraction(1))
