@@ -11,7 +11,6 @@ from fractions import Fraction
 
 ZERO = ()
 ONE = (Fraction(1),)
-VAR = (Fraction(0), Fraction(1))
 
 
 def pnorm(coeffs) -> tuple:

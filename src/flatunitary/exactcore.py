@@ -41,10 +41,6 @@ class DomainMismatchError(ExactCoreError, TypeError):
     """Scalars from different domains (or different jet precisions) mixed."""
 
 
-class InconsistentSystemError(ExactCoreError, ValueError):
-    """A field linear system has no solution."""
-
-
 class LiftInconsistencyError(ExactCoreError, ValueError):
     """A jet system became unsolvable at some order."""
 
@@ -179,9 +175,6 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({_poly_repr(self.num)} / {_poly_repr(self.den)})"
-
-
-RATFUN_T = RatFun(up.VAR, up.ONE, _trusted=True)
 
 
 def _poly_repr(coeffs) -> str:
@@ -665,12 +658,6 @@ class LinearSolver:
         for k, c in enumerate(self.pivots):
             x[c] = _dot(self._transform[k], b, zero)
         return tuple(x)
-
-    def solve(self, b: Sequence):
-        x = self.try_solve(b)
-        if x is None:
-            raise InconsistentSystemError("linear system has no solution")
-        return x
 
     def kernel(self):
         res = RrefResult(

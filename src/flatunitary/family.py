@@ -27,7 +27,6 @@ from .jacobian import (
     SingularFibreError,
     genus_of_degree,
     make_fiber,
-    standard_degrees,
 )
 from .polyring import HomPoly, monomial_sort_key
 
@@ -366,31 +365,32 @@ def candidate_basepoints(seed: int):
     return values
 
 
-def iter_basepoints(fam: FamilySpec, seed: int = 0, degrees=None, _rejected=None):
+def iter_basepoints(fam: FamilySpec, seed: int = 0, _rejected=None, _skip=()):
     """Yield certified-smooth basepoints in seeded candidate order.
 
     Each yielded Basepoint carries the rejections seen so far; pass a list
-    as _rejected to also observe them after exhaustion."""
-    if degrees is None:
-        degrees = standard_degrees(fam.degree)
+    as _rejected to also observe them after exhaustion. Candidates in
+    _skip are passed over before they are certified."""
     rejected = _rejected if _rejected is not None else []
     for t0 in candidate_basepoints(seed):
+        if t0 in _skip:
+            continue
         F = specialize(fam, t0)
         if F.is_zero:
             rejected.append((t0, "fibre is the zero polynomial"))
             continue
         try:
-            fiber = make_fiber(F, degrees)
+            fiber = make_fiber(F)
         except SingularFibreError as exc:
             rejected.append((t0, str(exc)))
             continue
         yield Basepoint(t0=t0, fiber=fiber, rejected=tuple(rejected))
 
 
-def pick_basepoint(fam: FamilySpec, seed: int = 0, degrees=None) -> Basepoint:
+def pick_basepoint(fam: FamilySpec, seed: int = 0) -> Basepoint:
     """First certified-smooth candidate; raises NoSmoothFibreError after
     exhausting all candidates."""
     rejected = []
-    for bp in iter_basepoints(fam, seed, degrees, _rejected=rejected):
+    for bp in iter_basepoints(fam, seed, _rejected=rejected):
         return bp
     raise NoSmoothFibreError(rejected)

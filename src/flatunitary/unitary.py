@@ -24,7 +24,8 @@ rational basepoint t0 in truncated power series in s = t - t0: each
 level solves the block-triangular rational system coupling all s-orders
 at once, the level rank is the dimension of order-0 values of solutions,
 and one order of s-precision is spent per level. Jet answers are
-certified by recomputing at a higher order and at a second basepoint.
+certified by recomputing at a higher order on the same jet fibre and at
+a second basepoint; no basepoint is certified twice.
 
 The second-order data lives here too: the pairing on the pointwise
 Higgs kernel obtained by differentiating kernel vectors once (eta2), the
@@ -41,6 +42,7 @@ from math import comb
 from .exactcore import (
     ExactCoreError,
     Jet,
+    JetDomain,
     JetSystemSolver,
     Matrix,
     PrecisionExhaustedError,
@@ -78,6 +80,7 @@ class PointKernel:
     t0: Fraction
     fiber: JacobianFiber
     Ft: HomPoly
+    higgs: Matrix
     basis: tuple  # rational coordinate vectors over the degree-(d-3) cobasis
     rejected: tuple
 
@@ -91,8 +94,7 @@ def pointwise_kernel(fam: FamilySpec, t0=None, seed: int = 0) -> PointKernel:
     t0, fiber, rejected = _certified_fibre(fam, t0, seed)
     Ft = specialize(t_derivative(fam), t0)
     H = fiber.higgs_matrix(fiber.delta_class(Ft))
-    basis = kernel_basis(H)
-    return PointKernel(t0=t0, fiber=fiber, Ft=Ft, basis=basis, rejected=rejected)
+    return PointKernel(t0, fiber, Ft, H, kernel_basis(H), rejected)
 
 
 def _certified_fibre(fam: FamilySpec, t0, seed: int):
@@ -181,6 +183,30 @@ class FiltrationResult:
         return self.ranks[-1]
 
 
+def _settings(fam: FamilySpec, mode, order, max_level):
+    """(mode, order, max_level) with the defaults filled in and checked:
+    mode "ratfun" through degree 5, order 2*genus + 4 (None over Q(t)),
+    max_level the genus."""
+    if mode is None:
+        mode = "ratfun" if fam.degree <= 5 else "jet"
+    if mode not in ("ratfun", "jet"):
+        raise ValueError(f"unknown mode {mode!r}")
+    rmax = fam.genus if max_level is None else max_level
+    if rmax < 1:
+        raise ValueError("max_level must be >= 1")
+    if mode == "ratfun":
+        return mode, None, rmax
+    if order is None:
+        order = default_jet_order(fam.genus)
+    if order < 1:
+        raise ValueError("jet order must be >= 1")
+    if order - (rmax - 1) < 1:
+        raise PrecisionExhaustedError(
+            f"jet order {order} cannot support {rmax} levels; need at least {rmax}"
+        )
+    return mode, order, rmax
+
+
 def filtration_ranks(
     fam: FamilySpec,
     mode: str = None,
@@ -188,7 +214,6 @@ def filtration_ranks(
     order: int = None,
     max_level: int = None,
     seed: int = 0,
-    verify: bool = True,
 ) -> FiltrationResult:
     """Compute the kernel chain ranks down to max_level (default: genus).
 
@@ -196,44 +221,36 @@ def filtration_ranks(
     works at the basepoint t0 (picked by seed when not given) with jets
     of the given order (default 2*genus + 4). The chain never stops
     early except on hitting rank zero, so stabilization is observed
-    rather than assumed.
+    rather than assumed. The sections the pass ends with are checked
+    against the last theta-condition.
+    """
+    mode, order, rmax = _settings(fam, mode, order, max_level)
+    if mode == "ratfun":
+        fiber = make_fiber(generic_fibre(fam))
+        return _walk_chain(fiber, generic_fibre(t_derivative(fam)), None, None, rmax)
+    t0, base, _ = _certified_fibre(fam, t0, seed)
+    return _walk_chain(*_jet_fibre(fam, t0, base, order), t0, order, rmax)
+
+
+def _jet_fibre(fam: FamilySpec, t0: Fraction, base: JacobianFiber, prec: int):
+    """The precision-prec jet fibre over the certified rational fibre at
+    t0, and F_T there; it serves every precision up to prec."""
+    fiber = base.thicken(jet_expand(fam, t0, prec))
+    return fiber, jet_expand(t_derivative(fam), t0, prec)
+
+
+def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
+    """One pass down the kernel chain on one fibre: over Q(t) when order
+    is None, else over jets of that order at t0 (the fibre's precision
+    may be higher).
 
     Level r+1 extends the held trajectory of each basis section p of V_r
     (cobasis unit sections at level 1) to D^r p by one gm_derivative step,
     takes the kernel of theta on the D^r p (precision order - r over jets)
-    and builds the new trajectories by the Leibniz rule. verify checks the
-    trajectories the pass ends with.
+    and builds the new trajectories by the Leibniz rule.
     """
-    d = fam.degree
-    g = fam.genus
-    if mode is None:
-        mode = "ratfun" if d <= 5 else "jet"
-    if mode not in ("ratfun", "jet"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rmax = g if max_level is None else max_level
-    if rmax < 1:
-        raise ValueError("max_level must be >= 1")
-
-    if mode == "ratfun":
-        fiber = make_fiber(generic_fibre(fam))
-        Ft = generic_fibre(t_derivative(fam))
-        t0 = order = None
-    else:
-        if order is None:
-            order = default_jet_order(g)
-        if order < 1:
-            raise ValueError("jet order must be >= 1")
-        if order - (rmax - 1) < 1:
-            raise PrecisionExhaustedError(
-                f"jet order {order} cannot support {rmax} levels; "
-                f"need at least {rmax}"
-            )
-        t0, base, _ = _certified_fibre(fam, t0, seed)
-        # lower precisions are prefixes of this fibre's: it serves every level
-        fiber = base.thicken(jet_expand(fam, t0, order))
-        Ft = jet_expand(t_derivative(fam), t0, order)
-
-    dom = fiber.domain
+    d = fiber.d
+    dom = fiber.domain if order is None else JetDomain(order)
     trajs = [
         [HomPoly.monomial(e, dom.one(), domain=dom)] for e in fiber.cobasis(d - 3)
     ]
@@ -243,7 +260,7 @@ def filtration_ranks(
             for traj in trajs:
                 traj.append(gm_derivative(fiber, Ft, traj[-1]))
         wcols = [theta_eval(fiber, Ft, traj[-1]).coords for traj in trajs]
-        if mode == "ratfun":
+        if order is None:
             combos = kernel_basis(Matrix(list(zip(*wcols)), domain=dom))
         else:
             # pad the precision-(order - r) kernel vectors back to order
@@ -258,16 +275,16 @@ def filtration_ranks(
     ranks.extend([0] * (rmax - len(ranks)))
 
     result = FiltrationResult(
-        mode=mode,
+        mode="ratfun" if order is None else "jet",
         degree=d,
-        genus=g,
+        genus=fiber.genus,
         t0=t0,
         order=order,
         max_level=rmax,
         ranks=tuple(ranks),
         sections=tuple(traj[0] for traj in trajs),
     )
-    if verify and trajs:
+    if trajs:
         _verify_chain(fiber, Ft, trajs)
     return result
 
@@ -314,9 +331,10 @@ def _verify_chain(fiber: JacobianFiber, Ft: HomPoly, trajectories):
 class UnitaryRank:
     """A filtration run plus the agreement checks behind it.
 
-    In jet mode the primary run is recomputed with two extra orders and
-    at a second basepoint; `stable` records whether all rank sequences
-    agree. Over Q(t) the computation is generic and stable by fiat.
+    In jet mode checks holds the primary run recomputed with two extra
+    orders on the primary's jet fibre, then at the primary's order at a
+    second basepoint; `stable` records whether all rank sequences agree.
+    Over Q(t) the computation is generic and stable by fiat.
     """
 
     primary: FiltrationResult
@@ -332,13 +350,6 @@ class UnitaryRank:
         return self.primary.ranks
 
 
-def _second_basepoint(fam: FamilySpec, seed: int, avoid: Fraction) -> Fraction:
-    for bp in iter_basepoints(fam, seed):
-        if bp.t0 != avoid:
-            return bp.t0
-    raise ExactCoreError("no second basepoint available")
-
-
 def unitary_rank(
     fam: FamilySpec,
     mode: str = None,
@@ -346,30 +357,33 @@ def unitary_rank(
     order: int = None,
     max_level: int = None,
     seed: int = 0,
+    _pk: PointKernel = None,
 ) -> UnitaryRank:
-    """Rank of the flat unitary subbundle, with stability diagnostics."""
-    primary = filtration_ranks(
-        fam, mode=mode, t0=t0, order=order, max_level=max_level, seed=seed
-    )
-    if primary.mode == "ratfun":
+    """Rank of the flat unitary subbundle, with stability diagnostics.
+
+    In jet mode each basepoint is certified once: the primary is t0
+    (seeded when None; _pk's when the caller holds its pointwise kernel),
+    and the second resumes the seeded walk past every candidate certified
+    so far. One jet fibre at the primary, of precision order + 2, serves
+    the primary run and the higher check.
+    """
+    mode, order, rmax = _settings(fam, mode, order, max_level)
+    if mode == "ratfun":
+        primary = filtration_ranks(fam, mode, max_level=rmax)
         return UnitaryRank(primary=primary, checks=(), stable=True)
-    higher = filtration_ranks(
-        fam,
-        mode="jet",
-        t0=primary.t0,
-        order=primary.order + 2,
-        max_level=max_level,
-        seed=seed,
-    )
-    t0b = _second_basepoint(fam, seed, primary.t0)
-    other = filtration_ranks(
-        fam,
-        mode="jet",
-        t0=t0b,
-        order=primary.order,
-        max_level=max_level,
-        seed=seed,
-    )
+    if _pk is not None:
+        t0, base, rejected = _pk.t0, _pk.fiber, _pk.rejected
+    else:
+        t0, base, rejected = _certified_fibre(fam, t0, seed)
+    fiber, Ft = _jet_fibre(fam, t0, base, order + 2)
+    primary = _walk_chain(fiber, Ft, t0, order, rmax)
+    higher = _walk_chain(fiber, Ft, t0, order + 2, rmax)
+    seen = {t0, *(t for t, _ in rejected)}
+    bp = next(iter_basepoints(fam, seed, _skip=seen), None)
+    if bp is None:
+        raise ExactCoreError("no second basepoint available")
+    fiber, Ft = _jet_fibre(fam, bp.t0, bp.fiber, order)
+    other = _walk_chain(fiber, Ft, bp.t0, order, rmax)
     stable = primary.ranks == higher.ranks == other.ranks
     return UnitaryRank(primary=primary, checks=(higher, other), stable=stable)
 
@@ -416,16 +430,14 @@ def eta2_on_K(
     if k == 0:
         return Eta2Result(t0=pk.t0, basis=(), matrix=(), flags=())
 
-    fib2 = pk.fiber.thicken(jet_expand(fam, pk.t0, 2))
-    Ft2 = jet_expand(t_derivative(fam), pk.t0, 2)
-    H0 = pk.fiber.higgs_matrix(pk.fiber.delta_class(pk.Ft))
+    fib2, Ft2 = _jet_fibre(fam, pk.t0, pk.fiber, 2)
     H2 = fib2.higgs_matrix(fib2.delta_class(Ft2))
     solver = JetSystemSolver(H2)
     zero_b = [Jet.from_fraction(0, 2) for _ in range(H2.nrows)]
 
     tweaks = dict(extension_tweaks or {})
     for i, gamma in tweaks.items():
-        if any(x != 0 for x in H0.mul_vec(gamma)):
+        if any(x != 0 for x in pk.higgs.mul_vec(gamma)):
             raise ValueError(
                 f"extension tweak {i} is not a pointwise kernel vector"
             )
@@ -569,8 +581,7 @@ def mu_report(
         eta2_kernel_dim = 0
 
     rk = unitary_rank(
-        fam, mode=mode, t0=pk.t0 if mode != "ratfun" else None,
-        order=order, max_level=max_level, seed=seed,
+        fam, mode=mode, order=order, max_level=max_level, seed=seed, _pk=pk
     )
     inclusion_ok = rk.rank_u <= eta2_kernel_dim
 

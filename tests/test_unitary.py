@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 
 from flatunitary import unitary
-from flatunitary.exactcore import ExactCoreError, PrecisionExhaustedError
+from flatunitary.exactcore import (
+    ExactCoreError,
+    JetSystemSolver,
+    PrecisionExhaustedError,
+)
 from flatunitary.family import (
+    candidate_basepoints,
     generic_fibre,
+    iter_basepoints,
     jet_expand,
     parse_family,
     specialize,
@@ -179,8 +185,81 @@ class TestUnitaryRank:
         assert other.order == rk.primary.order
         assert higher.ranks == other.ranks == rk.primary.ranks
 
+        # oracle: the primary run and both checks equal independent runs,
+        # the second one at the first seeded basepoint other than t0
+        for seed, t0 in ((0, None), (3, Fraction(1))):
+            rk = unitary_rank(mix, mode="jet", t0=t0, seed=seed)
+            t0, order = rk.primary.t0, rk.primary.order
+            t0b = next(bp.t0 for bp in iter_basepoints(mix, seed) if bp.t0 != t0)
+            assert rk.primary == filtration_ranks(mix, mode="jet", t0=t0, seed=seed)
+            assert rk.checks == (
+                filtration_ranks(mix, mode="jet", t0=t0, order=order + 2),
+                filtration_ranks(mix, mode="jet", t0=t0b, order=order),
+            )
+
     def test_default_mode_tracks_degree(self, mix):
         assert unitary_rank(mix).primary.mode == "ratfun"
+
+
+def _record_calls(monkeypatch, owner, name):
+    """Patch owner.name to log the first argument of every call."""
+    seen = []
+    real = getattr(owner, name)
+
+    def recording(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return seen
+
+
+class TestOneFibrePerBasepoint:
+    """A call certifies each basepoint it uses once, and one jet fibre
+    there, with its solvers, serves every run at that basepoint."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        return {
+            "certified": _record_calls(
+                monkeypatch, JacobianFiber, "_smoothness_certificate"
+            ),
+            "thickened": _record_calls(monkeypatch, JacobianFiber, "thicken"),
+            "solvers": _record_calls(monkeypatch, JetSystemSolver, "__init__"),
+        }
+
+    @staticmethod
+    def certified_t0s(record, fam):
+        """The candidate t0 of every certified fibre, in order."""
+        values = candidate_basepoints(0)
+        by_fibre = {specialize(fam, t): t for t in values}
+        return [by_fibre[fib.F] for fib in record["certified"]]
+
+    def test_seeded_jet_rank(self, mix, record):
+        rk = unitary_rank(mix, mode="jet", seed=0)
+        assert rk.stable
+        assert self.certified_t0s(record, mix) == [Fraction(52), rk.checks[1].t0]
+        assert len(record["thickened"]) == 2
+        assert len(record["solvers"]) == 4
+
+    def test_given_t0(self, mix, record):
+        unitary_rank(mix, mode="jet", t0=Fraction(1))
+        assert self.certified_t0s(record, mix) == [Fraction(1), Fraction(52)]
+
+    def test_walk_resumes_past_rejections(self, mix, record):
+        # seed 418 visits the singular fibre at t = 2 first, then 57, -19
+        assert candidate_basepoints(418)[:3] == [2, 57, -19]
+        rk = unitary_rank(mix, mode="jet", seed=418)
+        assert (rk.primary.t0, rk.checks[1].t0) == (57, -19)
+        assert self.certified_t0s(record, mix) == [2, 57, -19]
+
+    @pytest.mark.parametrize(
+        "kwargs,want", [({"t0": Fraction(1)}, [1, 52]), ({"seed": 418}, [2, 57, -19])]
+    )
+    def test_mu_report_ranks_on_the_pointwise_fibre(self, mix, record, kwargs, want):
+        rep = mu_report(mix, mode="jet", **kwargs)
+        assert rep.rank_stable and rep.ranks == (2, 2, 2)
+        assert self.certified_t0s(record, mix) == want
 
 
 class TestEta2:
@@ -239,6 +318,12 @@ class TestEta2:
         eta = eta2_on_K(mix, t0=Fraction(1), _pk=pk)
         assert eta.flags == () and eta.matrix == ((0, 0), (0, 0))
         assert certified == []
+
+    def test_reuses_the_pointwise_higgs_matrix(self, mix, monkeypatch):
+        pk = pointwise_kernel(mix, t0=Fraction(1))
+        built = _record_calls(monkeypatch, JacobianFiber, "higgs_matrix")
+        eta2_on_K(mix, _pk=pk)
+        assert len(built) == 1  # only the precision-2 matrix is new
 
     def test_empty_kernel_gives_empty_result(self, hesse):
         eta = eta2_on_K(hesse, t0=Fraction(1))
