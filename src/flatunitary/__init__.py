@@ -30,7 +30,6 @@ from .exactcore import (
     PrecisionExhaustedError,
     RatFun,
     kernel_basis,
-    lift_solve,
     rref,
 )
 from .family import (
@@ -117,7 +116,6 @@ __all__ = [
     "iter_basepoints",
     "jet_expand",
     "kernel_basis",
-    "lift_solve",
     "make_fiber",
     "membership_witness",
     "monomial_count",

@@ -2,8 +2,17 @@
 
 Every subcommand prints one JSON document. Two runs with identical
 inputs and seed produce byte-identical output except for the final
-"timings" block. Exit codes: 0 success, 2 input error, 3 mathematical
-error (no smooth fibre available), 4 result flagged unstable.
+"timings" block. Exit codes:
+
+* 0 success;
+* 2 input error, with a message on stderr and no report; a jet order too
+  low for the requested levels (PrecisionExhaustedError) counts as one;
+* 3 mathematical error, with an "error" block in the report: kind
+  "no-smooth-fibre" when no certified-smooth fibre is available, kind
+  "exact-arithmetic" for any other ExactCoreError or an ArithmeticError
+  (for instance a violated filtration invariant or a form outside the
+  partials ideal);
+* 4 result flagged unstable.
 """
 
 import argparse
@@ -15,7 +24,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .exactcore import Jet, RatFun
+from .exactcore import ExactCoreError, Jet, PrecisionExhaustedError, RatFun
 from .family import (
     FamilyParseError,
     FamilySpec,
@@ -391,6 +400,16 @@ def run(argv=None) -> int:
             "kind": "no-smooth-fibre",
             "detail": str(exc),
             "rejected": _rejected_json(rejected),
+        }
+        code = 3
+    except (ExactCoreError, ArithmeticError) as exc:
+        if isinstance(exc, PrecisionExhaustedError):
+            print(f"flatunitary: {exc}", file=sys.stderr)
+            return 2
+        report["error"] = {
+            "kind": "exact-arithmetic",
+            "exception": type(exc).__name__,
+            "detail": str(exc),
         }
         code = 3
     except ValueError as exc:

@@ -16,15 +16,22 @@ Linear algebra is pinned down to the last bit:
   only at the end; rational-function matrices do the same over polynomial
   entries. This keeps intermediate entries polynomial-sized instead of
   letting gcd-heavy fraction arithmetic dominate.
+* LinearSolver over Q keeps that elimination integral: each transform row
+  is a list of ints with one integer denominator (its pivot value), each
+  residual row a list of ints, and a solve scales the right-hand side to
+  integers once, so a query costs integer dot products and one Fraction
+  per solution entry.
 * kernel_basis emits one vector per free column, in increasing column
   order, with 1 at that free column and 0 at the other free columns.
-* lift_solve solves M(s) x(s) = b(s) over jets order by order via the RREF
-  of the order-0 matrix, reporting the first inconsistent order on failure.
+* JetSystemSolver solves M(s) x(s) = b(s) over jets order by order through
+  the order-0 LinearSolver, with the higher coefficient blocks of M kept
+  sparse, and reports the first inconsistent order on failure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -39,17 +46,6 @@ class ExactCoreError(Exception):
 
 class DomainMismatchError(ExactCoreError, TypeError):
     """Scalars from different domains (or different jet precisions) mixed."""
-
-
-class LiftInconsistencyError(ExactCoreError, ValueError):
-    """A jet system became unsolvable at some order."""
-
-    def __init__(self, order: int, detail: str = ""):
-        self.order = order
-        msg = f"jet system inconsistent at order {order}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
 
 
 class PrecisionExhaustedError(ExactCoreError, ValueError):
@@ -512,7 +508,7 @@ def rref(matrix: Matrix) -> RrefResult:
     """Reduced row echelon form over a field domain (rationals or t-rational
     functions). Same shape, zero rows at the bottom, leading entries 1."""
     if isinstance(matrix.domain, JetDomain):
-        raise DomainMismatchError("rref over jets is not defined; use lift_solve")
+        raise DomainMismatchError("rref over jets is not defined; use JetSystemSolver")
     if isinstance(matrix.domain, RationalDomain):
         work = _clear_rational_rows(matrix.rows)
         pivots = ff_gauss_jordan_int(work, matrix.ncols)
@@ -573,10 +569,14 @@ def _is_zero(x) -> bool:
 class LinearSolver:
     """Reusable exact solver for one field matrix M.
 
-    Runs one fraction-free Gauss-Jordan pass on [M | I] and answers any
-    number of solve/kernel queries. Particular solutions set every free
-    variable to zero, which (with the pinned pivot rule) makes results
-    deterministic.
+    Runs one fraction-free Gauss-Jordan pass on [D M | I], D the diagonal
+    row scaling that clears denominators, and answers any number of solve
+    queries. Over Q every row stays integral: a transform row is a list of
+    ints over one integer denominator, its pivot value, and a residual row
+    is a list of ints; a solve scales b to integers once, by the lcm of its
+    denominators, and takes integer dot products. Over Q(t) the rows are
+    RatFun tuples. Particular solutions set every free variable to zero,
+    which (with the pinned pivot rule) makes results deterministic.
     """
 
     def __init__(self, matrix: Matrix):
@@ -603,69 +603,58 @@ class LinearSolver:
         n = matrix.ncols
         # the elimination ran on the row-scaled matrix D M, so the identity
         # block holds combinations against D M; fold D back in so transform
-        # and residual rows apply to the caller's b directly
-        rref_rows = []
-        transform = []
-        for k, c in enumerate(pivots):
-            pv = work[k][c]
-            if rational:
-                rref_rows.append(tuple(Fraction(x, pv) for x in work[k][:n]))
-                transform.append(
-                    tuple(
-                        Fraction(x * scales[i], pv)
-                        for i, x in enumerate(work[k][n:])
-                    )
+        # and residual rows apply to the caller's b directly. Residual rows
+        # are the combinations proving inconsistency when row.b != 0.
+        if rational:
+            self._transform = tuple(
+                (work[k][c], [x * s for x, s in zip(work[k][n:], scales)])
+                for k, c in enumerate(pivots)
+            )
+            self._residual = tuple(
+                [x * s for x, s in zip(row[n:], scales)] for row in work[self.rank:]
+            )
+        else:
+            self._transform = tuple(
+                tuple(
+                    RatFun(up.pmul(x, s), work[k][c])
+                    for x, s in zip(work[k][n:], scales)
                 )
-            else:
-                rref_rows.append(tuple(RatFun(x, pv) for x in work[k][:n]))
-                transform.append(
-                    tuple(
-                        RatFun(up.pmul(x, scales[i]), pv)
-                        for i, x in enumerate(work[k][n:])
-                    )
-                )
-        # residual rows: combinations proving inconsistency when row.b != 0
-        residual = []
-        for k in range(self.rank, matrix.nrows):
-            if rational:
-                residual.append(
-                    tuple(
-                        Fraction(x * scales[i])
-                        for i, x in enumerate(work[k][n:])
-                    )
-                )
-            else:
-                residual.append(
-                    tuple(
-                        RatFun(up.pmul(x, scales[i]))
-                        for i, x in enumerate(work[k][n:])
-                    )
-                )
-        self._rref_rows = tuple(rref_rows)
-        self._transform = tuple(transform)
-        self._residual = tuple(residual)
+                for k, c in enumerate(pivots)
+            )
+            self._residual = tuple(
+                tuple(RatFun(up.pmul(x, s)) for x, s in zip(row[n:], scales))
+                for row in work[self.rank:]
+            )
+        self._rational = rational
 
     def try_solve(self, b: Sequence):
         """Particular solution of M x = b with free variables 0, or None."""
         if len(b) != self.nrows:
             raise ValueError("rhs length does not match nrows")
         zero = self.domain.zero()
+        x = [zero] * self.ncols
+        if self._rational:
+            try:
+                scale = math.lcm(*(e.denominator for e in b))
+            except AttributeError:
+                raise DomainMismatchError("rhs is not rational") from None
+            b = [e.numerator * (scale // e.denominator) for e in b]
+            if any(_int_dot(row, b) for row in self._residual):
+                return None
+            for c, (pv, row) in zip(self.pivots, self._transform):
+                x[c] = Fraction(_int_dot(row, b), pv * scale)
+            return tuple(x)
         b = [self.domain.coerce(e) for e in b]
         for row in self._residual:
             if not _is_zero(_dot(row, b, zero)):
                 return None
-        x = [zero] * self.ncols
-        for k, c in enumerate(self.pivots):
-            x[c] = _dot(self._transform[k], b, zero)
+        for c, row in zip(self.pivots, self._transform):
+            x[c] = _dot(row, b, zero)
         return tuple(x)
 
-    def kernel(self):
-        res = RrefResult(
-            matrix=Matrix(self._rref_rows, ncols=self.ncols, domain=self.domain),
-            pivots=self.pivots,
-            rank=self.rank,
-        )
-        return _kernel_from_rref(res, self.domain, self.ncols)
+
+def _int_dot(row, vec):
+    return sum(map(operator.mul, row, vec))
 
 
 def _dot(row, vec, zero):
@@ -679,22 +668,15 @@ def _dot(row, vec, zero):
 # jet systems
 
 
-@dataclass(frozen=True)
-class LiftSolution:
-    """Affine description of the jet solution set: one particular solution
-    plus the order-0 kernel basis lifted to full precision."""
-
-    particular: tuple
-    homogeneous: tuple
-
-
 class JetSystemSolver:
     """Order-by-order solver for M(s) x(s) = b(s), M over one jet domain.
 
     Splits M into rational coefficient blocks M_0..M_{N-1} and prepares the
-    order-0 solver once. A solve runs to the precision m of its right-hand
-    side, up to N, in m back-substitution rounds: the precision-m system is
-    the prefix M_0..M_{m-1}, so one solver serves every lower precision.
+    order-0 solver once; M_1..M_{N-1} are kept sparse, each row as its
+    nonzero (column, entry) pairs. A solve runs to the precision m of its
+    right-hand side, up to N, in m back-substitution rounds: the
+    precision-m system is the prefix M_0..M_{m-1}, so one solver serves
+    every lower precision.
     """
 
     def __init__(self, matrix: Matrix):
@@ -703,29 +685,30 @@ class JetSystemSolver:
         self.precision = matrix.domain.precision
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        blocks = []
-        for k in range(self.precision):
-            blocks.append(
-                [[e.coeffs[k] for e in row] for row in matrix.rows]
-            )
-        self._blocks = blocks
+        # _blocks[k] holds M_k as rows of (j, m) pairs; M_0 lives in order0
+        self._blocks = [None] + [
+            [
+                [(j, e.coeffs[k]) for j, e in enumerate(row) if e.coeffs[k]]
+                for row in matrix.rows
+            ]
+            for k in range(1, self.precision)
+        ]
         self.order0 = LinearSolver(
-            Matrix(blocks[0], ncols=matrix.ncols, domain=RATIONAL)
+            Matrix(
+                [[e.coeffs[0] for e in row] for row in matrix.rows],
+                ncols=matrix.ncols,
+                domain=RATIONAL,
+            )
         )
 
     def _conv_rhs(self, order, xs, b_orders):
+        """b_order - Sum_{i=1..order} M_i x_{order-i}."""
         rhs = list(b_orders[order])
         for i in range(1, order + 1):
-            block = self._blocks[i]
             xprev = xs[order - i]
-            for r in range(self.nrows):
-                row = block[r]
-                acc = rhs[r]
-                for j in range(self.ncols):
-                    m = row[j]
-                    if m != 0:
-                        acc -= m * xprev[j]
-                rhs[r] = acc
+            for r, pairs in enumerate(self._blocks[i]):
+                if pairs:
+                    rhs[r] -= sum(m * xprev[j] for j, m in pairs)
         return rhs
 
     def try_solve(self, b: Sequence, order0_value=None):
@@ -742,7 +725,7 @@ class JetSystemSolver:
             raise PrecisionExhaustedError(
                 f"right-hand side has precision {n}; solver has {self.precision}"
             )
-        b_orders = [[Fraction(e.coeffs[k]) for e in b] for k in range(n)]
+        b_orders = [[e.coeffs[k] for e in b] for k in range(n)]
         xs = []
         for order in range(n):
             rhs = self._conv_rhs(order, xs, b_orders)
@@ -752,36 +735,11 @@ class JetSystemSolver:
             x = self.order0.try_solve(rhs)
             if x is None:
                 return None, order
-            xs.append(list(x))
+            xs.append(x)
         jets = tuple(
             Jet(tuple(xs[k][j] for k in range(n))) for j in range(self.ncols)
         )
         return jets, None
-
-
-def lift_solve(matrix: Matrix, rhs: Sequence) -> LiftSolution:
-    """Solve a jet linear system order by order.
-
-    Returns a particular solution (free variables 0 at every order) plus
-    the order-0 kernel basis lifted to full precision. Raises
-    LiftInconsistencyError carrying the first failing order.
-    """
-    solver = JetSystemSolver(matrix)
-    dom = JetDomain(solver.precision)
-    rhs = [dom.coerce(e) for e in rhs]
-    if len(rhs) != matrix.nrows:
-        raise ValueError("rhs length does not match nrows")
-    particular, fail = solver.try_solve(rhs)
-    if particular is None:
-        raise LiftInconsistencyError(fail, "particular solution")
-    zero_rhs = [dom.zero()] * matrix.nrows
-    lifted = []
-    for j, h0 in enumerate(solver.order0.kernel()):
-        h, fail = solver.try_solve(zero_rhs, order0_value=h0)
-        if h is None:
-            raise LiftInconsistencyError(fail, f"lift of kernel vector {j}")
-        lifted.append(h)
-    return LiftSolution(particular=particular, homogeneous=tuple(lifted))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+from ._kernels import ff_gauss_jordan_int
 from .exactcore import (
     ExactCoreError,
     Jet,
@@ -127,33 +128,60 @@ def _rank_increases(reduced_rows, vec) -> bool:
 def _stacked_kernel(cols, m: int):
     """Extendable kernel of a jet column system, solved over Q exactly.
 
-    cols: J coordinate vectors of jets (precision m). Couples all jet
-    orders of Sum_j c_j(s) cols_j(s) = 0 (mod s^m) into one rational
-    system; returns kernel vectors c (tuples of precision-m jets) whose
-    order-0 parts are independent and span the order-0 values of all
-    solutions, chosen greedily from the deterministic kernel basis. Their
+    cols: J coordinate vectors of jets (precision at least m). Couples all
+    jet orders of Sum_j c_j(s) cols_j(s) = 0 (mod s^m) into one
+    block-Toeplitz system, built directly as integer rows (each row scaled
+    by the lcm of its denominators, which keeps the RREF) and eliminated
+    fraction-free. Returns kernel vectors c (tuples of precision-m jets)
+    whose order-0 parts are independent and span the order-0 values of
+    all solutions, chosen greedily from the canonical kernel basis (one
+    vector per free column f: 1 at f, 0 at the other free columns). Their
     number is the level rank.
     """
     J = len(cols)
     nrows = len(cols[0])
-    big = []
+    width = m * J
+    # coeffs[k][r]: the order-k coefficients of row r, one per column
+    coeffs = [
+        [[col[r].coeffs[k] for col in cols] for r in range(nrows)] for k in range(m)
+    ]
+    work = []
     for a in range(m):
         for r in range(nrows):
-            row = []
-            for b in range(m):
-                k = a - b
-                for j in range(J):
-                    row.append(cols[j][r].coeffs[k] if k >= 0 else Fraction(0))
-            big.append(row)
-    kb = kernel_basis(Matrix(big, ncols=m * J, domain=RATIONAL))
+            # block column b holds the order a - b coefficients, b = 0..a
+            row = [e for k in range(a, -1, -1) for e in coeffs[k][r]]
+            scale = lcm(*(e.denominator for e in row))
+            row = [e.numerator * (scale // e.denominator) for e in row]
+            row.extend([0] * (width - len(row)))
+            work.append(row)
+    pivots = ff_gauss_jordan_int(work, width)
+    pivot_set = set(pivots)
     reduced = []
     picks = []
-    for v in kb:
-        if _rank_increases(reduced, v[:J]):
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        if _rank_increases(reduced, _kernel_vector(work, pivots, f, J)):
+            v = _kernel_vector(work, pivots, f, width)
             picks.append(
                 tuple(Jet(tuple(v[b * J + j] for b in range(m))) for j in range(J))
             )
     return picks
+
+
+def _kernel_vector(work, pivots, f, n):
+    """The first n entries of the canonical kernel vector of free column f,
+    read off the fraction-free echelon form: 1 at f, -work[k][f] / work[k][c]
+    at each pivot column c = pivots[k], 0 elsewhere."""
+    v = [Fraction(0)] * n
+    if f < n:
+        v[f] = Fraction(1)
+    for row, c in zip(work, pivots):
+        if c >= n:
+            break
+        if row[f]:
+            v[c] = Fraction(-row[f], row[c])
+    return v
 
 
 # ---------------------------------------------------------------------------

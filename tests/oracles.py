@@ -65,6 +65,79 @@ def naive_solve(rows, rhs):
     return tuple(x)
 
 
+def naive_jet_solve(blocks, b_orders, order0_value=None):
+    """Order-by-order solve of M(s) x(s) = b(s) through naive_solve.
+
+    blocks[k] is the rational matrix M_k (as many as the solver has
+    orders), b_orders[k] the order-k right-hand side. Each order solves
+    M_0 x_k = b_k - Sum_{i=1..k} M_i x_{k-i}; order0_value, when given,
+    replaces x_0. Returns (xs, None), xs[k] the order-k solution, or
+    (None, k) for the first unsolvable order k.
+    """
+    xs = []
+    for k, b in enumerate(b_orders):
+        rhs = [
+            Fraction(b[r])
+            - sum(
+                Fraction(blocks[i][r][j]) * xs[k - i][j]
+                for i in range(1, k + 1)
+                for j in range(len(xs[0]))
+            )
+            for r in range(len(b))
+        ]
+        if k == 0 and order0_value is not None:
+            xs.append(tuple(Fraction(v) for v in order0_value))
+            continue
+        x = naive_solve(blocks[0], rhs)
+        if x is None:
+            return None, k
+        xs.append(x)
+    return xs, None
+
+
+def naive_stacked_kernel(cols, m):
+    """Extendable kernel of a jet column system, the textbook way.
+
+    cols[j][r] lists the s-coefficients of entry r of column j (at least
+    m of them). Writes every order of Sum_j c_j(s) cols_j(s) = 0 (mod s^m)
+    as one block-Toeplitz Fraction matrix, takes its kernel basis from
+    naive_rref (one vector per free column, 1 there and 0 at the other
+    free columns) and keeps, greedily, the vectors whose order-0 parts
+    raise the rank. Returns each pick as J tuples of m coefficients.
+    """
+    J = len(cols)
+    nrows = len(cols[0])
+    big = []
+    for a in range(m):
+        for r in range(nrows):
+            row = []
+            for b in range(m):
+                k = a - b
+                for j in range(J):
+                    row.append(Fraction(cols[j][r][k]) if k >= 0 else Fraction(0))
+            big.append(row)
+    red, pivots = naive_rref(big)
+    free = [f for f in range(m * J) if f not in pivots]
+    reduced = []
+    picks = []
+    for f in free:
+        v = [Fraction(0)] * (m * J)
+        v[f] = Fraction(1)
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        head = v[:J]
+        for lead, row in reduced:
+            if head[lead] != 0:
+                g = head[lead]
+                head = [a - g * b for a, b in zip(head, row)]
+        lead = next((i for i, a in enumerate(head) if a != 0), None)
+        if lead is None:
+            continue
+        reduced.append((lead, [x / head[lead] for x in head]))
+        picks.append(tuple(tuple(v[b * J + j] for b in range(m)) for j in range(J)))
+    return picks
+
+
 def naive_kernel_dim(rows, ncols):
     red, pivots = naive_rref([list(r) for r in rows]) if rows else ([], ())
     return ncols - len(pivots)

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import flatunitary
-from flatunitary import cli
+from flatunitary import cli, unitary
+from flatunitary.exactcore import ExactCoreError
+from flatunitary.gaussmanin import NotKernelSectionError
 
 MIX = "Y0^4+Y1^4+Y2^4+T*Y0^2*Y1^2"
 RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -84,6 +86,50 @@ class TestExitCodes:
         )
         assert code == 4
         assert report["result"]["stable"] is False
+
+
+class TestExactCoreFailures:
+    """Failures of the exact core end in exit 3 and an error block, not a
+    traceback or an input error."""
+
+    @staticmethod
+    def _raise(exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        return broken
+
+    @pytest.mark.parametrize(
+        "target,exc",
+        [
+            (
+                "_verify_chain",
+                ExactCoreError("filtration invariant violated: final theta-condition nonzero"),
+            ),
+            (
+                "gm_derivative",
+                NotKernelSectionError("degree-5 form is not in the partials ideal"),
+            ),
+            ("_stacked_kernel", ArithmeticError("inexact division in elimination")),
+        ],
+        ids=["verify-chain", "not-kernel-section", "arithmetic"],
+    )
+    def test_maps_to_three_with_an_error_block(self, monkeypatch, tmp_path, target, exc):
+        monkeypatch.setattr(unitary, target, self._raise(exc))
+        mode = "jet" if target == "_stacked_kernel" else "ratfun"
+        report, code = run_to_dict(["unitary-rank", MIX, "--mode", mode], tmp_path)
+        assert code == 3
+        assert "result" not in report
+        assert report["error"] == {
+            "kind": "exact-arithmetic",
+            "exception": type(exc).__name__,
+            "detail": str(exc),
+        }
+
+    def test_exhausted_precision_stays_an_input_error(self, capsys):
+        argv = ["unitary-rank", MIX, "--mode", "jet", "--order", "2", "--max-level", "3"]
+        assert cli.run(argv) == 2
+        assert "cannot support 3 levels" in capsys.readouterr().err
 
 
 class TestReportShape:

@@ -14,17 +14,15 @@ from flatunitary.exactcore import (
     DomainMismatchError,
     Jet,
     JetSystemSolver,
-    LiftInconsistencyError,
     LinearSolver,
     Matrix,
     PrecisionExhaustedError,
     RatFun,
     full_column_rank_certificate,
     kernel_basis,
-    lift_solve,
     rref,
 )
-from oracles import naive_rref, naive_solve
+from oracles import naive_jet_solve, naive_rref, naive_solve
 
 t = sympy.Symbol("t")
 
@@ -304,20 +302,26 @@ class TestRatFunElimination:
 class TestJetSystems:
     def test_geometric_series_inverse(self):
         m = Matrix([[Jet((1, 1, 0))]])  # (1 + s) x = 1
-        sol = lift_solve(m, (Jet((1, 0, 0)),))
-        assert sol.particular == (Jet((1, -1, 1)),)
-        assert sol.homogeneous == ()
+        solver = JetSystemSolver(m)
+        got, fail = solver.try_solve((Jet((1, 0, 0)),))
+        assert fail is None
+        assert got == (Jet((1, -1, 1)),)
+        assert solver.order0.rank == solver.ncols  # no order-0 kernel
 
     def test_upper_triangular_system(self):
         m = Matrix([[Jet((2, 0)), Jet((0, 1))], [Jet((0, 0)), Jet((1, 0))]])
-        sol = lift_solve(m, (Jet((2, 1)), Jet((1, 0))))
-        assert sol.particular == (Jet((1, 0)), Jet((1, 0)))
+        got, fail = JetSystemSolver(m).try_solve((Jet((2, 1)), Jet((1, 0))))
+        assert fail is None
+        assert got == (Jet((1, 0)), Jet((1, 0)))
 
     def test_order0_kernel_is_lifted(self):
         # column 2 = 2 * column 1 at every order
         m = Matrix([[Jet((1, 1)), Jet((2, 2))]])
-        sol = lift_solve(m, (Jet((0, 0)),))
-        assert len(sol.homogeneous) == 1
+        solver = JetSystemSolver(m)
+        (h0,) = kernel_basis(Matrix([[e.order0 for e in row] for row in m.rows]))
+        got, fail = solver.try_solve((Jet((0, 0)),), order0_value=h0)
+        assert fail is None
+        assert tuple(x.order0 for x in got) == h0
 
     def test_first_obstructed_order_is_reported(self):
         # s * x = s has the solution x = 1, but the order-0 pass pins the
@@ -326,9 +330,6 @@ class TestJetSystems:
         solver = JetSystemSolver(m)
         got, fail = solver.try_solve((Jet((0, 1)),))
         assert got is None and fail == 1
-        with pytest.raises(LiftInconsistencyError) as exc:
-            lift_solve(m, (Jet((0, 1)),))
-        assert exc.value.order == 1
 
     def test_prescribed_order0_value(self):
         # extending a chosen order-0 kernel vector through one more order
@@ -356,3 +357,109 @@ class TestJetSystems:
             JetSystemSolver(Matrix([[Fraction(1)]]))
         with pytest.raises(DomainMismatchError):
             LinearSolver(Matrix([[Jet((1, 0))]]))
+
+
+# ---------------------------------------------------------------------------
+# integer-row solvers against the order-by-order Fraction oracles
+
+
+small_int_st = st.integers(min_value=-4, max_value=4)
+big_fraction_st = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**15),
+)
+
+
+@st.composite
+def deficient_matrix_st(draw):
+    """Rational matrices whose extra rows and columns are combinations of
+    the others, so the rank is below both dimensions and residual rows
+    exist."""
+    rank = draw(st.integers(min_value=0, max_value=3))
+    nrows = rank + draw(st.integers(min_value=1, max_value=3))
+    ncols = rank + draw(st.integers(min_value=0, max_value=3))
+    left = [[draw(fractions_st) for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw(fractions_st) for _ in range(ncols)] for _ in range(rank)]
+    rows = [
+        [sum((lrow[k] * right[k][c] for k in range(rank)), Fraction(0)) for c in range(ncols)]
+        for lrow in left
+    ]
+    if not ncols:
+        return [[Fraction(0)] for _ in range(nrows)]
+    return rows
+
+
+class TestIntegerSolvesAgainstOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(deficient_matrix_st(), st.data())
+    def test_rank_deficient_systems(self, rows, data):
+        ncols = len(rows[0])
+        solver = LinearSolver(Matrix(rows))
+        assert solver.rank < len(rows)
+        # a consistent right-hand side M x0, then an arbitrary one, which
+        # is usually inconsistent and must be caught by a residual row
+        x0 = data.draw(st.lists(fractions_st, min_size=ncols, max_size=ncols))
+        consistent = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in rows]
+        arbitrary = data.draw(
+            st.lists(big_fraction_st, min_size=len(rows), max_size=len(rows))
+        )
+        got = solver.try_solve(consistent)
+        assert got is not None
+        assert got == naive_solve(rows, consistent)
+        assert solver.try_solve(arbitrary) == naive_solve(rows, arbitrary)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_st, st.data())
+    def test_large_mixed_denominators(self, rows, data):
+        rhs = data.draw(
+            st.lists(
+                st.one_of(big_fraction_st, small_int_st),
+                min_size=len(rows),
+                max_size=len(rows),
+            )
+        )
+        assert LinearSolver(Matrix(rows)).try_solve(rhs) == naive_solve(rows, rhs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_jet_solver_matches_order_by_order_oracle(
+        self, precision, nrows, ncols, prescribe, data
+    ):
+        m = data.draw(st.integers(min_value=1, max_value=precision))
+        coeff = st.one_of(st.just(Fraction(0)), fractions_st)
+        blocks = [
+            [[data.draw(coeff) for _ in range(ncols)] for _ in range(nrows)]
+            for _ in range(precision)
+        ]
+        if data.draw(st.booleans()):  # a repeated row makes M_0 singular
+            for block in blocks:
+                block[-1] = list(block[0])
+        b_orders = [
+            [data.draw(fractions_st) for _ in range(nrows)] for _ in range(m)
+        ]
+        x0 = None
+        if prescribe:
+            x0 = data.draw(st.lists(fractions_st, min_size=ncols, max_size=ncols))
+        matrix = Matrix(
+            [
+                [Jet(tuple(blocks[k][r][j] for k in range(precision))) for j in range(ncols)]
+                for r in range(nrows)
+            ]
+        )
+        rhs = tuple(Jet(tuple(b_orders[k][r] for k in range(m))) for r in range(nrows))
+        got, fail = JetSystemSolver(matrix).try_solve(rhs, order0_value=x0)
+        want, want_fail = naive_jet_solve(blocks, b_orders, order0_value=x0)
+        assert fail == want_fail
+        if want is None:
+            assert got is None
+        else:
+            assert [tuple(x.coeffs[k] for x in got) for k in range(m)] == [
+                tuple(x) for x in want
+            ]

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatunitary import unitary
 from flatunitary.exactcore import (
     ExactCoreError,
+    Jet,
     JetSystemSolver,
     PrecisionExhaustedError,
 )
@@ -24,6 +26,7 @@ from flatunitary.gaussmanin import gm_derivative, theta_eval
 from flatunitary.jacobian import JacobianFiber, make_fiber
 from flatunitary.polyring import HomPoly
 from flatunitary.unitary import (
+    _stacked_kernel,
     default_jet_order,
     eta2_on_K,
     filtration_ranks,
@@ -32,6 +35,7 @@ from flatunitary.unitary import (
     pointwise_kernel,
     unitary_rank,
 )
+from oracles import naive_stacked_kernel
 
 
 class TestPointwiseKernel:
@@ -166,6 +170,71 @@ class TestHeldTrajectories:
         unitary._verify_chain(fiber, Ft, [[y0]])
         with pytest.raises(ExactCoreError):
             unitary._verify_chain(fiber, Ft, [[y0], [y2]])
+
+
+def _coeff_cols(cols):
+    return [[e.coeffs for e in col] for col in cols]
+
+
+def _pick_coeffs(picks):
+    return [tuple(c.coeffs for c in pick) for pick in picks]
+
+
+@st.composite
+def jet_column_system_st(draw):
+    """(cols, m): J columns of nrows jets of precision m, some columns
+    being jet multiples of the first so the kernel reaches past order 0."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    J = draw(st.integers(min_value=1, max_value=4))
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    coeff = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    )
+    cols = [
+        [Jet([draw(coeff) for _ in range(m)]) for _ in range(nrows)] for _ in range(J)
+    ]
+    for j in range(1, J):
+        if draw(st.booleans()):
+            scalar = Jet([draw(coeff) for _ in range(m)])
+            cols[j] = [scalar * e for e in cols[0]]
+    return cols, m
+
+
+class TestStackedKernel:
+    """_stacked_kernel eliminates integer rows and reads the canonical
+    kernel vectors off the fraction-free echelon form; the picks must be
+    those of the textbook Fraction construction."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(jet_column_system_st())
+    def test_matches_the_fraction_oracle(self, system):
+        cols, m = system
+        got = _stacked_kernel(cols, m)
+        assert _pick_coeffs(got) == naive_stacked_kernel(_coeff_cols(cols), m)
+        assert all(c.precision == m for pick in got for c in pick)
+
+    def test_matches_the_oracle_on_a_filtration_run(self, mix, monkeypatch):
+        seen = []
+
+        def checked(cols, m):
+            got = _stacked_kernel(cols, m)
+            assert _pick_coeffs(got) == naive_stacked_kernel(_coeff_cols(cols), m)
+            seen.append(len(got))
+            return got
+
+        monkeypatch.setattr(unitary, "_stacked_kernel", checked)
+        res = filtration_ranks(mix, mode="jet", t0=Fraction(1), order=6)
+        assert tuple(seen) == res.ranks
+
+    def test_builds_no_fraction_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_stacked_kernel built a Fraction matrix")
+
+        monkeypatch.setattr(unitary, "Matrix", refuse)
+        monkeypatch.setattr(unitary, "kernel_basis", refuse)
+        cols = [[Jet((1, 2, 0))], [Jet((2, 4, 1))]]
+        assert len(_stacked_kernel(cols, 3)) == 1
 
 
 class TestUnitaryRank:
