@@ -47,10 +47,8 @@ from .family import (
     t_derivative,
 )
 from .gaussmanin import (
-    CohomClass,
     NotKernelSectionError,
     Witness,
-    connection_class,
     gm_derivative,
     membership_witness,
     reduce_pole,
@@ -82,7 +80,6 @@ from .unitary import (
 __all__ = [
     "__version__",
     "fixture_path",
-    "CohomClass",
     "DegreeNotPreparedError",
     "DomainMismatchError",
     "Eta2Result",
@@ -106,7 +103,6 @@ __all__ = [
     "UnitaryRank",
     "Witness",
     "candidate_basepoints",
-    "connection_class",
     "eta2_on_K",
     "filtration_ranks",
     "generic_fibre",

@@ -11,9 +11,9 @@ of partial derivatives of F:
                                                 at pole order k.
 
 Everything here is that bookkeeping, done exactly: ideal-membership
-witnesses, the Higgs action of the deformation class F_T, the full
-connection on mixed classes, and the derivative of a section that stays
-inside the Higgs kernel. Scalars may be rationals, rational functions in
+witnesses, the Higgs action of the deformation class F_T, the derivative
+of a section that stays inside the Higgs kernel, and pole reduction from
+order three. Scalars may be rationals, rational functions in
 t, or jets in s = t - t0; jet inputs lose one order of s-precision per
 derivative, which is the honest amount of information present.
 """
@@ -45,13 +45,10 @@ class NotKernelSectionError(ExactCoreError, ValueError):
 class Witness:
     """Coefficients (A_0, A_1, A_2) expressing a form in the partials.
 
-    parts[i] has degree (k - d + 1) and q = sum_i parts[i] * dF/dY_i.
-    `unique` records whether the expressing system had full column rank
-    (true in degrees below the first relations among the partials)."""
+    parts[i] has degree (k - d + 1) and q = sum_i parts[i] * dF/dY_i."""
 
     degree: int
     parts: tuple
-    unique: bool
 
     def divergence(self) -> HomPoly:
         """sum_i d(parts[i])/dY_i, the pole-reduction numerator."""
@@ -61,53 +58,41 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class CohomClass:
-    """A cohomology class split by pole order.
-
-    p1 lives in degree d-3 (pole one, the holomorphic part), p2 in degree
-    2d-3 (pole two). Either part may be zero."""
-
-    p1: RingElement
-    p2: RingElement
-
-
 def membership_witness(fiber: JacobianFiber, q: HomPoly) -> Witness:
     """Write q = sum_i A_i * dF/dY_i, or raise NotKernelSectionError.
 
     The generator order is fixed (dF/dY_0 block, then dF/dY_1, then
     dF/dY_2, multiplier monomials in graded order) and free variables are
-    set to zero, so the witness is deterministic. In degrees where the
-    multipliers sit below degree d-1 the partials admit no relations and
-    the witness is the only one; `unique` reports this.
+    set to zero, so the witness is deterministic. Over jets the witness is
+    the generator part of the degree's one column_solver solve, and
+    membership fails at the first s-order where its cobasis part is
+    nonzero; up to that order the solve agrees with one on the generators
+    alone.
     """
     k = q.degree
-    d = fiber.d
-    mult_deg = k - (d - 1)
+    mult_deg = k - (fiber.d - 1)
     if mult_deg < 0:
-        raise ValueError(f"degree {k} is below the generator degree {d - 1}")
-    solver = fiber.column_solver(k)
-    b = q.to_vector()
-    if isinstance(fiber.domain, JetDomain):
-        x, fail = solver.try_solve(b)
-        if x is None:
-            raise NotKernelSectionError(
-                f"degree-{k} form is not in the partials ideal", order=fail
-            )
-        rank = solver.order0.rank
-    else:
-        x = solver.try_solve(b)
-        if x is None:
-            raise NotKernelSectionError(
-                f"degree-{k} form is not in the partials ideal"
-            )
-        rank = solver.rank
+        raise ValueError(f"degree {k} is below the generator degree {fiber.d - 1}")
     block = monomial_count(mult_deg)
+    solver = fiber.column_solver(k)
+    fail = None
+    if isinstance(fiber.domain, JetDomain):
+        x, _ = solver.try_solve(q.to_vector())
+        fail = min(
+            (o for c in x[3 * block :] for o, a in enumerate(c.coeffs) if a),
+            default=None,
+        )
+    else:
+        x = solver.try_solve(q.to_vector())
+    if x is None or fail is not None:
+        raise NotKernelSectionError(
+            f"degree-{k} form is not in the partials ideal", order=fail
+        )
     parts = tuple(
         HomPoly.from_vector(mult_deg, x[i * block : (i + 1) * block], q.domain)
         for i in range(3)
     )
-    return Witness(degree=k, parts=parts, unique=(rank == solver.ncols))
+    return Witness(degree=k, parts=parts)
 
 
 def theta_eval(fiber: JacobianFiber, Ft: HomPoly, p) -> RingElement:
@@ -180,43 +165,3 @@ def reduce_pole(fiber: JacobianFiber, q: HomPoly):
     w = membership_witness(fiber, q)
     cls = fiber.normal_form(w.divergence().scale(Fraction(1, 2)))
     return cls, w
-
-
-def connection_class(fiber: JacobianFiber, Ft: HomPoly, cls: CohomClass) -> CohomClass:
-    """Gauss-Manin derivative of a mixed class.
-
-    The pole-one part contributes dp1/dt - divergence(A) at pole one
-    (where F_T * p1 splits as sum A_i dF/dY_i plus its class remainder)
-    and minus that remainder at pole two; the pole-two part contributes
-    dp2/dt - divergence(B) with F_T * p2 = sum B_i dF/dY_i, the
-    pole-three constant 1/2 cancelling half of the -2 from d/dt(1/F^2).
-
-    Over jets both output parts carry one order of s-precision less than
-    the input class.
-    """
-    p1rep = fiber.representative(cls.p1)
-    p2rep = fiber.representative(cls.p2)
-    prec = _precision(p1rep)
-    out_prec = None if prec is None else prec - 1
-    Ft = _truncate_poly(Ft, prec)
-
-    # pole-one input: split F_T * p1 into ideal part and class remainder
-    q1 = poly_mul(Ft, p1rep)
-    r1 = fiber.normal_form(q1)
-    wa = membership_witness(fiber, q1 - fiber.representative(r1))
-    new_p1_poly = _coeff_derivative(p1rep) - _truncate_poly(wa.divergence(), out_prec)
-    new_p1 = fiber.normal_form(new_p1_poly)
-
-    # pole-two input: fully reducible one degree past the socle
-    q2 = poly_mul(Ft, p2rep)
-    wb = membership_witness(fiber, q2)
-    new_p2_poly = _coeff_derivative(p2rep) - _truncate_poly(wb.divergence(), out_prec)
-    new_p2 = fiber.normal_form(new_p2_poly)
-    minus_r1 = [-c for c in r1.coords]
-    if prec is not None:
-        minus_r1 = [c.truncate(out_prec) for c in minus_r1]
-    new_p2 = RingElement(
-        new_p2.degree,
-        tuple(a + b for a, b in zip(new_p2.coords, minus_r1)),
-    )
-    return CohomClass(p1=new_p1, p2=new_p2)

@@ -114,7 +114,6 @@ class JacobianFiber:
         self.partials = tuple(poly_partial(F, i) for i in range(3))
         self._degree_data = {}
         self._column_solvers = {}
-        self._jet_stacked = {}
         self._order0 = None
 
     def thicken(self, F: HomPoly) -> "JacobianFiber":
@@ -194,7 +193,8 @@ class JacobianFiber:
     def normal_form(self, p: HomPoly) -> RingElement:
         """Canonical cobasis coordinates of p's residue class.
 
-        Over jets p may have any precision up to the fibre's; the result
+        Over jets this is the cobasis part of the degree's column_solver
+        solve, and p may have any precision up to the fibre's; the result
         carries p's precision."""
         lower_jet = (
             self._order0 is not None
@@ -207,7 +207,8 @@ class JacobianFiber:
             )
         data = self._data(p.degree)
         if self._order0 is not None:
-            return self._jet_normal_form(p, data)
+            x, _ = self.column_solver(p.degree).try_solve(p.to_vector())
+            return RingElement(p.degree, x[len(x) - data.dim :])
         v = list(p.to_vector())
         for row_idx, c in enumerate(data.pivots):
             coef = v[c]
@@ -216,35 +217,6 @@ class JacobianFiber:
                 for j in range(c, len(v)):
                     v[j] = v[j] - coef * row[j]
         return RingElement(p.degree, tuple(v[i] for i in data.cobasis_idx))
-
-    def _jet_stacked_solver(self, k: int):
-        if k in self._jet_stacked:
-            return self._jet_stacked[k]
-        data = self._data(k)
-        ncols = monomial_count(k)
-        gen_cols = self._generator_vectors(k)
-        n = self.domain.precision
-        one = self.domain.one()
-        zero = self.domain.zero()
-        rows = []
-        for r in range(ncols):
-            row = [col[r] for col in gen_cols]
-            row.extend(one if i == r else zero for i in data.cobasis_idx)
-            rows.append(row)
-        solver = JetSystemSolver(
-            Matrix(rows, ncols=len(gen_cols) + data.dim, domain=self.domain)
-        )
-        self._jet_stacked[k] = (solver, len(gen_cols))
-        return self._jet_stacked[k]
-
-    def _jet_normal_form(self, p: HomPoly, data: _DegreeData) -> RingElement:
-        solver, ngens = self._jet_stacked_solver(p.degree)
-        x, fail = solver.try_solve(p.to_vector())
-        if x is None:
-            raise ExactCoreError(
-                f"jet reduction unexpectedly failed at order {fail} in degree {p.degree}"
-            )
-        return RingElement(p.degree, tuple(x[ngens:]))
 
     def representative(self, elt: RingElement) -> HomPoly:
         """The canonical polynomial representative, supported on the cobasis.
@@ -260,23 +232,30 @@ class JacobianFiber:
         return HomPoly(elt.degree, dict(zip(cob, elt.coords)), domain=domain)
 
     def column_solver(self, k: int):
-        """Solver for expressing degree-k vectors in the ideal generators.
+        """The one solver of degree k, for writing vectors in the ideal
+        generators (columns in the fixed (i, m) order).
 
-        Columns are the generators in the fixed (i, m) order; the solver is
-        a LinearSolver over field domains and a JetSystemSolver over jets.
-        Degree k does not need to be prepared (no cobasis involved).
+        Over field domains it is a LinearSolver on the generators alone.
+        Over jets it is a JetSystemSolver on the generators followed by the
+        unit columns of the degree-k cobasis, so every right-hand side
+        solves: normal_form reads the cobasis part and membership_witness
+        the generator part, and a form leaves the ideal at the first
+        s-order where the cobasis part is nonzero. Degree k does not need
+        to be prepared: an unprepared degree takes its cobasis from the
+        order-0 fibre's echelon data, computed when first needed.
         """
         if k in self._column_solvers:
             return self._column_solvers[k]
-        ncols = monomial_count(k)
+        jet = self._order0 is not None
+        cob = self._order0._prepare_degree(k).cobasis_idx if jet else ()
+        one, zero = self.domain.one(), self.domain.zero()
         gen_cols = self._generator_vectors(k)
-        rows = [[col[r] for col in gen_cols] for r in range(ncols)]
-        m = Matrix(rows, ncols=len(gen_cols), domain=self.domain)
-        solver = (
-            JetSystemSolver(m)
-            if isinstance(self.domain, JetDomain)
-            else LinearSolver(m)
-        )
+        rows = [
+            [col[r] for col in gen_cols] + [one if i == r else zero for i in cob]
+            for r in range(monomial_count(k))
+        ]
+        m = Matrix(rows, ncols=len(gen_cols) + len(cob), domain=self.domain)
+        solver = JetSystemSolver(m) if jet else LinearSolver(m)
         self._column_solvers[k] = solver
         return solver
 

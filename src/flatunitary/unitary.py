@@ -111,20 +111,6 @@ def _certified_fibre(fam: FamilySpec, t0, seed: int):
 # stacked jet kernels
 
 
-def _rank_increases(reduced_rows, vec) -> bool:
-    """Incremental rational Gaussian step; appends when vec adds rank."""
-    v = list(vec)
-    for lead, row in reduced_rows:
-        if v[lead] != 0:
-            f = v[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    for i, a in enumerate(v):
-        if a != 0:
-            reduced_rows.append((i, [x / a for x in v]))
-            return True
-    return False
-
-
 def _stacked_kernel(cols, m: int):
     """Extendable kernel of a jet column system, solved over Q exactly.
 
@@ -156,29 +142,30 @@ def _stacked_kernel(cols, m: int):
             work.append(row)
     pivots = ff_gauss_jordan_int(work, width)
     pivot_set = set(pivots)
-    reduced = []
+    free = [f for f in range(width) if f not in pivot_set]
+    # The order-0 parts of the canonical vectors, one column per free
+    # column, form a matrix whose rows are, up to nonzero scaling, the
+    # free entries of each echelon row with its pivot in block 0 and a
+    # unit row for each free column in block 0. The greedy picks are its
+    # pivot columns.
+    order0 = [[row[f] for f in free] for row, c in zip(work, pivots) if c < J]
+    order0 += [[int(f == j) for f in free] for j in range(J) if j not in pivot_set]
     picks = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        if _rank_increases(reduced, _kernel_vector(work, pivots, f, J)):
-            v = _kernel_vector(work, pivots, f, width)
-            picks.append(
-                tuple(Jet(tuple(v[b * J + j] for b in range(m))) for j in range(J))
-            )
+    for i in ff_gauss_jordan_int(order0, len(free)):
+        v = _kernel_vector(work, pivots, free[i], width)
+        picks.append(
+            tuple(Jet(tuple(v[b * J + j] for b in range(m))) for j in range(J))
+        )
     return picks
 
 
-def _kernel_vector(work, pivots, f, n):
-    """The first n entries of the canonical kernel vector of free column f,
-    read off the fraction-free echelon form: 1 at f, -work[k][f] / work[k][c]
-    at each pivot column c = pivots[k], 0 elsewhere."""
-    v = [Fraction(0)] * n
-    if f < n:
-        v[f] = Fraction(1)
+def _kernel_vector(work, pivots, f, width):
+    """The canonical kernel vector of free column f, read off the
+    fraction-free echelon form: 1 at f, -work[k][f] / work[k][c] at each
+    pivot column c = pivots[k], 0 elsewhere."""
+    v = [Fraction(0)] * width
+    v[f] = Fraction(1)
     for row, c in zip(work, pivots):
-        if c >= n:
-            break
         if row[f]:
             v[c] = Fraction(-row[f], row[c])
     return v
@@ -455,6 +442,16 @@ def eta2_on_K(
     pk = _pk if _pk is not None else pointwise_kernel(fam, t0, seed)
     k = len(pk.basis)
     d = fam.degree
+    tweaks = dict(extension_tweaks or {})
+    for i, gamma in tweaks.items():
+        if i not in range(k):
+            raise ValueError(
+                f"extension tweak key {i!r} is not a kernel row (there are {k})"
+            )
+        if any(x != 0 for x in pk.higgs.mul_vec(gamma)):
+            raise ValueError(
+                f"extension tweak {i} is not a pointwise kernel vector"
+            )
     if k == 0:
         return Eta2Result(t0=pk.t0, basis=(), matrix=(), flags=())
 
@@ -462,13 +459,6 @@ def eta2_on_K(
     H2 = fib2.higgs_matrix(fib2.delta_class(Ft2))
     solver = JetSystemSolver(H2)
     zero_b = [Jet.from_fraction(0, 2) for _ in range(H2.nrows)]
-
-    tweaks = dict(extension_tweaks or {})
-    for i, gamma in tweaks.items():
-        if any(x != 0 for x in pk.higgs.mul_vec(gamma)):
-            raise ValueError(
-                f"extension tweak {i} is not a pointwise kernel vector"
-            )
 
     basis_elts = [
         RingElement(d - 3, tuple(Fraction(x) for x in v)) for v in pk.basis

@@ -182,7 +182,7 @@ def criterion_4_witness_soundness():
         parts = list(w.parts)
         parts[i] = parts[i] + poly_mul(h, partials[j])
         parts[j] = parts[j] - poly_mul(h, partials[i])
-        tweaked = Witness(degree=w.degree, parts=tuple(parts), unique=False)
+        tweaked = Witness(degree=w.degree, parts=tuple(parts))
         cls2 = fiber.normal_form(tweaked.divergence().scale(Fraction(1, 2)))
         _assert(cls2.coords == cls.coords, "pole reduction depended on the witness")
     return "100 witness identities re-expand; reduction survives 20 witness changes"

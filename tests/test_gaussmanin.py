@@ -11,20 +11,19 @@ from fractions import Fraction
 import pytest
 
 import flatunitary._univar as up
-from flatunitary.exactcore import Jet, PrecisionExhaustedError, RatFun
+from flatunitary.exactcore import Jet, JetSystemSolver, PrecisionExhaustedError, RatFun
 from flatunitary.family import generic_fibre, jet_expand, specialize, t_derivative
 from flatunitary.gaussmanin import (
-    CohomClass,
     NotKernelSectionError,
     Witness,
-    connection_class,
     gm_derivative,
     membership_witness,
     reduce_pole,
     theta_eval,
 )
-from flatunitary.jacobian import RingElement, make_fiber
+from flatunitary.jacobian import make_fiber
 from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
+from oracles import naive_jet_solve
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,6 @@ class TestWitness:
         dom = fiber.F.domain
         q = poly_mul(Ft, _mono((1, 0, 0), dom.one(), domain=dom))
         w = membership_witness(fiber, q)
-        assert w.unique
         inv = _rf((1,), (4, 0, -1))  # 1/(4 - t^2)
         a0 = _mono((0, 2, 0), inv, domain=dom)
         a1 = _mono((1, 1, 0), _rf((0, -1), (8, 0, -2)), domain=dom)
@@ -162,54 +160,97 @@ class TestPoleReduction:
                     w.parts[1] - poly_mul(h, partials[0]),
                     w.parts[2],
                 ),
-                unique=False,
             )
             cls2 = fiber.normal_form(tweaked.divergence().scale(Fraction(1, 2)))
             assert cls2.coords == cls.coords
 
 
-class TestConnection:
-    def _zero5(self, fiber):
-        dom = fiber.F.domain
-        return RingElement(5, tuple(dom.zero() for _ in range(fiber.dim(5))))
+class TestOneJetSolver:
+    """Over jets one column solver per degree, on the generators and then
+    the cobasis unit columns, serves normal forms and witnesses alike."""
 
-    def test_kernel_class_moves_like_its_derivative(self, generic_mix):
-        fiber, Ft = generic_mix
-        dom = fiber.F.domain
-        y0 = _mono((1, 0, 0), dom.one(), domain=dom)
-        cls = CohomClass(fiber.normal_form(y0), self._zero5(fiber))
-        moved = connection_class(fiber, Ft, cls)
-        assert moved.p1.coords == fiber.normal_form(
-            gm_derivative(fiber, Ft, y0)
-        ).coords
-        assert all(c.is_zero for c in moved.p2.coords)
+    T0 = Fraction(1)
 
-    def test_pole_two_part_records_obstruction(self, generic_mix):
-        fiber, Ft = generic_mix
-        dom = fiber.F.domain
-        y2 = _mono((0, 0, 1), dom.one(), domain=dom)
-        cls = CohomClass(fiber.normal_form(y2), self._zero5(fiber))
-        moved = connection_class(fiber, Ft, cls)
-        th = theta_eval(fiber, Ft, y2)
-        assert moved.p2.coords == tuple(-c for c in th.coords)
-        # the pole-one part picks up -1/(2t) * Y2
-        want = (_rf(up.ZERO), _rf(up.ZERO), _rf((-1,), (0, 2)))
-        assert moved.p1.coords == want
+    @staticmethod
+    def _fibre(mix, n):
+        return (
+            make_fiber(jet_expand(mix, TestOneJetSolver.T0, n)),
+            jet_expand(t_derivative(mix), TestOneJetSolver.T0, n),
+        )
 
-    def test_jet_transport_drops_one_order(self, mix):
-        t0, n = Fraction(1), 3
-        fiber = make_fiber(jet_expand(mix, t0, n))
-        Ft = jet_expand(t_derivative(mix), t0, n)
+    @staticmethod
+    def _generator_blocks(fiber, k, n):
+        """The order-0..n-1 coefficient matrices of the degree-k generator
+        columns, in membership_witness's (i, m) order."""
         dom = fiber.F.domain
-        y0 = _mono((1, 0, 0), dom.one(), domain=dom)
-        zero5 = RingElement(5, tuple(dom.zero() for _ in range(fiber.dim(5))))
-        cls = CohomClass(fiber.normal_form(y0), zero5)
-        moved = connection_class(fiber, Ft, cls)
-        [(e, c)] = [
-            (e, c) for e, c in zip(range(3), moved.p1.coords) if not c.is_zero
+        gens = [
+            poly_mul(_mono(m, dom.one(), domain=dom), poly_partial(fiber.F, i))
+            for i in range(3)
+            for m in graded_basis(k - fiber.d + 1)
         ]
-        assert e == 0 and c == Jet((Fraction(1, 6), Fraction(5, 18)))
-        assert all(c.precision == n - 1 for c in moved.p2.coords)
+        cols = [g.to_vector() for g in gens]
+        return [
+            [[col[r].coeffs[o] for col in cols] for r in range(len(cols[0]))]
+            for o in range(n)
+        ]
+
+    @pytest.mark.parametrize("k", [None, 0, 1, 2, 3])
+    def test_membership_matches_the_generator_solve(self, mix, k):
+        n = 4
+        fiber, Ft = self._fibre(mix, n)
+        rng = random.Random(k)
+        terms = {
+            e: Jet(tuple(Fraction(rng.randint(-4, 4)) for _ in range(n)))
+            for e in ((1, 0, 0), (0, 1, 0))
+        }
+        if k is not None:
+            terms[(0, 0, 1)] = Jet(tuple(Fraction(int(o == k)) for o in range(n)))
+        q = poly_mul(Ft, HomPoly(1, terms))
+        blocks = self._generator_blocks(fiber, q.degree, n)
+        b_orders = [[c.coeffs[o] for c in q.to_vector()] for o in range(n)]
+        want, want_fail = naive_jet_solve(blocks, b_orders)
+        assert want_fail == k
+        if k is not None:
+            with pytest.raises(NotKernelSectionError) as err:
+                membership_witness(fiber, q)
+            assert err.value.order == k
+            return
+        w = membership_witness(fiber, q)
+        got = [c for part in w.parts for c in part.to_vector()]
+        assert [tuple(c.coeffs[o] for c in got) for o in range(n)] == want
+
+    def test_normal_form_and_derivative_share_one_solver(self, mix, monkeypatch):
+        built = []
+        real = JetSystemSolver.__init__
+
+        def recording(self, *args):
+            built.append(self)
+            real(self, *args)
+
+        monkeypatch.setattr(JetSystemSolver, "__init__", recording)
+        fiber, Ft = self._fibre(mix, 3)
+        dom = fiber.F.domain
+        y0 = _mono((1, 0, 0), dom.one(), domain=dom)
+        fiber.normal_form(poly_mul(Ft, y0))
+        gm_derivative(fiber, Ft, y0)
+        assert built == [fiber.column_solver(5)]
+
+    def test_pole_reduction_in_an_unprepared_degree(self, mix):
+        fiber, _ = self._fibre(mix, 3)
+        rational = make_fiber(specialize(mix, self.T0))
+        rng = random.Random(5)
+        q = HomPoly(
+            9,
+            {
+                e: Jet(tuple(Fraction(rng.randint(-4, 4)) for _ in range(3)))
+                for e in graded_basis(9)
+            },
+        )
+        cls, w = reduce_pole(fiber, q)
+        cls0, w0 = reduce_pole(rational, q.map_coefficients(lambda c: c.order0))
+        assert tuple(c.order0 for c in cls.coords) == cls0.coords
+        for part, part0 in zip(w.parts, w0.parts):
+            assert tuple(c.order0 for c in part.to_vector()) == part0.to_vector()
 
 
 def _outcome(fn, *args):

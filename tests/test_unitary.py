@@ -309,7 +309,7 @@ class TestOneFibrePerBasepoint:
         assert rk.stable
         assert self.certified_t0s(record, mix) == [Fraction(52), rk.checks[1].t0]
         assert len(record["thickened"]) == 2
-        assert len(record["solvers"]) == 4
+        assert len(record["solvers"]) == 2
 
     def test_given_t0(self, mix, record):
         unitary_rank(mix, mode="jet", t0=Fraction(1))
@@ -373,6 +373,13 @@ class TestEta2:
         )
         with pytest.raises(ValueError):
             eta2_on_K(mix, t0=Fraction(1), extension_tweaks={0: bad})
+
+    @pytest.mark.parametrize("key", [7, -1, 2])
+    def test_tweak_key_must_be_a_kernel_row(self, mix, key):
+        # the kernel at t0 = 1 has two rows, so only keys 0 and 1 name one
+        pk = pointwise_kernel(mix, t0=Fraction(1))
+        with pytest.raises(ValueError, match="not a kernel row"):
+            eta2_on_K(mix, _pk=pk, extension_tweaks={key: pk.basis[0]})
 
     def test_extension_fibre_thickens_the_kernel_fibre(self, mix, monkeypatch):
         pk = pointwise_kernel(mix, t0=Fraction(1))
