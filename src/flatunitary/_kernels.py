@@ -12,7 +12,8 @@ swapped up; no other row reordering ever happens.
 
 ff_gauss_jordan_int runs over Python ints (rational elimination after
 clearing denominators); ff_gauss_jordan_ring runs over any integral domain
-whose operations are passed in (polynomial entries).
+whose operations are passed in (Z[t] entries, integer polynomials, for
+elimination over Q(t)).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def ff_gauss_jordan_ring(rows, ncols, mul, sub, divexact, is_zero):
     """Generic twin of ff_gauss_jordan_int over any integral domain.
 
     Ring operations are passed in; divexact(a, b) must raise if b does not
-    divide a. Used for polynomial-entry elimination; same pivot rule, same
+    divide a. Used for Z[t] elimination; same pivot rule, same
     augmented-column convention (pivot search in the first ncols columns,
     updates across the whole row).
     """

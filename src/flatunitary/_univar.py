@@ -142,3 +142,58 @@ def ptaylor(a, c, n: int) -> tuple:
             out[i] += prev[i] * c
         out[0] += coef
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Z[t]: the same conventions over Python ints. Fraction-free elimination
+# over Q(t) runs on these, so no step needs a rational coefficient.
+
+
+def zmul(a, b) -> tuple:
+    if not a or not b:
+        return ZERO
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def zsub(a, b) -> tuple:
+    if len(a) >= len(b):
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] -= c
+    else:
+        out = [-c for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def zdivexact(a, b) -> tuple:
+    """a / b in Z[t]; ArithmeticError unless b divides a there."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return ZERO
+    nb = len(b)
+    lc = b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - nb + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + nb - 1], lc)
+        if r:
+            raise ArithmeticError("inexact polynomial division in Z[t]")
+        if q:
+            quo[k] = q
+            for j, cb in enumerate(b):
+                rem[k + j] -= q * cb
+    if any(rem[: nb - 1]):  # also catches a divisor of higher degree than a
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    return tuple(quo)

@@ -250,8 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_family(arg: str):
     """Resolve the positional argument to (FamilySpec, source label)."""
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                raw = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _InputError(f"family file is not UTF-8 text: {arg} ({exc})") from None
         lines = [ln for ln in raw.splitlines() if not ln.lstrip().startswith("#")]
         return parse_family(" ".join(lines)), arg
     if any(v in arg for v in ("Y0", "Y1", "Y2")):

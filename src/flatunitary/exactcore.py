@@ -13,14 +13,19 @@ Linear algebra is pinned down to the last bit:
   leading entries are normalized to 1.
 * Internally, elimination over the rationals clears denominators row by row
   and runs a fraction-free (integer-preserving) Gauss-Jordan, normalizing
-  only at the end; rational-function matrices do the same over polynomial
-  entries. This keeps intermediate entries polynomial-sized instead of
-  letting gcd-heavy fraction arithmetic dominate.
-* LinearSolver over Q keeps that elimination integral: each transform row
+  only at the end; rational-function matrices do the same over Z[t], each
+  row scaled by the lcm of its denominators and then by an integer, so
+  every Bareiss quotient is an exact division of integer polynomials. This
+  keeps intermediate entries polynomial-sized instead of letting gcd-heavy
+  fraction arithmetic dominate.
+* LinearSolver keeps that elimination integral. Over Q each transform row
   is a list of ints with one integer denominator (its pivot value), each
   residual row a list of ints, and a solve scales the right-hand side to
   integers once, so a query costs integer dot products and one Fraction
-  per solution entry.
+  per solution entry. Over Q(t) the same holds with Z[t] in place of Z:
+  a transform row is a list of Z[t] numerators over one Z[t] denominator,
+  a solve brings b to one denominator, and each solution entry is one
+  RatFun normalization.
 * kernel_basis emits one vector per free column, in increasing column
   order, with 1 at that free column and 0 at the other free columns.
 * JetSystemSolver solves M(s) x(s) = b(s) over jets order by order through
@@ -476,10 +481,12 @@ def _clear_rational_rows(rows, scales=None):
 
 
 def _clear_ratfun_rows(rows, scales=None):
-    """Scale each RatFun row to polynomial entries (tuples of Fractions).
+    """Scale each RatFun row to Z[t] entries (tuples of ints): by the monic
+    lcm of its denominators, then by the integer lcm of the coefficient
+    denominators that leaves (row scaling preserves the RREF).
 
-    When `scales` is a list, the per-row multiplier polynomials are
-    appended to it."""
+    When `scales` is a list, each row's whole multiplier, a Q[t] polynomial,
+    is appended to it."""
     out = []
     for row in rows:
         lcm = up.ONE
@@ -487,20 +494,28 @@ def _clear_ratfun_rows(rows, scales=None):
             if up.pdeg(e.den) > 0:
                 g = up.pgcd(lcm, e.den)
                 lcm = up.pmonic(up.pmul(lcm, up.pdivexact(e.den, g)))
+        polys = [  # lcm is up.ONE when every denominator is 1
+            e.num if lcm is up.ONE else up.pmul(e.num, up.pdivexact(lcm, e.den))
+            for e in row
+        ]
+        zpolys, c = _split_content(polys)
         if scales is not None:
-            scales.append(lcm)
-        out.append([up.pmul(e.num, up.pdivexact(lcm, e.den)) for e in row])
+            scales.append(tuple(x * c for x in lcm))
+        out.append(zpolys)
     return out
+
+
+def _split_content(polys):
+    """Q[t] polynomials as Z[t] numerators over one positive int denominator."""
+    q = math.lcm(*(x.denominator for poly in polys for x in poly))
+    return [
+        tuple(x.numerator * (q // x.denominator) for x in poly) for poly in polys
+    ], q
 
 
 def _jordan_poly(rows, pivot_width):
     return ff_gauss_jordan_ring(
-        rows,
-        pivot_width,
-        up.pmul,
-        up.psub,
-        up.pdivexact,
-        lambda a: not a,
+        rows, pivot_width, up.zmul, up.zsub, up.zdivexact, operator.not_
     )
 
 
@@ -574,9 +589,15 @@ class LinearSolver:
     queries. Over Q every row stays integral: a transform row is a list of
     ints over one integer denominator, its pivot value, and a residual row
     is a list of ints; a solve scales b to integers once, by the lcm of its
-    denominators, and takes integer dot products. Over Q(t) the rows are
-    RatFun tuples. Particular solutions set every free variable to zero,
-    which (with the pinned pivot rule) makes results deterministic.
+    denominators, and takes integer dot products. Over Q(t) every row stays
+    in Z[t]: a transform row is a list of Z[t] numerators over one Z[t]
+    denominator, its pivot polynomial times the row's integer content
+    denominator, and a residual row is a list of Z[t] numerators; a solve
+    brings b to one denominator D (the polynomial lcm of its denominators
+    times an integer), takes Z[t] dot products and normalizes each entry
+    once, as RatFun(row . Db, den * D). Particular solutions set every free
+    variable to zero, which (with the pinned pivot rule) makes results
+    deterministic.
     """
 
     def __init__(self, matrix: Matrix):
@@ -594,9 +615,8 @@ class LinearSolver:
             pivots = ff_gauss_jordan_int(work, matrix.ncols)
         else:
             work = _clear_ratfun_rows(matrix.rows, scales)
-            zero, one = up.ZERO, up.ONE
             for i, row in enumerate(work):
-                row.extend(one if j == i else zero for j in range(matrix.nrows))
+                row.extend((1,) if j == i else up.ZERO for j in range(matrix.nrows))
             pivots = _jordan_poly(work, matrix.ncols)
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
@@ -614,17 +634,21 @@ class LinearSolver:
                 [x * s for x, s in zip(row[n:], scales)] for row in work[self.rank:]
             )
         else:
-            self._transform = tuple(
-                tuple(
-                    RatFun(up.pmul(x, s), work[k][c])
-                    for x, s in zip(work[k][n:], scales)
-                )
-                for k, c in enumerate(pivots)
-            )
-            self._residual = tuple(
-                tuple(RatFun(up.pmul(x, s)) for x, s in zip(row[n:], scales))
-                for row in work[self.rank:]
-            )
+            split = [_split_content([s]) for s in scales]
+
+            def fold(row):
+                # Z[t] numerators of row * scales over one integer denominator
+                d = math.lcm(*(q for x, (_, q) in zip(row, split) if x))
+                return d, [
+                    up.zmul(x, tuple(v * (d // q) for v in z))
+                    for x, ([z], q) in zip(row, split)
+                ]
+
+            self._transform = []
+            for k, c in enumerate(pivots):
+                d, row = fold(work[k][n:])
+                self._transform.append((up.zmul(work[k][c], (d,)), row))
+            self._residual = tuple(fold(row[n:])[1] for row in work[self.rank:])
         self._rational = rational
 
     def try_solve(self, b: Sequence):
@@ -644,12 +668,14 @@ class LinearSolver:
             for c, (pv, row) in zip(self.pivots, self._transform):
                 x[c] = Fraction(_int_dot(row, b), pv * scale)
             return tuple(x)
-        b = [self.domain.coerce(e) for e in b]
-        for row in self._residual:
-            if not _is_zero(_dot(row, b, zero)):
-                return None
-        for c, row in zip(self.pivots, self._transform):
-            x[c] = _dot(row, b, zero)
+        scales = []
+        (b,) = _clear_ratfun_rows([[self.domain.coerce(e) for e in b]], scales)
+        if any(_zdot(row, b) for row in self._residual):
+            return None
+        for c, (den, row) in zip(self.pivots, self._transform):
+            num = _zdot(row, b)
+            if num:
+                x[c] = RatFun(num, up.pmul(den, scales[0]))
         return tuple(x)
 
 
@@ -657,11 +683,20 @@ def _int_dot(row, vec):
     return sum(map(operator.mul, row, vec))
 
 
-def _dot(row, vec, zero):
-    acc = zero
+def _zdot(row, vec):
+    """Dot product of two Z[t] vectors, trimmed."""
+    out = []
     for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
+        if a and b:
+            if len(out) < len(a) + len(b) - 1:
+                out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        out[i + j] += ca * cb
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

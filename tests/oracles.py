@@ -7,6 +7,7 @@ bug in the package cannot hide in its own oracle.
 from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 Y0, Y1, Y2, T = sympy.symbols("Y0 Y1 Y2 T")
 
@@ -141,6 +142,62 @@ def naive_stacked_kernel(cols, m):
 def naive_kernel_dim(rows, ncols):
     red, pivots = naive_rref([list(r) for r in rows]) if rows else ([], ())
     return ncols - len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# elimination over Q(t), delegated to sympy
+
+
+def _sym_ratfun(entry):
+    num, den = entry
+    return sum(sympy.Rational(c) * T**k for k, c in enumerate(num)) / sum(
+        sympy.Rational(c) * T**k for k, c in enumerate(den)
+    )
+
+
+def _coeff_pair(expr):
+    """A sympy rational function of T as (num, den) Fraction tuples in
+    ascending powers: coprime, monic denominator, zero as ((), (1,))."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+
+    def coeffs(poly):
+        cs = sympy.Poly(poly, T, domain="QQ").all_coeffs()
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(cs)]
+
+    num, den = coeffs(num), coeffs(den)
+    lc = den[-1]
+    num = [c / lc for c in num]
+    while num and num[-1] == 0:
+        num.pop()
+    return tuple(num), tuple(c / lc for c in den)
+
+
+def naive_ratfun_rref(rows):
+    """Reduced row echelon form over Q(t) by sympy's rref in the field
+    QQ(t), each entry normalised by cancel. Entries are (numerator,
+    denominator) coefficient sequences in ascending powers of t. Returns
+    (rows of _coeff_pair entries, pivots)."""
+    m = DomainMatrix.from_Matrix(
+        sympy.Matrix([[_sym_ratfun(e) for e in row] for row in rows])
+    ).convert_to(sympy.QQ.frac_field(T))
+    red, pivots = m.rref()
+    red = red.to_Matrix()
+    return [
+        [_coeff_pair(red[i, j]) for j in range(red.cols)] for i in range(red.rows)
+    ], tuple(pivots)
+
+
+def naive_ratfun_solve(rows, rhs):
+    """Particular solution over Q(t) with every free variable zero, as
+    _coeff_pair entries; None when the system is inconsistent."""
+    ncols = len(rows[0])
+    red, pivots = naive_ratfun_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [((), (Fraction(1),))] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[ncols]
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

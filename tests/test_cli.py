@@ -42,6 +42,14 @@ class TestExitCodes:
         assert cli.run(["validate", "Y0^4 + Y1^3"]) == 2
         assert "homogeneous" in capsys.readouterr().err
 
+    def test_non_utf8_family_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fam"
+        bad.write_bytes(b"\xff\xfeY\x000\x00^\x004\x00")  # UTF-16 with a BOM
+        assert cli.run(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flatunitary: ")
+        assert "not UTF-8" in err and str(bad) in err
+
     def test_unwritable_output_is_input_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.json"
         assert cli.run(["validate", MIX, "--output", str(target)]) == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import flatunitary._univar as up
 from flatunitary._kernels import ff_gauss_jordan_int, ff_gauss_jordan_ring
@@ -22,7 +22,13 @@ from flatunitary.exactcore import (
     kernel_basis,
     rref,
 )
-from oracles import naive_jet_solve, naive_rref, naive_solve
+from oracles import (
+    naive_jet_solve,
+    naive_ratfun_rref,
+    naive_ratfun_solve,
+    naive_rref,
+    naive_solve,
+)
 
 t = sympy.Symbol("t")
 
@@ -295,6 +301,150 @@ class TestRatFunElimination:
             assert acc.is_zero
 
 
+# coefficients with denominators 2, 3 or 5, so that clearing a row takes an
+# integer scale as well as a polynomial one
+nonint_st = st.builds(
+    Fraction, st.integers(min_value=-5, max_value=5), st.sampled_from((2, 3, 5))
+)
+nonzero_st = st.builds(
+    lambda n, d: Fraction(n, d),
+    st.integers(min_value=1, max_value=5) | st.integers(min_value=-5, max_value=-1),
+    st.sampled_from((2, 3, 5)),
+)
+denominator_st = st.builds(  # degree 1 or 2
+    lambda low, lead: (*low, lead), st.lists(nonint_st, min_size=1, max_size=2), nonzero_st
+)
+ratfun_st = st.builds(
+    lambda num, den: RatFun(tuple(num), den),
+    st.lists(nonint_st, max_size=3),
+    denominator_st,
+)
+
+
+@st.composite
+def ratfun_system_st(draw):
+    """A 2-5 x 2-5 system over Q(t) and a right-hand side.
+
+    The matrix is generic, has its last row a combination of the first
+    rows, or its last column a multiple of the first; the right-hand side
+    is M x0 (consistent) or has entries over the distinct denominators
+    t + (i+1)/2 (inconsistent as soon as M has fewer independent rows)."""
+    nrows = draw(st.integers(min_value=2, max_value=5))
+    ncols = draw(st.integers(min_value=2, max_value=5))
+    rows = [[draw(ratfun_st) for _ in range(ncols)] for _ in range(nrows)]
+    shape = draw(st.sampled_from(("generic", "row-dependent", "column-dependent")))
+    if shape == "row-dependent":
+        coeffs = [draw(ratfun_st) for _ in range(nrows - 1)]
+        rows[-1] = [
+            sum((f * row[j] for f, row in zip(coeffs, rows)), RatFun(up.ZERO))
+            for j in range(ncols)
+        ]
+    elif shape == "column-dependent":
+        f = draw(ratfun_st)
+        for row in rows:
+            row[-1] = f * row[0]
+    if draw(st.booleans()):
+        x0 = [draw(ratfun_st) for _ in range(ncols)]
+        rhs = [sum((a * x for a, x in zip(row, x0)), RatFun(up.ZERO)) for row in rows]
+    else:
+        rhs = [
+            RatFun(tuple(draw(st.lists(nonint_st, min_size=1, max_size=3))),
+                   (Fraction(i + 1, 2), Fraction(1)))
+            for i in range(nrows)
+        ]
+    return rows, rhs
+
+
+def _pairs(entries):
+    return [(e.num, e.den) for e in entries]
+
+
+class TestRatFunOracle:
+    """rref and LinearSolver over Q(t) against sympy's rref over QQ(t)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ratfun_system_st())
+    def test_rref_matches_sympy(self, system):
+        rows, _ = system
+        res = rref(Matrix(rows))
+        want_rows, want_pivots = naive_ratfun_rref([_pairs(row) for row in rows])
+        event("rank-deficient" if res.rank < min(len(rows), len(rows[0])) else "full rank")
+        assert res.pivots == want_pivots
+        assert [_pairs(row) for row in res.matrix.rows] == want_rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(ratfun_system_st())
+    def test_solve_matches_sympy(self, system):
+        rows, rhs = system
+        got = LinearSolver(Matrix(rows)).try_solve(rhs)
+        want = naive_ratfun_solve([_pairs(row) for row in rows], _pairs(rhs))
+        event("inconsistent" if want is None else "consistent")
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and _pairs(got) == list(want)
+
+
+# ---------------------------------------------------------------------------
+# the Z[t] operations that fraction-free elimination over Q(t) runs on
+
+
+zpoly_st = st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(
+    lambda cs: up.zsub(tuple(cs), up.ZERO)
+)
+
+
+class TestIntegerPolynomials:
+    @settings(max_examples=80, deadline=None)
+    @given(zpoly_st, zpoly_st.filter(bool))
+    def test_exact_divide_inverts_multiply(self, a, b):
+        assert up.zdivexact(up.zmul(a, b), b) == a
+        assert up.zsub(up.zmul(a, b), up.zmul(b, a)) == up.ZERO
+
+    def test_exact_divide_rejects_a_remainder(self):
+        with pytest.raises(ArithmeticError):
+            up.zdivexact((1, 0, 1), (1, 1))  # t^2 + 1 = (t - 1)(t + 1) + 2
+        with pytest.raises(ArithmeticError):
+            up.zdivexact((1, 1), (0, 0, 1))  # divisor of higher degree
+
+    def test_exact_divide_rejects_a_leading_coefficient_that_does_not_divide(self):
+        with pytest.raises(ArithmeticError):
+            up.zdivexact((0, 3), (0, 2))  # 3t / 2t = 3/2 is not in Z[t]
+        with pytest.raises(ArithmeticError):
+            up.zdivexact((2, 3), (2,))
+        with pytest.raises(ZeroDivisionError):
+            up.zdivexact((1,), up.ZERO)
+
+    def test_integer_and_rational_polynomial_kernels_agree(self):
+        rng = random.Random(9002)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            m = rng.randint(1, 5)
+            extra = rng.randint(0, 2)  # augmented columns beyond the pivot region
+            rows = [
+                [
+                    up.zsub(tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 3))), ())
+                    for _ in range(m + extra)
+                ]
+                for _ in range(n)
+            ]
+            if rng.random() < 0.4:  # force repeated/zero structure
+                for i in range(1, n):
+                    if rng.random() < 0.5:
+                        rows[i] = list(rows[0])
+            a = copy.deepcopy(rows)
+            b = [[up.pnorm(e) for e in row] for row in rows]
+            piv_a = ff_gauss_jordan_ring(
+                a, m, up.zmul, up.zsub, up.zdivexact, lambda x: not x
+            )
+            piv_b = ff_gauss_jordan_ring(
+                b, m, up.pmul, up.psub, up.pdivexact, lambda x: not x
+            )
+            assert piv_a == piv_b
+            assert all(isinstance(c, int) for row in a for e in row for c in e)
+            assert [[up.pnorm(e) for e in row] for row in a] == b
+
+
 # ---------------------------------------------------------------------------
 # jet systems solved order by order
 
@@ -457,6 +607,7 @@ class TestIntegerSolvesAgainstOracles:
         got, fail = JetSystemSolver(matrix).try_solve(rhs, order0_value=x0)
         want, want_fail = naive_jet_solve(blocks, b_orders, order0_value=x0)
         assert fail == want_fail
+        event("inconsistent" if want is None else "consistent")
         if want is None:
             assert got is None
         else:

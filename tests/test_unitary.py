@@ -266,6 +266,13 @@ class TestUnitaryRank:
                 filtration_ranks(mix, mode="jet", t0=t0b, order=order),
             )
 
+    def test_sextic_over_the_function_field(self):
+        # degree 6 over Q(t): genus 10, every level keeps the six sections
+        sextic = parse_family("Y0^6 + Y1^6 + Y2^6 + T*Y0^3*Y1^3")
+        rk = unitary_rank(sextic, mode="ratfun")
+        assert rk.ranks == (6,) * 10
+        assert rk.stable and rk.checks == ()
+
     def test_default_mode_tracks_degree(self, mix):
         assert unitary_rank(mix).primary.mode == "ratfun"
 
