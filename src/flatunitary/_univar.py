@@ -13,16 +13,25 @@ ZERO = ()
 ONE = (Fraction(1),)
 
 
+def _exact(c) -> Fraction:
+    # exactcore.DomainMismatchError is a TypeError; this module sits below it
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"{c!r} is not an exact rational coefficient")
+
+
 def pnorm(coeffs) -> tuple:
-    """Trim trailing zeros and coerce entries to Fraction."""
-    cs = [Fraction(c) for c in coeffs]
+    """Trim trailing zeros; entries must be Fractions or ints (converted)."""
+    cs = [_exact(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
 def pconst(c) -> tuple:
-    c = Fraction(c)
+    c = _exact(c)
     return (c,) if c != 0 else ZERO
 
 

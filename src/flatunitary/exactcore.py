@@ -11,13 +11,17 @@ Linear algebra is pinned down to the last bit:
 * rref scans columns left to right, picks the first nonzero entry at or
   below the next pivot position, swaps it up and never reorders otherwise;
   leading entries are normalized to 1.
-* Internally, elimination over the rationals clears denominators row by row
-  and runs a fraction-free (integer-preserving) Gauss-Jordan, normalizing
-  only at the end; rational-function matrices do the same over Z[t], each
-  row scaled by the lcm of its denominators and then by an integer, so
-  every Bareiss quotient is an exact division of integer polynomials. This
-  keeps intermediate entries polynomial-sized instead of letting gcd-heavy
-  fraction arithmetic dominate.
+* Elimination over the rationals runs only on integer rows, in two cores:
+  rref_int, a fraction-free (integer-preserving) Gauss-Jordan after which
+  every pivot row carries one common pivot value, and full_column_rank_int,
+  the two-prime rank certificate. rref and full_column_rank_certificate
+  over Q clear each row's denominators and call them; Jacobian fibres over
+  Q build their generator rows as integers and hand them to the cores
+  directly. Rational-function matrices run the same elimination over
+  Z[t], each row scaled by the lcm of its denominators and then by an
+  integer, so every Bareiss quotient is an exact division of integer
+  polynomials. This keeps intermediate entries polynomial-sized instead of
+  letting gcd-heavy fraction arithmetic dominate.
 * LinearSolver keeps that elimination integral. Over Q each transform row
   is a list of ints with one integer denominator (its pivot value), each
   residual row a list of ints, and a solve scales the right-hand side to
@@ -59,6 +63,18 @@ class PrecisionExhaustedError(ExactCoreError, ValueError):
 
 # ---------------------------------------------------------------------------
 # scalars
+
+_ZERO = Fraction(0)
+
+
+def _as_fraction(x) -> Fraction:
+    """x as an exact rational: a Fraction as it is, an int converted; a
+    float or a string is refused rather than read approximately."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise DomainMismatchError(f"cannot place {x!r} in the rational domain")
 
 
 class RatFun:
@@ -212,7 +228,7 @@ class Jet:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(_as_fraction, coeffs))
         if not cs:
             raise ValueError("jet needs at least one coefficient")
         self.coeffs = cs
@@ -221,7 +237,7 @@ class Jet:
     def from_fraction(cls, q, precision: int) -> "Jet":
         if precision < 1:
             raise ValueError("jet precision must be >= 1")
-        return cls((Fraction(q),) + (Fraction(0),) * (precision - 1))
+        return cls((_as_fraction(q),) + (_ZERO,) * (precision - 1))
 
     @property
     def precision(self) -> int:
@@ -326,9 +342,7 @@ class RationalDomain:
         return Fraction(1)
 
     def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        raise DomainMismatchError(f"cannot place {x!r} in the rational domain")
+        return _as_fraction(x)
 
 
 @dataclass(frozen=True)
@@ -345,7 +359,7 @@ class RatFunDomain:
         if isinstance(x, RatFun):
             return x
         if isinstance(x, (int, Fraction)):
-            return RatFun.from_fraction(Fraction(x))
+            return RatFun.from_fraction(x)
         raise DomainMismatchError(f"cannot place {x!r} in the rational-function domain")
 
 
@@ -368,7 +382,7 @@ class JetDomain:
                 )
             return x
         if isinstance(x, (int, Fraction)):
-            return Jet.from_fraction(Fraction(x), self.precision)
+            return Jet.from_fraction(x, self.precision)
         raise DomainMismatchError(f"cannot place {x!r} in the jet domain")
 
 
@@ -519,6 +533,19 @@ def _jordan_poly(rows, pivot_width):
     )
 
 
+def rref_int(rows, ncols):
+    """Fraction-free reduced echelon form of integer rows, in place.
+
+    Returns (pivots, pivot value). Row k < rank has its pivot at
+    pivots[k] and zeros in every other pivot column; rows past the rank
+    are zero in the first ncols columns. Every pivot row ends with the
+    same pivot entry, the last pivot: each step multiplies the earlier
+    pivot rows by the new pivot and divides them by the old one. So row k
+    over the pivot value is row k of the RREF."""
+    pivots = ff_gauss_jordan_int(rows, ncols)
+    return pivots, rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
 def rref(matrix: Matrix) -> RrefResult:
     """Reduced row echelon form over a field domain (rationals or t-rational
     functions). Same shape, zero rows at the bottom, leading entries 1."""
@@ -526,12 +553,9 @@ def rref(matrix: Matrix) -> RrefResult:
         raise DomainMismatchError("rref over jets is not defined; use JetSystemSolver")
     if isinstance(matrix.domain, RationalDomain):
         work = _clear_rational_rows(matrix.rows)
-        pivots = ff_gauss_jordan_int(work, matrix.ncols)
-        out = []
-        for k, c in enumerate(pivots):
-            pv = work[k][c]
-            out.append(tuple(Fraction(x, pv) for x in work[k]))
-        zero_row = (Fraction(0),) * matrix.ncols
+        pivots, pv = rref_int(work, matrix.ncols)
+        out = [tuple(Fraction(x, pv) for x in work[k]) for k in range(len(pivots))]
+        zero_row = (_ZERO,) * matrix.ncols
     else:
         work = _clear_ratfun_rows(matrix.rows)
         pivots = _jordan_poly(work, matrix.ncols)
@@ -809,6 +833,16 @@ def _rank_modp(int_rows, ncols, p):
     return rank
 
 
+def full_column_rank_int(rows, ncols) -> bool:
+    """The certificate below on integer rows: True when the rows have
+    full column rank modulo one of two fixed primes, hence over Q."""
+    if ncols == 0:
+        return True
+    if len(rows) < ncols:
+        return False
+    return any(_rank_modp(rows, ncols, p) == ncols for p in _CERT_PRIMES)
+
+
 def full_column_rank_certificate(matrix: Matrix) -> bool:
     """True certifies that the matrix has full column rank (exactly: rank
     over the fraction field never falls below rank after reduction mod p or
@@ -820,11 +854,7 @@ def full_column_rank_certificate(matrix: Matrix) -> bool:
     if matrix.nrows < matrix.ncols:
         return False
     if isinstance(matrix.domain, RationalDomain):
-        int_rows = _clear_rational_rows(matrix.rows)
-        for p in _CERT_PRIMES:
-            if _rank_modp(int_rows, matrix.ncols, p) == matrix.ncols:
-                return True
-        return False
+        return full_column_rank_int(_clear_rational_rows(matrix.rows), matrix.ncols)
     if isinstance(matrix.domain, RatFunDomain):
         for a in _CERT_POINTS:
             try:

@@ -13,11 +13,21 @@ Fibres work over the rationals, over rational functions of t (the generic
 fibre of a family), or over jets at a basepoint. Over jets, every reduction
 reuses the order-0 echelon data order by order, so only rational
 elimination ever runs.
+
+Over the rationals no Fraction matrix is built. Each partial F_i is
+cleared of denominators once, and every generator row Y^m * F_i is F_i's
+integer coefficients placed at the monomial indices of Y^m times its
+terms: the rows the generic path would get by scaling each Fraction row
+by the lcm of its denominators. The certificate and the echelon data come
+from fraction-free elimination of these rows, and a normal form scales p
+to integers once and takes integer dot products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactcore import (
     RATIONAL,
@@ -28,11 +38,22 @@ from .exactcore import (
     JetSystemSolver,
     LinearSolver,
     Matrix,
+    RationalDomain,
     full_column_rank_certificate,
+    full_column_rank_int,
     rref,
+    rref_int,
+    _int_dot,
     _is_zero,
 )
-from .polyring import HomPoly, graded_basis, monomial_count, poly_mul, poly_partial
+from .polyring import (
+    HomPoly,
+    graded_basis,
+    monomial_count,
+    monomial_index,
+    poly_mul,
+    poly_partial,
+)
 
 
 class SingularFibreError(ExactCoreError, ValueError):
@@ -76,17 +97,27 @@ def standard_degrees(d: int):
 
 
 class _DegreeData:
-    """Echelon data of one graded piece over a field domain."""
+    """Echelon data of one graded piece over a field domain.
 
-    __slots__ = ("degree", "rref_rows", "pivots", "cobasis_idx", "dim")
+    cols[i] lists the entries of the echelon rows in the column of the
+    i-th cobasis monomial; the pivot columns are implied. Over Q the rows
+    are the fraction-free Gauss-Jordan rows of the integer generator rows,
+    and RREF row k is echelon row k over the one pivot_value: each
+    elimination step multiplies the earlier pivot rows by the new pivot
+    and divides them by the old one, so every pivot row ends on the last
+    pivot. Over Q(t) the rows are the RREF rows and pivot_value is 1.
+    """
 
-    def __init__(self, degree, rref_rows, pivots, ncols):
+    __slots__ = ("degree", "pivots", "cobasis_idx", "dim", "cols", "pivot_value")
+
+    def __init__(self, degree, rows, pivots, ncols, pivot_value=1):
         self.degree = degree
-        self.rref_rows = rref_rows
-        self.pivots = pivots
+        self.pivots = tuple(pivots)
         pivot_set = set(pivots)
         self.cobasis_idx = tuple(c for c in range(ncols) if c not in pivot_set)
         self.dim = len(self.cobasis_idx)
+        self.cols = tuple([row[j] for row in rows] for j in self.cobasis_idx)
+        self.pivot_value = pivot_value
 
 
 class JacobianFiber:
@@ -112,6 +143,10 @@ class JacobianFiber:
         self.genus = genus_of_degree(self.d)
         self.domain = F.domain
         self.partials = tuple(poly_partial(F, i) for i in range(3))
+        self._rational = isinstance(F.domain, RationalDomain)
+        self._int_partials = (
+            tuple(_integer_terms(P) for P in self.partials) if self._rational else None
+        )
         self._degree_data = {}
         self._column_solvers = {}
         self._order0 = None
@@ -145,14 +180,34 @@ class JacobianFiber:
             vecs.append(prod.to_vector())
         return vecs
 
+    def _int_generator_rows(self, k: int):
+        """The generator vectors over Q, each scaled to integers by the lcm
+        of its denominators, which are its partial's."""
+        mult_deg = k - (self.d - 1)
+        ncols = monomial_count(k)
+        rows = []
+        for terms in self._int_partials:
+            for m0, m1, m2 in graded_basis(mult_deg):
+                row = [0] * ncols
+                for (a, b, c), x in terms:
+                    row[monomial_index((m0 + a, m1 + b, m2 + c))] = x
+                rows.append(row)
+        return rows
+
     def _smoothness_certificate(self, cert_degree: int):
         ncols = monomial_count(cert_degree)
-        gen_matrix = Matrix(
-            self._generator_vectors(cert_degree), ncols=ncols, domain=self.domain
-        )
-        if full_column_rank_certificate(gen_matrix):
-            return {"degree": cert_degree, "dim": 0, "method": "reduction"}
-        rank = rref(gen_matrix).rank
+        if self._rational:
+            rows = self._int_generator_rows(cert_degree)
+            if full_column_rank_int(rows, ncols):
+                return {"degree": cert_degree, "dim": 0, "method": "reduction"}
+            rank = len(rref_int(rows, ncols)[0])
+        else:
+            gen_matrix = Matrix(
+                self._generator_vectors(cert_degree), ncols=ncols, domain=self.domain
+            )
+            if full_column_rank_certificate(gen_matrix):
+                return {"degree": cert_degree, "dim": 0, "method": "reduction"}
+            rank = rref(gen_matrix).rank
         if rank != ncols:
             raise SingularFibreError(cert_degree, f"dim R_{cert_degree} = {ncols - rank}")
         return {"degree": cert_degree, "dim": 0, "method": "exact"}
@@ -160,16 +215,16 @@ class JacobianFiber:
     def _prepare_degree(self, k: int) -> _DegreeData:
         if k in self._degree_data:
             return self._degree_data[k]
-        if k < 0:
-            data = _DegreeData(k, (), (), 0)
+        ncols = monomial_count(k)
+        if k < self.d - 1:  # no generators
+            data = _DegreeData(k, (), (), ncols)
+        elif self._rational:
+            rows = self._int_generator_rows(k)
+            pivots, pivot_value = rref_int(rows, ncols)
+            data = _DegreeData(k, rows[: len(pivots)], pivots, ncols, pivot_value)
         else:
-            ncols = monomial_count(k)
-            vecs = self._generator_vectors(k)
-            if vecs:
-                res = rref(Matrix(vecs, ncols=ncols, domain=self.domain))
-                data = _DegreeData(k, res.matrix.rows[: res.rank], res.pivots, ncols)
-            else:
-                data = _DegreeData(k, (), (), ncols)
+            res = rref(Matrix(self._generator_vectors(k), ncols=ncols, domain=self.domain))
+            data = _DegreeData(k, res.matrix.rows[: res.rank], res.pivots, ncols)
         self._degree_data[k] = data
         return data
 
@@ -209,14 +264,29 @@ class JacobianFiber:
         if self._order0 is not None:
             x, _ = self.column_solver(p.degree).try_solve(p.to_vector())
             return RingElement(p.degree, x[len(x) - data.dim :])
-        v = list(p.to_vector())
-        for row_idx, c in enumerate(data.pivots):
-            coef = v[c]
-            if not _is_zero(coef):
-                row = data.rref_rows[row_idx]
-                for j in range(c, len(v)):
-                    v[j] = v[j] - coef * row[j]
-        return RingElement(p.degree, tuple(v[i] for i in data.cobasis_idx))
+        # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j
+        if self._rational:
+            scale = math.lcm(*(c.denominator for c in p.terms.values()))
+            b = [0] * monomial_count(p.degree)
+            for e, c in p.terms.items():
+                b[monomial_index(e)] = c.numerator * (scale // c.denominator)
+            head = [b[c] for c in data.pivots]
+            pv = data.pivot_value
+            coords = tuple(
+                Fraction(b[j] * pv - _int_dot(col, head), pv * scale)
+                for j, col in zip(data.cobasis_idx, data.cols)
+            )
+            return RingElement(p.degree, coords)
+        v = p.to_vector()
+        head = [v[c] for c in data.pivots]
+        coords = []
+        for j, col in zip(data.cobasis_idx, data.cols):
+            x = v[j]
+            for h, r in zip(head, col):
+                if not _is_zero(h) and not _is_zero(r):
+                    x = x - h * r
+            coords.append(x)
+        return RingElement(p.degree, tuple(coords))
 
     def representative(self, elt: RingElement) -> HomPoly:
         """The canonical polynomial representative, supported on the cobasis.
@@ -296,6 +366,13 @@ class JacobianFiber:
         if not nf.coords:
             raise SingularFibreError(3 * self.d - 6, "socle is trivial")
         return nf.coords[-1]
+
+
+def _integer_terms(P: HomPoly):
+    """P's terms as (exponent, int) pairs: P times the lcm of its
+    coefficient denominators."""
+    q = math.lcm(*(c.denominator for c in P.terms.values()))
+    return tuple((e, c.numerator * (q // c.denominator)) for e, c in P.terms.items())
 
 
 def _order0_part(F: HomPoly) -> HomPoly:

@@ -33,6 +33,14 @@ def graded_basis(k: int):
     )
 
 
+def monomial_index(e) -> int:
+    """Position of the exponent triple e in graded_basis(sum(e)): the
+    triples before it have a larger Y0 exponent, or the same one and a
+    larger Y1 exponent."""
+    r = e[1] + e[2]
+    return r * (r + 1) // 2 + e[2]
+
+
 def monomial_sort_key(e):
     """Sort key realizing the graded-lex order within one degree."""
     return (-e[0], -e[1])

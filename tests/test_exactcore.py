@@ -1,6 +1,7 @@
 """Exact scalar domains and the pinned-pivot linear algebra kernel."""
 
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 import flatunitary._univar as up
 from flatunitary._kernels import ff_gauss_jordan_int, ff_gauss_jordan_ring
 from flatunitary.exactcore import (
+    RATIONAL,
     DomainMismatchError,
     Jet,
     JetSystemSolver,
@@ -19,8 +21,10 @@ from flatunitary.exactcore import (
     PrecisionExhaustedError,
     RatFun,
     full_column_rank_certificate,
+    full_column_rank_int,
     kernel_basis,
     rref,
+    rref_int,
 )
 from oracles import (
     naive_jet_solve,
@@ -64,6 +68,17 @@ class TestRatFun:
             RatFun(up.ONE, up.ZERO)
         with pytest.raises(ZeroDivisionError):
             RatFun(up.ONE) / RatFun(up.ZERO)
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2"])
+    def test_inexact_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError):
+            RatFun((bad,))
+        with pytest.raises(TypeError):
+            RatFun((1,), (1, bad))
+        with pytest.raises(TypeError):
+            RatFun.from_fraction(bad)
+        with pytest.raises(TypeError):
+            up.pconst(bad)
 
     @settings(max_examples=60, deadline=None)
     @given(poly_st(3), poly_st(2, allow_zero=False), poly_st(3), poly_st(2, allow_zero=False))
@@ -111,6 +126,22 @@ class TestJet:
         assert Jet((1, 2, 3)) + 1 == Jet((2, 2, 3))
         assert 2 * Jet((1, 2, 3)) == Jet((2, 4, 6))
 
+    @pytest.mark.parametrize("bad", [0.1, "1/2"])
+    def test_inexact_coefficients_rejected(self, bad):
+        with pytest.raises(DomainMismatchError):
+            Jet([bad, 1])
+        with pytest.raises(DomainMismatchError):
+            Jet.from_fraction(bad, 2)
+        with pytest.raises(DomainMismatchError):
+            RATIONAL.coerce(bad)
+
+    def test_fractions_are_kept_and_ints_converted(self):
+        q = Fraction(1, 3)
+        j = Jet([q, 2])
+        assert j.coeffs[0] is q
+        assert type(j.coeffs[1]) is Fraction
+        assert RATIONAL.coerce(q) is q
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(fractions_st, min_size=1, max_size=5), st.data())
     def test_product_matches_truncated_series(self, a, data):
@@ -148,6 +179,24 @@ matrix_st = st.integers(min_value=1, max_value=5).flatmap(
         )
     )
 )
+
+
+@st.composite
+def core_case_st(draw):
+    """Integer or Fraction matrices, often rank-deficient, wider than tall
+    or with zero rows: a product of random n x r and r x m factors, some
+    rows then zeroed."""
+    entry = draw(st.sampled_from([st.integers(min_value=-5, max_value=5), fractions_st]))
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rank = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+    left = [[draw(entry) for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
+    zeroed = draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows))
+    return [
+        [0 if z else sum(lrow[k] * right[k][c] for k in range(rank)) for c in range(ncols)]
+        for lrow, z in zip(left, zeroed)
+    ]
 
 
 class TestRationalElimination:
@@ -198,6 +247,29 @@ class TestRationalElimination:
             Matrix([[1, 0], [0, 1], [1, 1]])
         )
         assert not full_column_rank_certificate(Matrix([[1, 2], [2, 4]]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(core_case_st())
+    def test_matrix_wrappers_agree_with_integer_cores(self, rows):
+        ncols = len(rows[0])
+        m = Matrix(rows, ncols=ncols)
+        ints = []
+        for row in rows:
+            q = math.lcm(*(Fraction(x).denominator for x in row))
+            ints.append([int(Fraction(x) * q) for x in row])
+        cert = full_column_rank_int(ints, ncols)
+        assert full_column_rank_certificate(m) == cert
+        pivots, pivot_value = rref_int(ints, ncols)
+        res = rref(m)
+        assert res.pivots == tuple(pivots) == naive_rref(rows)[1]
+        if cert:  # the certificate is sound
+            assert len(pivots) == ncols
+        # every pivot row ends on one pivot value, which turns it into its RREF row
+        assert [ints[k][c] for k, c in enumerate(pivots)] == [pivot_value] * len(pivots)
+        assert [list(r) for r in res.matrix.rows[: res.rank]] == [
+            [Fraction(x, pivot_value) for x in ints[k]] for k in range(len(pivots))
+        ]
+        assert all(not any(r) for r in res.matrix.rows[res.rank :])
 
     def test_int_and_ring_kernels_agree_on_random_matrices(self):
         def divexact(a, b):

@@ -4,18 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from flatunitary.exactcore import Jet
 from flatunitary.family import generic_fibre, jet_expand, parse_family, specialize, t_derivative
 from flatunitary.jacobian import (
     DegreeNotPreparedError,
+    RingElement,
     SingularFibreError,
     genus_of_degree,
     make_fiber,
     standard_degrees,
 )
 from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
-from oracles import jacobian_quotient_dims, sym_trivariate
+from oracles import jacobian_quotient_dims, naive_kernel_dim, naive_rref, sym_trivariate
 
 
 def _fermat(d):
@@ -201,3 +203,93 @@ class TestHiggsField:
         fiber = make_fiber(generic_fibre(mix))
         with pytest.raises(ValueError):
             fiber.delta_class(HomPoly.zero(3, domain=fiber.F.domain))
+
+
+# ---------------------------------------------------------------------------
+# integral rational fibres against a Fraction reference
+
+
+coef_st = st.builds(
+    Fraction,
+    st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4)),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+@st.composite
+def rational_curve_st(draw):
+    """A degree 3-5 curve a0 Y0^d + a1 Y1^d + a2 Y2^d + (a few terms),
+    coefficient denominators 1-6, so the partials carry different scales.
+    About one draw in three is singular by construction: no term Y_i^d or
+    Y_i^(d-1) Y_j (singular at the i-th coordinate point), or no Y_i at
+    all (the partial F_i is identically zero)."""
+    d = draw(st.integers(min_value=3, max_value=5))
+    basis = graded_basis(d)
+    terms = {e: draw(coef_st) for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
+    for e in draw(st.lists(st.sampled_from(basis), max_size=3)):
+        terms[e] = draw(coef_st)
+    kind = draw(st.sampled_from(("general", "point", "general", "no variable", "general")))
+    event(kind)
+    i = draw(st.integers(min_value=0, max_value=2))
+    if kind == "point":
+        terms = {e: c for e, c in terms.items() if e[i] < d - 1}
+    elif kind == "no variable":
+        terms = {e: c for e, c in terms.items() if e[i] == 0}
+    return HomPoly(d, terms)
+
+
+def _reference_generators(F, k):
+    """Y^m * dF/dY_i as Fraction vectors, dF/dY_0 block first."""
+    return [
+        list(poly_mul(HomPoly.monomial(m, 1), poly_partial(F, i)).to_vector())
+        for i in range(3)
+        for m in graded_basis(k - F.degree + 1)
+    ]
+
+
+def _reference_normal_form(rref_rows, pivots, cobasis, p):
+    v = p.to_vector()
+    return tuple(
+        v[j] - sum((v[c] * row[j] for row, c in zip(rref_rows, pivots)), Fraction(0))
+        for j in cobasis
+    )
+
+
+def _random_form(draw, k):
+    return HomPoly(k, {e: draw(coef_st) for e in graded_basis(k) if draw(st.booleans())})
+
+
+class TestIntegralRationalFibre:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_curve_st(), st.data())
+    def test_matches_fraction_reference(self, F, data):
+        d = F.degree
+        top = 3 * d - 5
+        dim_top = naive_kernel_dim(_reference_generators(F, top), len(graded_basis(top)))
+        if dim_top:
+            event("singular")
+            with pytest.raises(SingularFibreError) as err:
+                make_fiber(F)
+            assert err.value.degree == top
+            assert f"(dim R_{top} = {dim_top})" in str(err.value)
+            return
+        fiber = make_fiber(F)
+        reference = {}
+        for k in standard_degrees(d):
+            gens = _reference_generators(F, k)
+            assert fiber._generator_vectors(k) == [tuple(g) for g in gens]
+            rows, pivots = naive_rref(gens) if gens else ([], ())
+            cobasis = tuple(j for j in range(len(graded_basis(k))) if j not in pivots)
+            assert fiber._data(k).pivots == pivots
+            assert fiber.cobasis(k) == tuple(graded_basis(k)[j] for j in cobasis)
+            reference[k] = (rows[: len(pivots)], pivots, cobasis)
+            for _ in range(2):
+                p = _random_form(data.draw, k)
+                assert fiber.normal_form(p).coords == _reference_normal_form(*reference[k], p)
+        p = RingElement(d - 3, tuple(data.draw(coef_st) for _ in range(fiber.dim(d - 3))))
+        q = RingElement(
+            2 * d - 3, tuple(data.draw(coef_st) for _ in range(fiber.dim(2 * d - 3)))
+        )
+        product = poly_mul(fiber.representative(p), fiber.representative(q))
+        want = _reference_normal_form(*reference[3 * d - 6], product)
+        assert fiber.socle_pair(p, q) == want[-1]
