@@ -3,10 +3,16 @@
 A polynomial is a tuple of Fraction coefficients, ascending powers, with no
 trailing zeros; the zero polynomial is the empty tuple. These back both the
 rational-function scalar domain and the T-coefficients of family polynomials.
+
+The Z[t] section at the end holds the same conventions over Python ints,
+for fraction-free elimination over Q(t), and the gcd: pgcd and pcancel
+work on the primitive Z[t] parts of their inputs with a verified
+heuristic gcd, and fall back to Euclid over Q only when it fails.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = ()
@@ -33,17 +39,6 @@ def pnorm(coeffs) -> tuple:
 def pconst(c) -> tuple:
     c = _exact(c)
     return (c,) if c != 0 else ZERO
-
-
-def pdeg(a) -> int:
-    # degree of the zero polynomial reported as -1
-    return len(a) - 1
-
-
-def plc(a) -> Fraction:
-    if not a:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return a[-1]
 
 
 def padd(a, b) -> tuple:
@@ -117,6 +112,35 @@ def pmonic(a) -> tuple:
 
 
 def pgcd(a, b) -> tuple:
+    """Monic gcd; ZERO when both are zero."""
+    if not a or not b:
+        return pmonic(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return ONE
+    G = _zgcd(_primitive(a)[1], _primitive(b)[1])[0]
+    return tuple(Fraction(c, G[-1]) for c in G)
+
+
+def pcancel(a, b) -> tuple:
+    """a / b in lowest terms: (a / h, b / h) with h the gcd of a and b
+    scaled so that b / h is monic; b must be nonzero. With a and b both
+    monic, h is their monic gcd and the two are its cofactors."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return ZERO, ONE
+    if len(b) == 1:
+        lc = b[0]
+        return (a if lc == 1 else tuple(c / lc for c in a)), ONE
+    ca, A = _primitive(a)
+    cb, B = _primitive(b)
+    if len(a) > 1:
+        _, A, B = _zgcd(A, B)
+    s = ca / (cb * B[-1])
+    return tuple(s * c for c in A), tuple(Fraction(c, B[-1]) for c in B)
+
+
+def _euclid_gcd(a, b) -> tuple:
     # monic gcd; remainders kept monic each step to bound coefficient growth
     a, b = pmonic(a), pmonic(b)
     while b:
@@ -130,7 +154,7 @@ def pderiv(a) -> tuple:
 
 
 def peval(a, x) -> Fraction:
-    x = Fraction(x)
+    x = _exact(x)
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
@@ -139,7 +163,7 @@ def peval(a, x) -> Fraction:
 
 def ptaylor(a, c, n: int) -> tuple:
     """First n coefficients of a(c + s) as a polynomial in s (not trimmed)."""
-    c = Fraction(c)
+    c = _exact(c)
     out = [Fraction(0)] * n
     # Horner in (c + s), truncating at order n
     for coef in reversed(a):
@@ -155,7 +179,8 @@ def ptaylor(a, c, n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Z[t]: the same conventions over Python ints. Fraction-free elimination
-# over Q(t) runs on these, so no step needs a rational coefficient.
+# over Q(t) runs on these, so no step needs a rational coefficient, and so
+# does the gcd behind pgcd and pcancel.
 
 
 def zmul(a, b) -> tuple:
@@ -206,3 +231,100 @@ def zdivexact(a, b) -> tuple:
     if any(rem[: nb - 1]):  # also catches a divisor of higher degree than a
         raise ArithmeticError("inexact polynomial division in Z[t]")
     return tuple(quo)
+
+
+def zeval(a, x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _primitive(a):
+    """(c, A) with a = c * A, A primitive in Z[t] with a positive leading
+    coefficient and c a Fraction; a must be nonzero."""
+    q = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (q // c.denominator) for c in a]
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(g, q), tuple(x // g for x in ints)
+
+
+# Heuristic gcd (Char, Geddes and Gonnet, "GCDHEU", J. Symb. Comp. 1989):
+# the gcd of A(xi) and B(xi), read back in balanced xi-adic digits, is
+# G(xi) times a spurious integer factor; for xi large against that factor
+# the digits are its coefficients times it. A candidate is kept only once
+# verified, so xi and the tries bound the cost, not the correctness.
+_HEU_TRIES = 6
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _zgcd(A, B):
+    """(G, A / G, B / G) for primitive A, B in Z[t] of positive degree,
+    G their gcd, primitive with a positive leading coefficient."""
+    xi = 2 * min(max(map(abs, A)), max(map(abs, B))) + 2
+    for _ in range(_HEU_TRIES):
+        h = math.gcd(zeval(A, xi), zeval(B, xi))
+        if h:
+            hit = _accept_gcd(A, B, _balanced_digits(h, xi))
+            if hit is not None:
+                return hit
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # about 2.73 xi^(5/4)
+    g = _euclid_gcd(tuple(map(Fraction, A)), tuple(map(Fraction, B)))
+    G = _primitive(g)[1]
+    return G, zdivexact(A, G), zdivexact(B, G)
+
+
+def _balanced_digits(h: int, xi: int) -> tuple:
+    """The primitive part of the polynomial whose balanced base-xi digits
+    (each in (-xi/2, xi/2]) spell h > 0."""
+    digits = []
+    half = xi // 2
+    while h:
+        d = h % xi
+        if d > half:
+            d -= xi
+        digits.append(d)
+        h = (h - d) // xi
+    g = math.gcd(*digits)
+    return tuple(d // g for d in digits)
+
+
+def _accept_gcd(A, B, G):
+    """(G, A / G, B / G) when G is the gcd of A and B, else None.
+
+    G divides both exactly in Z[t], so it divides their gcd. A common
+    factor of the cofactors would be a primitive Z[t] polynomial of
+    positive degree whose leading coefficient divides theirs; with those
+    nonzero modulo the prime it stays of positive degree there, so
+    cofactors coprime modulo the prime have no common factor over Q."""
+    try:
+        a, b = zdivexact(A, G), zdivexact(B, G)
+    except ArithmeticError:
+        return None
+    p = _GCD_PRIME
+    if a[-1] % p == 0 or b[-1] % p == 0 or not _coprime_modp(a, b, p):
+        return None
+    return G, a, b
+
+
+def _coprime_modp(a, b, p) -> bool:
+    """Whether a and b, of full degree modulo p, are coprime there."""
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        nb = len(b)
+        for k in range(len(a) - nb, -1, -1):
+            q = a[k + nb - 1] * inv % p
+            if q:
+                for j in range(nb):
+                    a[k + j] = (a[k + j] - q * b[j]) % p
+        del a[nb - 1 :]
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True

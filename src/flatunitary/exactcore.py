@@ -2,9 +2,10 @@
 
 Three scalar domains, all exact: arbitrary-precision rationals
 (fractions.Fraction), rational functions of one variable t with rational
-coefficients (RatFun, kept coprime with monic denominator at every step),
-and truncated power-series jets in s with a fixed precision (Jet; a jet of
-precision N stores exactly N coefficients).
+coefficients (RatFun, kept coprime with monic denominator at every step
+by _univar.pcancel, a verified heuristic gcd on Z[t]), and truncated
+power-series jets in s with a fixed precision (Jet; a jet of precision N
+stores exactly N coefficients).
 
 Linear algebra is pinned down to the last bit:
 
@@ -20,8 +21,10 @@ Linear algebra is pinned down to the last bit:
   directly. Rational-function matrices run the same elimination over
   Z[t], each row scaled by the lcm of its denominators and then by an
   integer, so every Bareiss quotient is an exact division of integer
-  polynomials. This keeps intermediate entries polynomial-sized instead of
-  letting gcd-heavy fraction arithmetic dominate.
+  polynomials (rref_zpoly, the Z[t] twin of rref_int, which Jacobian
+  fibres over Q(t) call on their Z[t] generator rows). This keeps
+  intermediate entries polynomial-sized instead of letting gcd-heavy
+  fraction arithmetic dominate.
 * LinearSolver keeps that elimination integral. Over Q each transform row
   is a list of ints with one integer denominator (its pivot value), each
   residual row a list of ints, and a solve scales the right-hand side to
@@ -82,7 +85,10 @@ class RatFun:
 
     Stored as coprime dense numerator/denominator coefficient tuples with a
     monic denominator, so equal values have equal representations. The gcd
-    is taken eagerly after every operation.
+    is taken eagerly after every operation, by _univar.pcancel: a
+    heuristic gcd of the primitive Z[t] parts (GCDHEU), accepted only once
+    it divides both exactly and leaves cofactors coprime modulo a prime,
+    with Euclid over Q as the fallback.
     """
 
     __slots__ = ("num", "den")
@@ -92,23 +98,10 @@ class RatFun:
             self.num = num
             self.den = den
             return
-        num = up.pnorm(num)
         den = up.pnorm(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = up.pgcd(num, den)
-            if up.pdeg(g) > 0:
-                num = up.pdivexact(num, g)
-                den = up.pdivexact(den, g)
-            lc = up.plc(den)
-            if lc != 1:
-                num = tuple(c / lc for c in num)
-                den = up.pmonic(den)
-        else:
-            den = up.ONE
-        self.num = num
-        self.den = den
+        self.num, self.den = up.pcancel(up.pnorm(num), den)
 
     @classmethod
     def from_fraction(cls, q) -> "RatFun":
@@ -504,12 +497,19 @@ def _clear_ratfun_rows(rows, scales=None):
     out = []
     for row in rows:
         lcm = up.ONE
+        mults = {up.ONE: lcm}  # denominator -> lcm / denominator
         for e in row:
-            if up.pdeg(e.den) > 0:
-                g = up.pgcd(lcm, e.den)
-                lcm = up.pmonic(up.pmul(lcm, up.pdivexact(e.den, g)))
+            if e.den not in mults:
+                # lcm and e.den are monic, so these are the cofactors of
+                # their monic gcd: lcm grows by the second, and every
+                # multiplier with it
+                mult, grow = up.pcancel(lcm, e.den)
+                if len(grow) > 1:
+                    lcm = up.pmul(lcm, grow)
+                    mults = {d: up.pmul(m, grow) for d, m in mults.items()}
+                mults[e.den] = mult
         polys = [  # lcm is up.ONE when every denominator is 1
-            e.num if lcm is up.ONE else up.pmul(e.num, up.pdivexact(lcm, e.den))
+            e.num if lcm is up.ONE else up.pmul(e.num, mults[e.den])
             for e in row
         ]
         zpolys, c = _split_content(polys)
@@ -544,6 +544,13 @@ def rref_int(rows, ncols):
     over the pivot value is row k of the RREF."""
     pivots = ff_gauss_jordan_int(rows, ncols)
     return pivots, rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
+def rref_zpoly(rows, ncols):
+    """rref_int over Z[t]: rows of Z[t] polynomials (int tuples), reduced
+    in place; the pivot value is a Z[t] polynomial, (1,) with no pivots."""
+    pivots = _jordan_poly(rows, ncols)
+    return pivots, rows[len(pivots) - 1][pivots[-1]] if pivots else (1,)
 
 
 def rref(matrix: Matrix) -> RrefResult:
@@ -805,7 +812,6 @@ class JetSystemSolver:
 # sound one-sided full-rank certificates
 
 _CERT_PRIMES = ((1 << 61) - 1, 2305843009213693907)
-_CERT_POINTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3))
 
 
 def _rank_modp(int_rows, ncols, p):
@@ -844,28 +850,10 @@ def full_column_rank_int(rows, ncols) -> bool:
 
 
 def full_column_rank_certificate(matrix: Matrix) -> bool:
-    """True certifies that the matrix has full column rank (exactly: rank
-    over the fraction field never falls below rank after reduction mod p or
-    specialization of t). False means "inconclusive": fall back to exact
-    elimination. Never wrong when True.
+    """True certifies that a rational matrix has full column rank (exactly:
+    rank over Q never falls below rank after reduction mod p). False means
+    "inconclusive": fall back to exact elimination. Never wrong when True.
     """
-    if matrix.ncols == 0:
-        return True
-    if matrix.nrows < matrix.ncols:
-        return False
-    if isinstance(matrix.domain, RationalDomain):
-        return full_column_rank_int(_clear_rational_rows(matrix.rows), matrix.ncols)
-    if isinstance(matrix.domain, RatFunDomain):
-        for a in _CERT_POINTS:
-            try:
-                spec = Matrix(
-                    [[e.evaluate(a) for e in row] for row in matrix.rows],
-                    ncols=matrix.ncols,
-                    domain=RATIONAL,
-                )
-            except ZeroDivisionError:
-                continue
-            if full_column_rank_certificate(spec):
-                return True
-        return False
-    raise DomainMismatchError("certificate needs a field domain")
+    if not isinstance(matrix.domain, RationalDomain):
+        raise DomainMismatchError("certificate needs a rational matrix")
+    return full_column_rank_int(_clear_rational_rows(matrix.rows), matrix.ncols)

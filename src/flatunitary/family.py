@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _univar as up
-from .exactcore import RATFUN, RATIONAL, ExactCoreError, Jet, JetDomain, RatFun
+from .exactcore import RATFUN, RATIONAL, ExactCoreError, Jet, JetDomain, RatFun, _as_fraction
 from .jacobian import (
     JacobianFiber,
     SingularFibreError,
@@ -306,8 +306,9 @@ def t_derivative(fam: FamilySpec, order: int = 1) -> FamilySpec:
 
 
 def specialize(fam: FamilySpec, t0) -> HomPoly:
-    """The fibre polynomial at T = t0, over the rationals."""
-    t0 = Fraction(t0)
+    """The fibre polynomial at T = t0, over the rationals; t0 is a
+    Fraction or an int."""
+    t0 = _as_fraction(t0)
     return HomPoly(
         fam.degree,
         {e: up.peval(cs, t0) for e, cs in fam.terms.items()},
@@ -330,7 +331,7 @@ def jet_expand(fam: FamilySpec, t0, order: int) -> HomPoly:
     order = 1 is specialization to the fibre at t0, carried as jets."""
     if order < 1:
         raise ValueError("jet order must be >= 1")
-    t0 = Fraction(t0)
+    t0 = _as_fraction(t0)
     domain = JetDomain(order)
     return HomPoly(
         fam.degree,

@@ -14,13 +14,14 @@ fibre of a family), or over jets at a basepoint. Over jets, every reduction
 reuses the order-0 echelon data order by order, so only rational
 elimination ever runs.
 
-Over the rationals no Fraction matrix is built. Each partial F_i is
-cleared of denominators once, and every generator row Y^m * F_i is F_i's
-integer coefficients placed at the monomial indices of Y^m times its
-terms: the rows the generic path would get by scaling each Fraction row
-by the lcm of its denominators. The certificate and the echelon data come
-from fraction-free elimination of these rows, and a normal form scales p
-to integers once and takes integer dot products.
+Over the rationals and over Q(t) no scalar matrix is built. Each partial
+F_i is cleared of denominators once, to Z or to Z[t], and every generator
+row Y^m * F_i is F_i's cleared coefficients placed at the monomial indices
+of Y^m times its terms: the rows a Matrix of generator vectors would get
+by scaling each row by the lcm of its denominators. The certificate and
+the echelon data come from fraction-free elimination of these rows; over
+Q(t) the certificate tests the rows at integer points of the t-line. A
+normal form clears p once and takes integer (or Z[t]) dot products.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _univar as up
 from .exactcore import (
     RATIONAL,
     DomainMismatchError,
@@ -38,13 +40,16 @@ from .exactcore import (
     JetSystemSolver,
     LinearSolver,
     Matrix,
+    RatFun,
     RationalDomain,
-    full_column_rank_certificate,
     full_column_rank_int,
     rref,
     rref_int,
+    rref_zpoly,
+    _clear_ratfun_rows,
     _int_dot,
     _is_zero,
+    _zdot,
 )
 from .polyring import (
     HomPoly,
@@ -54,6 +59,10 @@ from .polyring import (
     poly_mul,
     poly_partial,
 )
+
+
+# points of the t-line at which the Z[t] rows of a Q(t) certificate are tested
+_CERT_POINTS = (1, -1, 2, -2, 3)
 
 
 class SingularFibreError(ExactCoreError, ValueError):
@@ -100,17 +109,17 @@ class _DegreeData:
     """Echelon data of one graded piece over a field domain.
 
     cols[i] lists the entries of the echelon rows in the column of the
-    i-th cobasis monomial; the pivot columns are implied. Over Q the rows
-    are the fraction-free Gauss-Jordan rows of the integer generator rows,
-    and RREF row k is echelon row k over the one pivot_value: each
-    elimination step multiplies the earlier pivot rows by the new pivot
-    and divides them by the old one, so every pivot row ends on the last
-    pivot. Over Q(t) the rows are the RREF rows and pivot_value is 1.
+    i-th cobasis monomial; the pivot columns are implied. The rows are the
+    fraction-free Gauss-Jordan rows of the generator rows cleared to Z
+    (over Q) or to Z[t] (over Q(t)), and RREF row k is echelon row k over
+    the one pivot_value, an int or a Z[t] polynomial: each elimination
+    step multiplies the earlier pivot rows by the new pivot and divides
+    them by the old one, so every pivot row ends on the last pivot.
     """
 
     __slots__ = ("degree", "pivots", "cobasis_idx", "dim", "cols", "pivot_value")
 
-    def __init__(self, degree, rows, pivots, ncols, pivot_value=1):
+    def __init__(self, degree, rows, pivots, ncols, pivot_value):
         self.degree = degree
         self.pivots = tuple(pivots)
         pivot_set = set(pivots)
@@ -145,7 +154,9 @@ class JacobianFiber:
         self.partials = tuple(poly_partial(F, i) for i in range(3))
         self._rational = isinstance(F.domain, RationalDomain)
         self._int_partials = (
-            tuple(_integer_terms(P) for P in self.partials) if self._rational else None
+            None
+            if isinstance(F.domain, JetDomain)
+            else tuple(_integer_terms(P) for P in self.partials)
         )
         self._degree_data = {}
         self._column_solvers = {}
@@ -181,14 +192,15 @@ class JacobianFiber:
         return vecs
 
     def _int_generator_rows(self, k: int):
-        """The generator vectors over Q, each scaled to integers by the lcm
-        of its denominators, which are its partial's."""
+        """The generator vectors, each scaled to Z (over Q) or Z[t] (over
+        Q(t)) by the lcm of its denominators, which are its partial's."""
         mult_deg = k - (self.d - 1)
         ncols = monomial_count(k)
+        zero = 0 if self._rational else up.ZERO
         rows = []
         for terms in self._int_partials:
             for m0, m1, m2 in graded_basis(mult_deg):
-                row = [0] * ncols
+                row = [zero] * ncols
                 for (a, b, c), x in terms:
                     row[monomial_index((m0 + a, m1 + b, m2 + c))] = x
                 rows.append(row)
@@ -196,18 +208,20 @@ class JacobianFiber:
 
     def _smoothness_certificate(self, cert_degree: int):
         ncols = monomial_count(cert_degree)
+        rows = self._int_generator_rows(cert_degree)
         if self._rational:
-            rows = self._int_generator_rows(cert_degree)
             if full_column_rank_int(rows, ncols):
                 return {"degree": cert_degree, "dim": 0, "method": "reduction"}
             rank = len(rref_int(rows, ncols)[0])
         else:
-            gen_matrix = Matrix(
-                self._generator_vectors(cert_degree), ncols=ncols, domain=self.domain
-            )
-            if full_column_rank_certificate(gen_matrix):
-                return {"degree": cert_degree, "dim": 0, "method": "reduction"}
-            rank = rref(gen_matrix).rank
+            # a specialization t = a never has larger rank than the rows
+            # over Q(t), so full rank at one point certifies it
+            for a in _CERT_POINTS:
+                at_a = [[up.zeval(x, a) for x in row] for row in rows]
+                if full_column_rank_int(at_a, ncols):
+                    return {"degree": cert_degree, "dim": 0, "method": "reduction"}
+            gens = Matrix(self._generator_vectors(cert_degree), ncols=ncols, domain=self.domain)
+            rank = rref(gens).rank
         if rank != ncols:
             raise SingularFibreError(cert_degree, f"dim R_{cert_degree} = {ncols - rank}")
         return {"degree": cert_degree, "dim": 0, "method": "exact"}
@@ -217,14 +231,12 @@ class JacobianFiber:
             return self._degree_data[k]
         ncols = monomial_count(k)
         if k < self.d - 1:  # no generators
-            data = _DegreeData(k, (), (), ncols)
-        elif self._rational:
-            rows = self._int_generator_rows(k)
-            pivots, pivot_value = rref_int(rows, ncols)
-            data = _DegreeData(k, rows[: len(pivots)], pivots, ncols, pivot_value)
+            data = _DegreeData(k, (), (), ncols, 1 if self._rational else (1,))
         else:
-            res = rref(Matrix(self._generator_vectors(k), ncols=ncols, domain=self.domain))
-            data = _DegreeData(k, res.matrix.rows[: res.rank], res.pivots, ncols)
+            rows = self._int_generator_rows(k)
+            eliminate = rref_int if self._rational else rref_zpoly
+            pivots, pivot_value = eliminate(rows, ncols)
+            data = _DegreeData(k, rows[: len(pivots)], pivots, ncols, pivot_value)
         self._degree_data[k] = data
         return data
 
@@ -264,28 +276,32 @@ class JacobianFiber:
         if self._order0 is not None:
             x, _ = self.column_solver(p.degree).try_solve(p.to_vector())
             return RingElement(p.degree, x[len(x) - data.dim :])
-        # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j
+        # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j, with p
+        # cleared to b / scale and RREF row k the echelon row over pv
+        pv = data.pivot_value
         if self._rational:
             scale = math.lcm(*(c.denominator for c in p.terms.values()))
             b = [0] * monomial_count(p.degree)
             for e, c in p.terms.items():
                 b[monomial_index(e)] = c.numerator * (scale // c.denominator)
             head = [b[c] for c in data.pivots]
-            pv = data.pivot_value
             coords = tuple(
                 Fraction(b[j] * pv - _int_dot(col, head), pv * scale)
                 for j, col in zip(data.cobasis_idx, data.cols)
             )
             return RingElement(p.degree, coords)
-        v = p.to_vector()
-        head = [v[c] for c in data.pivots]
+        scales = []
+        (cleared,) = _clear_ratfun_rows([list(p.terms.values())], scales)
+        b = [up.ZERO] * monomial_count(p.degree)
+        for e, x in zip(p.terms, cleared):
+            b[monomial_index(e)] = x
+        head = [b[c] for c in data.pivots]
+        den = up.pmul(pv, scales[0])
+        zero = self.domain.zero()
         coords = []
         for j, col in zip(data.cobasis_idx, data.cols):
-            x = v[j]
-            for h, r in zip(head, col):
-                if not _is_zero(h) and not _is_zero(r):
-                    x = x - h * r
-            coords.append(x)
+            num = up.zsub(up.zmul(b[j], pv), _zdot(col, head))
+            coords.append(RatFun(num, den) if num else zero)
         return RingElement(p.degree, tuple(coords))
 
     def representative(self, elt: RingElement) -> HomPoly:
@@ -369,10 +385,14 @@ class JacobianFiber:
 
 
 def _integer_terms(P: HomPoly):
-    """P's terms as (exponent, int) pairs: P times the lcm of its
-    coefficient denominators."""
-    q = math.lcm(*(c.denominator for c in P.terms.values()))
-    return tuple((e, c.numerator * (q // c.denominator)) for e, c in P.terms.items())
+    """P's terms as (exponent, int) pairs over Q, (exponent, Z[t]
+    polynomial) pairs over Q(t): P times the lcm of its coefficient
+    denominators (over Q(t), the row multiplier of _clear_ratfun_rows)."""
+    if isinstance(P.domain, RationalDomain):
+        q = math.lcm(*(c.denominator for c in P.terms.values()))
+        return tuple((e, c.numerator * (q // c.denominator)) for e, c in P.terms.items())
+    (row,) = _clear_ratfun_rows([list(P.terms.values())])
+    return tuple(zip(P.terms, row))
 
 
 def _order0_part(F: HomPoly) -> HomPoly:

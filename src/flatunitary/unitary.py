@@ -48,6 +48,7 @@ from .exactcore import (
     Matrix,
     PrecisionExhaustedError,
     RATIONAL,
+    _as_fraction,
     _is_zero,
     kernel_basis,
 )
@@ -103,7 +104,7 @@ def _certified_fibre(fam: FamilySpec, t0, seed: int):
     if t0 is None:
         bp = pick_basepoint(fam, seed)
         return bp.t0, bp.fiber, bp.rejected
-    t0 = Fraction(t0)
+    t0 = _as_fraction(t0)
     return t0, make_fiber(specialize(fam, t0)), ()
 
 

@@ -187,6 +187,18 @@ def naive_ratfun_rref(rows):
     ], tuple(pivots)
 
 
+def naive_ratfun_corank(rows, points=(sympy.Rational(1, 3), sympy.Rational(-2, 7))):
+    """Column corank over QQ(t) of (numerator, denominator) rows. A
+    specialization t = a never has larger rank, so full column rank at
+    one of the points settles it by sympy's rank over QQ; otherwise the
+    corank comes from naive_ratfun_rref."""
+    ncols = len(rows[0])
+    sym = sympy.Matrix([[_sym_ratfun(e) for e in row] for row in rows])
+    if any(sym.subs(T, a).rank() == ncols for a in points):
+        return 0
+    return ncols - len(naive_ratfun_rref(rows)[1])
+
+
 def naive_ratfun_solve(rows, rhs):
     """Particular solution over Q(t) with every free variable zero, as
     _coeff_pair entries; None when the system is inconsistent."""
@@ -198,6 +210,20 @@ def naive_ratfun_solve(rows, rhs):
     for row, c in zip(red, pivots):
         x[c] = row[ncols]
     return tuple(x)
+
+
+def naive_ratfun_normal_form(rref_rows, pivots, cobasis, vector):
+    """Cobasis coordinates v_j - Sum_k v_{pivot k} * (RREF row k)_j over
+    QQ(t) by sympy, for rref_rows and pivots from naive_ratfun_rref and
+    vector a sequence of (numerator, denominator) entries; returns
+    _coeff_pair entries."""
+    v = [_sym_ratfun(e) for e in vector]
+    return tuple(
+        _coeff_pair(
+            v[j] - sum((v[c] * _sym_ratfun(row[j]) for row, c in zip(rref_rows, pivots)), 0)
+        )
+        for j in cobasis
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -518,6 +518,124 @@ class TestIntegerPolynomials:
 
 
 # ---------------------------------------------------------------------------
+# the polynomial gcd behind RatFun: heuristic on Z[t], verified, Euclid last
+
+
+big_q_st = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=1, max_value=2**64),
+)
+
+
+def big_qpoly_st(max_deg):
+    return st.lists(big_q_st, min_size=1, max_size=max_deg + 1).map(up.pnorm).filter(bool)
+
+
+@st.composite
+def gcd_pair_st(draw):
+    """g * a and g * b over Q, degrees up to 30 and coefficients up to
+    about 200 bits; the kinds cover a shared factor, coprime inputs, a
+    constant input and equal inputs."""
+    kind = draw(st.sampled_from(("shared", "shared", "coprime", "constant", "equal")))
+    event(kind)
+    g = draw(big_qpoly_st(10)) if kind != "coprime" else up.ONE
+    a = draw(big_qpoly_st(0 if kind == "constant" else 20))
+    b = a if kind == "equal" else draw(big_qpoly_st(20))
+    if draw(st.booleans()):
+        a, b = b, a
+    return up.pmul(g, a), up.pmul(g, b)
+
+
+def _qq_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], t, domain=sympy.QQ)
+
+
+def _from_qq_poly(poly):
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return up.pnorm(cs)
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(up, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(up, name, spy)
+    return calls
+
+
+class TestPolynomialGcd:
+    @settings(max_examples=60, deadline=None)
+    @given(gcd_pair_st())
+    def test_gcd_matches_sympy(self, pair):
+        a, b = pair
+        want = _from_qq_poly(_qq_poly(a).gcd(_qq_poly(b)).monic())
+        assert up.pgcd(a, b) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(gcd_pair_st())
+    def test_cancel_gives_lowest_terms(self, pair):
+        a, b = pair
+        num, den = up.pcancel(a, b)
+        assert den[-1] == 1 and up.pgcd(num, den) == up.ONE
+        assert up.pmul(num, b) == up.pmul(den, a)
+
+    def test_zero_and_constant_inputs(self):
+        f = (Fraction(2), Fraction(-4))
+        assert up.pgcd(up.ZERO, up.ZERO) == up.ZERO
+        assert up.pgcd(up.ZERO, f) == up.pgcd(f, up.ZERO) == (Fraction(-1, 2), Fraction(1))
+        assert up.pgcd((Fraction(3),), f) == up.ONE
+        assert up.pcancel(up.ZERO, f) == (up.ZERO, up.ONE)
+        assert up.pcancel(f, (Fraction(2),)) == ((Fraction(1), Fraction(-2)), up.ONE)
+
+    def test_euclid_fallback_when_every_heuristic_try_fails(self, monkeypatch):
+        # t and t - N with every heuristic point dividing N: gcd(xi, xi - N)
+        # is xi, which reads back as the candidate t, and t does not
+        # divide t - N; the true gcd is 1
+        fallback = _spy(monkeypatch, "_euclid_gcd")
+        N = math.lcm(*range(1, 20001))
+        a, b = (Fraction(0), Fraction(1)), (Fraction(-N), Fraction(1))
+        assert up.pgcd(a, b) == up.ONE
+        assert up.pcancel(a, b) == (a, b)
+        assert len(fallback) == 2
+
+    def test_heuristic_needs_no_fallback_on_random_inputs(self, monkeypatch):
+        fallback = _spy(monkeypatch, "_euclid_gcd")
+        rng = random.Random(31)
+        for _ in range(50):
+            g, a, b = (
+                tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(n))
+                + (Fraction(1),)
+                for n in (rng.randint(0, 6), rng.randint(1, 8), rng.randint(1, 8))
+            )
+            up.pgcd(up.pmul(g, a), up.pmul(g, b))
+        assert fallback == []
+
+    def test_acceptance_rejects_a_proper_divisor_of_the_gcd(self):
+        # A = (t-1)(t-4)(t+1), B = (t-1)(t-4)(t+2): at xi = 5 the factor
+        # t - 4 evaluates to 1, so the xi-adic digits of gcd(A(5), B(5))
+        # spell t - 1 alone. It divides both, but the cofactors still
+        # share t - 4, and the check must see it.
+        G = up.zmul((-1, 1), (-4, 1))
+        A, B = up.zmul(G, (1, 1)), up.zmul(G, (2, 1))
+        candidate = up._balanced_digits(math.gcd(up.zeval(A, 5), up.zeval(B, 5)), 5)
+        assert candidate == (-1, 1)
+        up.zdivexact(A, candidate), up.zdivexact(B, candidate)  # divides both
+        assert up._accept_gcd(A, B, candidate) is None
+        assert up._accept_gcd(A, B, G) == (G, (1, 1), (2, 1))
+        assert up.pgcd(tuple(map(Fraction, A)), tuple(map(Fraction, B))) == tuple(
+            map(Fraction, G)
+        )
+
+    def test_acceptance_rejects_a_non_divisor(self):
+        assert up._accept_gcd((1, 0, 1), (2, 3, 1), (1, 1)) is None
+
+
+# ---------------------------------------------------------------------------
 # jet systems solved order by order
 
 

@@ -6,8 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from flatunitary.exactcore import Jet
-from flatunitary.family import generic_fibre, jet_expand, parse_family, specialize, t_derivative
+from flatunitary import exactcore, jacobian
+from flatunitary.exactcore import RATFUN, Jet, RatFun
+from flatunitary.family import (
+    FamilySpec,
+    generic_fibre,
+    jet_expand,
+    parse_family,
+    specialize,
+    t_derivative,
+)
 from flatunitary.jacobian import (
     DegreeNotPreparedError,
     RingElement,
@@ -17,7 +25,15 @@ from flatunitary.jacobian import (
     standard_degrees,
 )
 from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
-from oracles import jacobian_quotient_dims, naive_kernel_dim, naive_rref, sym_trivariate
+from oracles import (
+    jacobian_quotient_dims,
+    naive_kernel_dim,
+    naive_ratfun_corank,
+    naive_ratfun_normal_form,
+    naive_ratfun_rref,
+    naive_rref,
+    sym_trivariate,
+)
 
 
 def _fermat(d):
@@ -241,7 +257,7 @@ def rational_curve_st(draw):
 def _reference_generators(F, k):
     """Y^m * dF/dY_i as Fraction vectors, dF/dY_0 block first."""
     return [
-        list(poly_mul(HomPoly.monomial(m, 1), poly_partial(F, i)).to_vector())
+        list(poly_mul(HomPoly.monomial(m, 1, domain=F.domain), poly_partial(F, i)).to_vector())
         for i in range(3)
         for m in graded_basis(k - F.degree + 1)
     ]
@@ -293,3 +309,105 @@ class TestIntegralRationalFibre:
         product = poly_mul(fiber.representative(p), fiber.representative(q))
         want = _reference_normal_form(*reference[3 * d - 6], product)
         assert fiber.socle_pair(p, q) == want[-1]
+
+
+# ---------------------------------------------------------------------------
+# generic fibres over Q(t) on Z[t] rows against sympy over QQ(t)
+
+
+@st.composite
+def ratfun_family_st(draw):
+    """A degree 3-5 family: a0 Y0^d + a1 Y1^d + a2 Y2^d plus terms with T
+    and T^2 coefficients (one to three; one at degree 5), all coefficients
+    rational with denominators 1-6. About one draw in three is singular
+    for every t, as in rational_curve_st; those are cubics and quartics.
+    The limits at degree 5 keep the sympy reference, and the exact rank
+    behind a failed certificate, to seconds rather than minutes."""
+    kind = draw(st.sampled_from(("general", "point", "general", "no variable", "general")))
+    event(kind)
+    d = draw(st.integers(min_value=3, max_value=5 if kind == "general" else 4))
+    basis = graded_basis(d)
+    terms = {e: (draw(coef_st),) for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
+    for e in draw(st.lists(st.sampled_from(basis), min_size=1, max_size=1 if d == 5 else 3)):
+        terms[e] = (Fraction(0), draw(coef_st), draw(coef_st))
+    i = draw(st.integers(min_value=0, max_value=2))
+    if kind == "point":
+        terms = {e: c for e, c in terms.items() if e[i] < d - 1}
+    elif kind == "no variable":
+        terms = {e: c for e, c in terms.items() if e[i] == 0}
+    return FamilySpec(d, terms)
+
+
+def _ratfun_st():
+    """A rational function with a t-denominator: a polynomial of degree
+    at most 2 over t + c or t^2 + c t + c'."""
+    num = st.lists(coef_st, min_size=1, max_size=3)
+    den = st.lists(coef_st, min_size=1, max_size=2).map(lambda cs: (*cs, Fraction(1)))
+    return st.builds(RatFun, num, den)
+
+
+def _random_ratfun_form(draw, k):
+    monomials = draw(st.lists(st.sampled_from(graded_basis(k)), max_size=4))
+    return HomPoly(k, {e: draw(_ratfun_st()) for e in monomials}, domain=RATFUN)
+
+
+def _pairs(entries):
+    return [(e.num, e.den) for e in entries]
+
+
+class TestGenericFibreOverZt:
+    @settings(max_examples=15, deadline=None)
+    @given(ratfun_family_st(), st.data())
+    def test_matches_sympy_reference(self, fam, data):
+        F = generic_fibre(fam)
+        d = F.degree
+        top = 3 * d - 5
+        dim_top = naive_ratfun_corank([_pairs(g) for g in _reference_generators(F, top)])
+        if dim_top:
+            event("singular")
+            with pytest.raises(SingularFibreError) as err:
+                make_fiber(F)
+            assert err.value.degree == top
+            assert f"(dim R_{top} = {dim_top})" in str(err.value)
+            return
+        fiber = make_fiber(F)
+        reference = {}
+        for k in standard_degrees(d):
+            gens = _reference_generators(F, k)
+            rows, pivots = naive_ratfun_rref([_pairs(g) for g in gens]) if gens else ([], ())
+            cobasis = tuple(j for j in range(len(graded_basis(k))) if j not in pivots)
+            assert fiber._data(k).pivots == pivots
+            assert fiber.cobasis(k) == tuple(graded_basis(k)[j] for j in cobasis)
+            reference[k] = (rows[: len(pivots)], pivots, cobasis)
+            p = _random_ratfun_form(data.draw, k)
+            want = naive_ratfun_normal_form(*reference[k], _pairs(p.to_vector()))
+            assert _pairs(fiber.normal_form(p).coords) == list(want)
+        p = RingElement(d - 3, tuple(data.draw(_ratfun_st()) for _ in range(fiber.dim(d - 3))))
+        q = RingElement(
+            2 * d - 3, tuple(data.draw(_ratfun_st()) for _ in range(fiber.dim(2 * d - 3)))
+        )
+        product = poly_mul(fiber.representative(p), fiber.representative(q))
+        want = naive_ratfun_normal_form(*reference[3 * d - 6], _pairs(product.to_vector()))
+        got = fiber.socle_pair(p, q)
+        assert (got.num, got.den) == want[-1]
+
+    def test_certified_fibre_builds_no_matrix_and_no_rref(self, monkeypatch):
+        built = []
+        real_init = exactcore.Matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        def no_rref(matrix):
+            raise AssertionError("rref called while building a certified fibre")
+
+        monkeypatch.setattr(exactcore.Matrix, "__init__", counting_init)
+        monkeypatch.setattr(jacobian, "rref", no_rref)
+        fam = parse_family("Y0^5 + Y1^5 + Y2^5 + T*Y0^2*Y1^3 + 1/3*T^2*Y0*Y1^2*Y2^2")
+        fiber = make_fiber(generic_fibre(fam))
+        assert fiber.certificate["method"] == "reduction"
+        p = RingElement(2, (RatFun((1,), (2, 1)),) * fiber.dim(2))
+        q = RingElement(7, (RatFun((0, 1), (1,)),) * fiber.dim(7))
+        fiber.socle_pair(p, q)
+        assert built == []

@@ -459,3 +459,36 @@ class TestMuReport:
         assert rep.residual_zero
         assert rep.eta2_kernel_dim == 2
         assert rep.rank_u == 2 and rep.inclusion_ok
+
+
+# ---------------------------------------------------------------------------
+# basepoints are exact: a Fraction or an int, never a float or a string
+
+
+def _entry_points(fam):
+    return {
+        "specialize": lambda t0: specialize(fam, t0),
+        "jet_expand": lambda t0: jet_expand(fam, t0, 2),
+        "pointwise_kernel": lambda t0: pointwise_kernel(fam, t0=t0),
+        "filtration_ranks": lambda t0: filtration_ranks(fam, mode="jet", t0=t0),
+        "unitary_rank": lambda t0: unitary_rank(fam, mode="jet", t0=t0),
+        "eta2_on_K": lambda t0: eta2_on_K(fam, t0=t0),
+        "mu_principal": lambda t0: mu_principal(fam, t0=t0),
+        "mu_report": lambda t0: mu_report(fam, t0=t0),
+        "RatFun.evaluate": lambda t0: generic_fibre(fam).terms[(2, 2, 0)].evaluate(t0),
+    }
+
+
+class TestExactBasepoints:
+    @pytest.mark.parametrize("entry", sorted(_entry_points(None)))
+    @pytest.mark.parametrize("t0", [0.1, "1/2"])
+    def test_inexact_basepoint_is_refused(self, mix, entry, t0):
+        with pytest.raises(TypeError):
+            _entry_points(mix)[entry](t0)
+
+    def test_ints_and_fractions_are_kept_exact(self, mix):
+        assert specialize(mix, 2) == specialize(mix, Fraction(2))
+        assert jet_expand(mix, 2, 3) == jet_expand(mix, Fraction(2), 3)
+        pk = pointwise_kernel(mix, t0=1)
+        assert type(pk.t0) is Fraction and pk.t0 == 1
+        assert pointwise_kernel(mix, t0=Fraction(1, 2)).t0 == Fraction(1, 2)
