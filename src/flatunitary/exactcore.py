@@ -483,7 +483,7 @@ def _clear_rational_rows(rows, scales=None):
         lcm = math.lcm(*(e.denominator for e in row))
         if scales is not None:
             scales.append(lcm)
-        out.append([int(e * lcm) for e in row])
+        out.append([e.numerator * (lcm // e.denominator) for e in row])
     return out
 
 
@@ -782,11 +782,14 @@ class JetSystemSolver:
 
         order0_value, when given, is used as the order-0 solution instead of
         solving (the caller asserting M_0 * order0_value = b_0); used for
-        lifting prescribed kernel vectors. Returns (solution, None) on
+        lifting prescribed kernel vectors. Its entries are Fractions or ints;
+        anything else raises DomainMismatchError. Returns (solution, None) on
         success, (None, failing_order) on failure; raises
         PrecisionExhaustedError when m exceeds the solver's precision.
         """
         n = b[0].precision if b else self.precision
+        if order0_value is not None:
+            order0_value = [_as_fraction(v) for v in order0_value]
         if n > self.precision:
             raise PrecisionExhaustedError(
                 f"right-hand side has precision {n}; solver has {self.precision}"
@@ -796,7 +799,7 @@ class JetSystemSolver:
         for order in range(n):
             rhs = self._conv_rhs(order, xs, b_orders)
             if order == 0 and order0_value is not None:
-                xs.append([Fraction(v) for v in order0_value])
+                xs.append(order0_value)
                 continue
             x = self.order0.try_solve(rhs)
             if x is None:
@@ -826,14 +829,15 @@ def _rank_modp(int_rows, ncols, p):
         if r == len(rows):
             continue
         rows[r], rows[rank] = rows[rank], rows[r]
-        inv = pow(rows[rank][c], p - 2, p)
         prow = rows[rank]
+        inv = pow(prow[c], -1, p)
+        support = [j for j in range(c, ncols) if prow[j]]
         for i in range(rank + 1, len(rows)):
             f = rows[i][c]
             if f:
                 f = f * inv % p
                 row = rows[i]
-                for j in range(c, ncols):
+                for j in support:
                     row[j] = (row[j] - f * prow[j]) % p
         rank += 1
     return rank

@@ -438,12 +438,16 @@ def eta2_on_K(
     The pairing does not depend on the choice of extension; the optional
     extension_tweaks map {row index: rational kernel vector} adds s times
     the given pointwise kernel vector to that row's extension, which
-    exercises exactly that freedom.
+    exercises exactly that freedom. Its entries are Fractions or ints;
+    anything else raises DomainMismatchError.
     """
     pk = _pk if _pk is not None else pointwise_kernel(fam, t0, seed)
     k = len(pk.basis)
     d = fam.degree
-    tweaks = dict(extension_tweaks or {})
+    tweaks = {
+        i: tuple(map(_as_fraction, gamma))
+        for i, gamma in (extension_tweaks or {}).items()
+    }
     for i, gamma in tweaks.items():
         if i not in range(k):
             raise ValueError(
@@ -475,7 +479,7 @@ def eta2_on_K(
         if i in tweaks:
             gamma = tweaks[i]
             x = tuple(
-                Jet((c.coeffs[0], c.coeffs[1] + Fraction(gamma[j])))
+                Jet((c.coeffs[0], c.coeffs[1] + gamma[j]))
                 for j, c in enumerate(x)
             )
         ext = fib2.representative(RingElement(d - 3, x))

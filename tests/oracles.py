@@ -46,6 +46,46 @@ def naive_rref(rows):
     return rows, tuple(pivots)
 
 
+def naive_ff_gauss_jordan(rows, ncols, mul, sub, divexact, is_zero):
+    """Dense single-step fraction-free Gauss-Jordan, in place.
+
+    The loop the sparse kernels in flatunitary._kernels replaced: every
+    row other than the pivot row is updated at every step, entry by entry,
+    as (p * row - row[c] * pivot_row) / q, with q the previous pivot.
+    Same pivot rule and augmented-column convention as the kernels; the
+    ring operations are passed in (divexact must raise when inexact).
+    Returns the pivot columns.
+    """
+    nrows = len(rows)
+    width = len(rows[0]) if nrows else ncols
+    pivots = []
+    prev = None  # the ring's 1: the first step divides by nothing
+    piv_r = 0
+    for c in range(ncols):
+        if piv_r == nrows:
+            break
+        r = piv_r
+        while r < nrows and is_zero(rows[r][c]):
+            r += 1
+        if r == nrows:
+            continue
+        rows[r], rows[piv_r] = rows[piv_r], rows[r]
+        piv_row = rows[piv_r]
+        p = piv_row[c]
+        for i in range(nrows):
+            if i == piv_r:
+                continue
+            row = rows[i]
+            x = row[c]
+            for j in range(width):
+                v = sub(mul(p, row[j]), mul(x, piv_row[j]))
+                row[j] = v if prev is None else divexact(v, prev)
+        prev = p
+        pivots.append(c)
+        piv_r += 1
+    return pivots
+
+
 def naive_solve(rows, rhs):
     """Particular solution with every free variable set to zero.
 

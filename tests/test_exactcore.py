@@ -1,7 +1,9 @@
 """Exact scalar domains and the pinned-pivot linear algebra kernel."""
 
 import copy
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 import flatunitary._univar as up
 from flatunitary._kernels import ff_gauss_jordan_int, ff_gauss_jordan_ring
 from flatunitary.exactcore import (
+    RATFUN,
     RATIONAL,
     DomainMismatchError,
     Jet,
@@ -26,7 +29,10 @@ from flatunitary.exactcore import (
     rref,
     rref_int,
 )
+from flatunitary.jacobian import JacobianFiber
+from flatunitary.polyring import HomPoly, graded_basis, monomial_count
 from oracles import (
+    naive_ff_gauss_jordan,
     naive_jet_solve,
     naive_ratfun_rref,
     naive_ratfun_solve,
@@ -518,6 +524,137 @@ class TestIntegerPolynomials:
 
 
 # ---------------------------------------------------------------------------
+# the sparse, lazily rescaled kernels against the dense loop
+
+
+def _int_divexact(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division")
+    return q
+
+
+INT_OPS = (operator.mul, operator.sub, _int_divexact, operator.not_)
+ZT_OPS = (up.zmul, up.zsub, up.zdivexact, operator.not_)
+
+
+def _sparse_rows(rng, n, width, entry, zero, density):
+    return [[entry() if rng.random() < density else zero for _ in range(width)] for _ in range(n)]
+
+
+def _curve_rows(rng, domain):
+    """_int_generator_rows of a random plane curve over Q (ints) or Q(t)
+    (Z[t]), in a degree from d - 1 up to the certificate degree 3d - 5
+    (up to 7 for quintics, which keeps the dense oracle quick)."""
+    d = rng.randint(3, 5)
+    terms = {e: 1 for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
+    for e in rng.sample(graded_basis(d), 3):
+        terms[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+    if domain is RATFUN:
+        terms = {
+            e: RatFun((Fraction(c), Fraction(rng.randint(-2, 2), rng.randint(1, 3))))
+            for e, c in terms.items()
+        }
+    fiber = JacobianFiber.__new__(JacobianFiber)
+    fiber._setup(HomPoly(d, terms, domain=domain))
+    k = rng.randint(d - 1, 3 * d - 5 if d < 5 else 7)
+    return fiber._int_generator_rows(k), monomial_count(k)
+
+
+@st.composite
+def kernel_case_st(draw):
+    """(rows, ncols) over Z or Z[t]: sparse matrices (2-20% dense), curve
+    generator rows, low-rank products, LinearSolver's identity block past
+    ncols, and a lazy block whose rows no pivot touches for many steps;
+    then, at random, zero rows and columns with no pivot."""
+    ring = draw(st.sampled_from(("Z", "Z[t]")))
+    kind = draw(st.sampled_from(("sparse", "curve", "low rank", "solver", "lazy")))
+    event(f"{ring} {kind}")
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    ops, zero = (INT_OPS, 0) if ring == "Z" else (ZT_OPS, up.ZERO)
+    mul, sub = ops[:2]
+    if ring == "Z":
+        bits = rng.choice((3, 20, 70))
+        entry = lambda: rng.choice((-1, 1)) * rng.randint(1, 2**bits)  # noqa: E731
+    else:  # nonzero, trimmed, degree 0-2
+        entry = lambda: tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 2))) + (  # noqa: E731
+            rng.choice((-3, -2, -1, 1, 2, 3)),
+        )
+    density = rng.uniform(0.02, 0.2)
+    n, m = rng.randint(1, 20), rng.randint(1, 20)
+    if kind == "curve":
+        rows, ncols = _curve_rows(rng, RATIONAL if ring == "Z" else RATFUN)
+    elif kind == "low rank":
+        ncols = m
+        a = _sparse_rows(rng, n, rng.randint(1, 4), entry, zero, 0.5)
+        b = _sparse_rows(rng, len(a[0]), m, entry, zero, max(density, 0.3))
+        add = lambda u, v: sub(u, sub(zero, v))  # noqa: E731
+        rows = [[functools.reduce(add, map(mul, ra, col), zero) for col in zip(*b)] for ra in a]
+    elif kind == "lazy":
+        # k pivots that are not units (2x or t times an entry), so every
+        # step rescales, over rows that are zero in their columns; those
+        # rows are next touched by the column after the block, or only at
+        # the end
+        k = rng.randint(2, 8)
+        ncols = k + m
+        rows = []
+        for i in range(k):
+            row = [zero] * k + [entry() if rng.random() < 0.3 else zero for _ in range(m)]
+            row[i] = mul(entry(), 2 if ring == "Z" else (0, 1))
+            rows.append(row)
+        for _ in range(n):
+            late = rng.random() < 0.3
+            row = [zero] * k + [entry() if not late and rng.random() < 0.3 else zero for _ in range(m)]
+            row[k if not late else k + m - 1] = entry()
+            rows.append(row)
+        rng.shuffle(rows)
+    else:
+        ncols = m
+        rows = _sparse_rows(rng, n, m + rng.randint(0, 3), entry, zero, density)
+    if kind == "solver":
+        one = 1 if ring == "Z" else (1,)
+        for i, row in enumerate(rows):
+            row.extend(one if j == i else zero for j in range(len(rows)))
+    if rng.random() < 0.4:
+        for row in rows:
+            if rng.random() < 0.3:
+                row[:] = [zero] * len(row)
+    if rng.random() < 0.4:
+        for j in rng.sample(range(ncols), rng.randint(1, max(1, ncols // 3))):
+            for row in rows:
+                row[j] = zero
+    return ring, rows, ncols
+
+
+def _position(objects, row):
+    (k,) = [k for k, o in enumerate(objects) if o is row]
+    return k
+
+
+class TestSparseKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_case_st())
+    def test_kernels_match_the_dense_loop(self, case):
+        ring, rows, ncols = case
+        ops = INT_OPS if ring == "Z" else ZT_OPS
+        kernels = [(ff_gauss_jordan_ring, ops)]
+        if ring == "Z":
+            kernels.append((ff_gauss_jordan_int, ()))
+        want_rows = [list(r) for r in rows]
+        want_objects = list(want_rows)
+        want = naive_ff_gauss_jordan(want_rows, ncols, *ops)
+        want_order = [_position(want_objects, r) for r in want_rows]
+        for kernel, args in kernels:
+            got_rows = [list(r) for r in rows]
+            got_objects = list(got_rows)
+            assert kernel(got_rows, ncols, *args) == want
+            # the caller's row objects, swapped into the same places,
+            # holding the same entries
+            assert [_position(got_objects, r) for r in got_rows] == want_order
+            assert got_rows == want_rows
+
+
+# ---------------------------------------------------------------------------
 # the polynomial gcd behind RatFun: heuristic on Z[t], verified, Euclid last
 
 
@@ -680,6 +817,12 @@ class TestJetSystems:
         )
         assert fail is None
         assert got[0].order0 == 2 and got[1].order0 == -1
+
+    @pytest.mark.parametrize("bad", [0.1, "1/2"])
+    def test_inexact_order0_value_rejected(self, bad):
+        solver = JetSystemSolver(Matrix([[Jet((0, 1)), Jet((0, 2))]]))
+        with pytest.raises(DomainMismatchError):
+            solver.try_solve((Jet((0, 0)),), order0_value=[bad, Fraction(-1)])
 
     def test_solves_to_the_rhs_precision(self):
         rows = [[Jet((1, 2, 3)), Jet((0, 1, 1))], [Jet((2, 0, 5)), Jet((1, 1, 0))]]

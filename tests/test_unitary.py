@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatunitary import unitary
 from flatunitary.exactcore import (
+    DomainMismatchError,
     ExactCoreError,
     Jet,
     JetSystemSolver,
@@ -380,6 +381,13 @@ class TestEta2:
         )
         with pytest.raises(ValueError):
             eta2_on_K(mix, t0=Fraction(1), extension_tweaks={0: bad})
+
+    @pytest.mark.parametrize("bad", [0.1, "1/2"])
+    def test_inexact_tweak_rejected(self, path_family, bad):
+        # refused before the kernel check, which would read 0.1 as
+        # 3602879701896397/36028797018963968
+        with pytest.raises(DomainMismatchError):
+            eta2_on_K(path_family, t0=Fraction(0), extension_tweaks={0: (bad, 0, 0)})
 
     @pytest.mark.parametrize("key", [7, -1, 2])
     def test_tweak_key_must_be_a_kernel_row(self, mix, key):
