@@ -10,6 +10,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 Y0, Y1, Y2, T = sympy.symbols("Y0 Y1 Y2 T")
+QT = sympy.QQ.frac_field(T)
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +189,33 @@ def naive_kernel_dim(rows, ncols):
 # elimination over Q(t), delegated to sympy
 
 
-def _sym_ratfun(entry):
+def _qq(c):
+    c = Fraction(c)
+    return sympy.QQ(c.numerator, c.denominator)
+
+
+def _frac_ratfun(entry):
+    """A (num, den) entry as an element of sympy's field QQ(t), whose
+    arithmetic keeps every value cancelled; no expression trees."""
+
+    def poly(coeffs):
+        return QT.field(QT.field.ring.from_dict({(k,): _qq(c) for k, c in enumerate(coeffs) if c}))
+
     num, den = entry
-    return sum(sympy.Rational(c) * T**k for k, c in enumerate(num)) / sum(
-        sympy.Rational(c) * T**k for k, c in enumerate(den)
-    )
+    return poly(num) / poly(den)
 
 
-def _coeff_pair(expr):
-    """A sympy rational function of T as (num, den) Fraction tuples in
-    ascending powers: coprime, monic denominator, zero as ((), (1,))."""
-    num, den = sympy.fraction(sympy.cancel(expr))
+def _frac_pair(x):
+    """An element of QQ(t) as (num, den) Fraction tuples in ascending
+    powers: coprime, monic denominator, zero as ((), (1,))."""
 
     def coeffs(poly):
-        cs = sympy.Poly(poly, T, domain="QQ").all_coeffs()
-        return [Fraction(int(c.p), int(c.q)) for c in reversed(cs)]
+        cs = [Fraction(0)] * (max((k for (k,) in poly), default=-1) + 1)
+        for (k,), c in poly.items():
+            cs[k] = Fraction(int(c.numerator), int(c.denominator))
+        return cs
 
-    num, den = coeffs(num), coeffs(den)
+    num, den = coeffs(dict(x.numer)), coeffs(dict(x.denom))
     lc = den[-1]
     num = [c / lc for c in num]
     while num and num[-1] == 0:
@@ -214,34 +225,38 @@ def _coeff_pair(expr):
 
 def naive_ratfun_rref(rows):
     """Reduced row echelon form over Q(t) by sympy's rref in the field
-    QQ(t), each entry normalised by cancel. Entries are (numerator,
-    denominator) coefficient sequences in ascending powers of t. Returns
-    (rows of _coeff_pair entries, pivots)."""
-    m = DomainMatrix.from_Matrix(
-        sympy.Matrix([[_sym_ratfun(e) for e in row] for row in rows])
-    ).convert_to(sympy.QQ.frac_field(T))
+    QQ(t), whose arithmetic keeps each entry cancelled. Entries are
+    (numerator, denominator) coefficient sequences in ascending powers of
+    t. Returns (rows of _frac_pair entries, pivots)."""
+    entries = [[_frac_ratfun(e) for e in row] for row in rows]
+    m = DomainMatrix(entries, (len(rows), len(rows[0])), QT)
     red, pivots = m.rref()
-    red = red.to_Matrix()
-    return [
-        [_coeff_pair(red[i, j]) for j in range(red.cols)] for i in range(red.rows)
-    ], tuple(pivots)
+    return [[_frac_pair(x) for x in row] for row in red.to_list()], tuple(pivots)
 
 
-def naive_ratfun_corank(rows, points=(sympy.Rational(1, 3), sympy.Rational(-2, 7))):
+def naive_ratfun_corank(rows, points=(Fraction(1, 3), Fraction(-2, 7))):
     """Column corank over QQ(t) of (numerator, denominator) rows. A
     specialization t = a never has larger rank, so full column rank at
     one of the points settles it by sympy's rank over QQ; otherwise the
     corank comes from naive_ratfun_rref."""
     ncols = len(rows[0])
-    sym = sympy.Matrix([[_sym_ratfun(e) for e in row] for row in rows])
-    if any(sym.subs(T, a).rank() == ncols for a in points):
-        return 0
+
+    def at(coeffs, a):
+        return sum(Fraction(c) * a**k for k, c in enumerate(coeffs))
+
+    for a in points:
+        values = [[(at(num, a), at(den, a)) for num, den in row] for row in rows]
+        if any(den == 0 for row in values for _, den in row):
+            continue  # a pole: t = a is no specialization
+        m = DomainMatrix([[_qq(num / den) for num, den in row] for row in values], (len(rows), ncols), sympy.QQ)
+        if m.rank() == ncols:
+            return 0
     return ncols - len(naive_ratfun_rref(rows)[1])
 
 
 def naive_ratfun_solve(rows, rhs):
     """Particular solution over Q(t) with every free variable zero, as
-    _coeff_pair entries; None when the system is inconsistent."""
+    _frac_pair entries; None when the system is inconsistent."""
     ncols = len(rows[0])
     red, pivots = naive_ratfun_rref([list(row) + [b] for row, b in zip(rows, rhs)])
     if ncols in pivots:
@@ -256,11 +271,11 @@ def naive_ratfun_normal_form(rref_rows, pivots, cobasis, vector):
     """Cobasis coordinates v_j - Sum_k v_{pivot k} * (RREF row k)_j over
     QQ(t) by sympy, for rref_rows and pivots from naive_ratfun_rref and
     vector a sequence of (numerator, denominator) entries; returns
-    _coeff_pair entries."""
-    v = [_sym_ratfun(e) for e in vector]
+    _frac_pair entries."""
+    v = [_frac_ratfun(e) for e in vector]
     return tuple(
-        _coeff_pair(
-            v[j] - sum((v[c] * _sym_ratfun(row[j]) for row, c in zip(rref_rows, pivots)), 0)
+        _frac_pair(
+            v[j] - sum((v[c] * _frac_ratfun(row[j]) for row, c in zip(rref_rows, pivots)), QT.zero)
         )
         for j in cobasis
     )
