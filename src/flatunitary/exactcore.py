@@ -35,15 +35,21 @@ Linear algebra is pinned down to the last bit:
   RatFun normalization.
 * kernel_basis emits one vector per free column, in increasing column
   order, with 1 at that free column and 0 at the other free columns.
-* JetSystemSolver solves M(s) x(s) = b(s) over jets order by order through
-  the order-0 LinearSolver, with the higher coefficient blocks of M kept
-  sparse, and reports the first inconsistent order on failure.
+* JetSystemSolver solves M(s) x(s) = b(s) over jets order by order on
+  integers: M(s) is cleared once into integer blocks, one scale per column
+  over every s-order, the order-0 block is eliminated by the integer core
+  LinearSolver uses over Q, the higher blocks are kept sparse, and each
+  order's solution is integer numerators over one reduced denominator.
+  It reports the first inconsistent order on failure.
+* full_column_rank_int certifies full column rank modulo two primes,
+  eliminating on the nonzero entries of the rows only.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import compress, repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -612,23 +618,82 @@ def _is_zero(x) -> bool:
 # field solver
 
 
+class _IntElimination:
+    """One fraction-free Gauss-Jordan pass on integer rows [A | I]: the
+    order-0 core of LinearSolver over Q and of JetSystemSolver.
+
+    Every pivot row ends on one pivot value (see rref_int), so A x = c
+    with integer c is solved, free variables 0, by x[pivots[k]] =
+    (T c)_k / pv, T the transform rows and pv > 0 that pivot value, both
+    divided by their gcd; each residual row r with r . c != 0 proves it
+    inconsistent. When A is D A' for a diagonal row scaling D, passing D's
+    entries as scales folds them into both kinds of row, which then apply
+    to the right-hand side of A' x = b directly. Both are kept by columns,
+    so a product reads only c's nonzero entries: a jet order's right-hand
+    side has few of them. The rows are consumed.
+    """
+
+    __slots__ = ("pivots", "rank", "pv", "_tcols", "_rcols", "_nres")
+
+    def __init__(self, rows, ncols, scales=None):
+        nrows = len(rows)
+        for i, row in enumerate(rows):
+            row.extend(1 if j == i else 0 for j in range(nrows))
+        self.pivots = tuple(ff_gauss_jordan_int(rows, ncols))
+        self.rank = len(self.pivots)
+        pv = rows[self.rank - 1][self.pivots[-1]] if self.pivots else 1
+        if scales is None:
+            folded = [row[ncols:] for row in rows]
+        else:
+            folded = [[x * s for x, s in zip(row[ncols:], scales)] for row in rows]
+        # pv and the transform rows share most of their bits; divide out
+        # their gcd (signed to leave pv positive), and each residual row's
+        # content, which no zero test needs
+        g = pv
+        for row in folded[: self.rank]:
+            g = math.gcd(g, *row)
+        g = -g if pv < 0 else g
+        self.pv = pv // g
+        transform = [[x // g for x in row] for row in folded[: self.rank]]
+        residual = [
+            [x // h for x in row] for row in folded[self.rank :] if (h := math.gcd(*row))
+        ]
+        self._nres = len(residual)
+        self._tcols = tuple(zip(*transform)) if transform else ((),) * nrows
+        self._rcols = tuple(zip(*residual)) if residual else ((),) * nrows
+
+    def solve(self, c):
+        """The pivot coordinates' numerators over pv, or None."""
+        if self._nres and any(_combine(self._rcols, c, self._nres)):
+            return None
+        return _combine(self._tcols, c, self.rank)
+
+
+def _combine(cols, c, width):
+    """Sum_r c[r] * cols[r], a width-long list, over the nonzero c[r]."""
+    acc = [0] * width
+    for r in compress(range(len(c)), c):
+        acc = list(map(operator.add, acc, map(operator.mul, cols[r], repeat(c[r]))))
+    return acc
+
+
 class LinearSolver:
     """Reusable exact solver for one field matrix M.
 
     Runs one fraction-free Gauss-Jordan pass on [D M | I], D the diagonal
     row scaling that clears denominators, and answers any number of solve
-    queries. Over Q every row stays integral: a transform row is a list of
-    ints over one integer denominator, its pivot value, and a residual row
-    is a list of ints; a solve scales b to integers once, by the lcm of its
-    denominators, and takes integer dot products. Over Q(t) every row stays
-    in Z[t]: a transform row is a list of Z[t] numerators over one Z[t]
-    denominator, its pivot polynomial times the row's integer content
-    denominator, and a residual row is a list of Z[t] numerators; a solve
-    brings b to one denominator D (the polynomial lcm of its denominators
-    times an integer), takes Z[t] dot products and normalizes each entry
-    once, as RatFun(row . Db, den * D). Particular solutions set every free
-    variable to zero, which (with the pinned pivot rule) makes results
-    deterministic.
+    queries. Over Q every row stays integral (_IntElimination): the
+    transform rows are lists of ints over one positive integer denominator,
+    and a residual row is a list of ints; a solve scales b to integers
+    once, by the lcm of its denominators, and takes integer dot products.
+    Over Q(t) every row stays in Z[t]: a transform row is a list of Z[t]
+    numerators over one Z[t] denominator, its pivot polynomial times the
+    row's integer content denominator, and a residual row is a list of Z[t]
+    numerators; a solve brings b to one denominator D (the polynomial lcm
+    of its denominators times an integer), takes Z[t] dot products and
+    normalizes each entry once, as RatFun(row . Db, den * D). Particular
+    solutions set every free variable to zero, which (with the pinned
+    pivot rule) makes results deterministic.
     """
 
     def __init__(self, matrix: Matrix):
@@ -637,34 +702,23 @@ class LinearSolver:
         self.domain = matrix.domain
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        rational = isinstance(matrix.domain, RationalDomain)
+        self._rational = isinstance(matrix.domain, RationalDomain)
         scales = []
-        if rational:
-            work = _clear_rational_rows(matrix.rows, scales)
-            for i, row in enumerate(work):
-                row.extend(1 if j == i else 0 for j in range(matrix.nrows))
-            pivots = ff_gauss_jordan_int(work, matrix.ncols)
+        if self._rational:
+            self._core = _IntElimination(
+                _clear_rational_rows(matrix.rows, scales), matrix.ncols, scales
+            )
+            self.pivots, self.rank = self._core.pivots, self._core.rank
         else:
             work = _clear_ratfun_rows(matrix.rows, scales)
             for i, row in enumerate(work):
                 row.extend((1,) if j == i else up.ZERO for j in range(matrix.nrows))
             pivots = _jordan_poly(work, matrix.ncols)
-        self.pivots = tuple(pivots)
-        self.rank = len(pivots)
-        n = matrix.ncols
-        # the elimination ran on the row-scaled matrix D M, so the identity
-        # block holds combinations against D M; fold D back in so transform
-        # and residual rows apply to the caller's b directly. Residual rows
-        # are the combinations proving inconsistency when row.b != 0.
-        if rational:
-            self._transform = tuple(
-                (work[k][c], [x * s for x, s in zip(work[k][n:], scales)])
-                for k, c in enumerate(pivots)
-            )
-            self._residual = tuple(
-                [x * s for x, s in zip(row[n:], scales)] for row in work[self.rank:]
-            )
-        else:
+            self.pivots = tuple(pivots)
+            self.rank = len(pivots)
+            n = matrix.ncols
+            # as in _IntElimination, fold D back in so transform and
+            # residual rows apply to the caller's b directly
             split = [_split_content([s]) for s in scales]
 
             def fold(row):
@@ -680,7 +734,6 @@ class LinearSolver:
                 d, row = fold(work[k][n:])
                 self._transform.append((up.zmul(work[k][c], (d,)), row))
             self._residual = tuple(fold(row[n:])[1] for row in work[self.rank:])
-        self._rational = rational
 
     def try_solve(self, b: Sequence):
         """Particular solution of M x = b with free variables 0, or None."""
@@ -693,11 +746,12 @@ class LinearSolver:
                 scale = math.lcm(*(e.denominator for e in b))
             except AttributeError:
                 raise DomainMismatchError("rhs is not rational") from None
-            b = [e.numerator * (scale // e.denominator) for e in b]
-            if any(_int_dot(row, b) for row in self._residual):
+            nums = self._core.solve([e.numerator * (scale // e.denominator) for e in b])
+            if nums is None:
                 return None
-            for c, (pv, row) in zip(self.pivots, self._transform):
-                x[c] = Fraction(_int_dot(row, b), pv * scale)
+            den = self._core.pv * scale
+            for c, num in zip(self.pivots, nums):
+                x[c] = Fraction(num, den)
             return tuple(x)
         scales = []
         (b,) = _clear_ratfun_rows([[self.domain.coerce(e) for e in b]], scales)
@@ -734,81 +788,147 @@ def _zdot(row, vec):
 # jet systems
 
 
+class _JetColumns:
+    """A jet matrix cleared to integers column by column, the form
+    JetSystemSolver runs on: column j of M(s) is entries[j] over
+    scales[j], the lcm of that column's denominators over every s-order.
+    entries[j] lists the column's nonzero rows as (row, integer
+    s-coefficients) pairs; a coefficient list may stop short of the
+    precision, the missing orders being zero."""
+
+    __slots__ = ("nrows", "precision", "scales", "entries")
+
+    def __init__(self, nrows, precision, scales, entries):
+        self.nrows, self.precision, self.scales, self.entries = nrows, precision, scales, entries
+
+
+def _jet_columns(matrix: Matrix) -> _JetColumns:
+    if not isinstance(matrix.domain, JetDomain):
+        raise DomainMismatchError("JetSystemSolver needs a jet matrix")
+    scales, entries = [], []
+    for j in range(matrix.ncols):
+        col = [row[j] for row in matrix.rows]
+        scale = math.lcm(*(c.denominator for e in col for c in e.coeffs))
+        scales.append(scale)
+        entries.append(tuple(
+            (r, [c.numerator * (scale // c.denominator) for c in e.coeffs])
+            for r, e in enumerate(col)
+            if not e.is_zero
+        ))
+    return _JetColumns(matrix.nrows, matrix.domain.precision, tuple(scales), tuple(entries))
+
+
 class JetSystemSolver:
     """Order-by-order solver for M(s) x(s) = b(s), M over one jet domain.
 
-    Splits M into rational coefficient blocks M_0..M_{N-1} and prepares the
-    order-0 solver once; M_1..M_{N-1} are kept sparse, each row as its
-    nonzero (column, entry) pairs. A solve runs to the precision m of its
-    right-hand side, up to N, in m back-substitution rounds: the
-    precision-m system is the prefix M_0..M_{m-1}, so one solver serves
-    every lower precision.
+    M(s) is cleared to integers once, one scale L_j per column over every
+    s-order (_JetColumns): M_k = A_k L^-1 with integer blocks A_k, and x =
+    L y where A(s) y(s) = b(s). Scaling columns scales every minor by a
+    nonzero factor, so A_0 has M_0's pivots and the same particular
+    solution up to L. A_0 is eliminated once by _IntElimination, the
+    integer core of LinearSolver over Q; A_1..A_{N-1} keep only their
+    nonzero rows, each as its nonzero columns and entries. Each order's
+    y_k is kept as integer numerators over one gcd-reduced denominator, so
+    order k solves A_0 y_k = b_k - Sum_i A_i y_{k-i} with that right-hand
+    side as sparse integer products over one common denominator, and
+    Fractions are made only for the coordinates returned. A solve runs to
+    the precision m of its right-hand side, up to N: the precision-m
+    system is the prefix A_0..A_{m-1}, so one solver serves every lower
+    precision.
+
+    The constructor takes a jet Matrix, or its _JetColumns built directly
+    (as Jacobian fibres do from their integer jet partials).
     """
 
-    def __init__(self, matrix: Matrix):
-        if not isinstance(matrix.domain, JetDomain):
-            raise DomainMismatchError("JetSystemSolver needs a jet matrix")
-        self.precision = matrix.domain.precision
-        self.nrows = matrix.nrows
-        self.ncols = matrix.ncols
-        # _blocks[k] holds M_k as rows of (j, m) pairs; M_0 lives in order0
-        self._blocks = [None] + [
-            [
-                [(j, e.coeffs[k]) for j, e in enumerate(row) if e.coeffs[k]]
-                for row in matrix.rows
-            ]
-            for k in range(1, self.precision)
-        ]
-        self.order0 = LinearSolver(
-            Matrix(
-                [[e.coeffs[0] for e in row] for row in matrix.rows],
-                ncols=matrix.ncols,
-                domain=RATIONAL,
-            )
+    def __init__(self, matrix):
+        cols = matrix if isinstance(matrix, _JetColumns) else _jet_columns(matrix)
+        self.precision = cols.precision
+        self.nrows = cols.nrows
+        self.ncols = len(cols.scales)
+        self._scales = cols.scales
+        rows0 = [[0] * self.ncols for _ in range(self.nrows)]
+        higher = {}  # order -> row -> (columns, entries) of A_order
+        for j, col in enumerate(cols.entries):
+            for r, coeffs in col:
+                rows0[r][j] = coeffs[0]
+                for k in range(1, len(coeffs)):
+                    if coeffs[k]:
+                        js, vals = higher.setdefault(k, {}).setdefault(r, ([], []))
+                        js.append(j)
+                        vals.append(coeffs[k])
+        self._higher = tuple(
+            (k, tuple((r, js, vals) for r, (js, vals) in higher[k].items()))
+            for k in sorted(higher)
         )
+        self.order0 = _IntElimination(rows0, self.ncols)
 
-    def _conv_rhs(self, order, xs, b_orders):
-        """b_order - Sum_{i=1..order} M_i x_{order-i}."""
-        rhs = list(b_orders[order])
-        for i in range(1, order + 1):
-            xprev = xs[order - i]
-            for r, pairs in enumerate(self._blocks[i]):
-                if pairs:
-                    rhs[r] -= sum(m * xprev[j] for j, m in pairs)
-        return rhs
-
-    def try_solve(self, b: Sequence, order0_value=None):
+    def try_solve(self, b: Sequence, order0_value=None, *, _columns=None):
         """Solve to the precision of b: jets of one precision m <= N.
 
         order0_value, when given, is used as the order-0 solution instead of
         solving (the caller asserting M_0 * order0_value = b_0); used for
         lifting prescribed kernel vectors. Its entries are Fractions or ints;
-        anything else raises DomainMismatchError. Returns (solution, None) on
-        success, (None, failing_order) on failure; raises
-        PrecisionExhaustedError when m exceeds the solver's precision.
+        anything else raises DomainMismatchError, and a length other than
+        ncols raises ValueError. Returns (solution, None) on success, (None,
+        failing_order) on failure; raises DomainMismatchError when b mixes
+        precisions and PrecisionExhaustedError when m exceeds the solver's
+        precision. _columns, a range of coordinates, is private: only those
+        are returned, so only they are made into Fractions.
         """
-        n = b[0].precision if b else self.precision
-        if order0_value is not None:
-            order0_value = [_as_fraction(v) for v in order0_value]
+        if len(b) != self.nrows:
+            raise ValueError("rhs length does not match nrows")
+        precisions = {e.precision for e in b}
+        if len(precisions) > 1:
+            raise DomainMismatchError(f"rhs mixes jet precisions {sorted(precisions)}")
+        n = precisions.pop() if precisions else self.precision
         if n > self.precision:
             raise PrecisionExhaustedError(
                 f"right-hand side has precision {n}; solver has {self.precision}"
             )
-        b_orders = [[e.coeffs[k] for e in b] for k in range(n)]
-        xs = []
-        for order in range(n):
-            rhs = self._conv_rhs(order, xs, b_orders)
-            if order == 0 and order0_value is not None:
-                xs.append(order0_value)
-                continue
-            x = self.order0.try_solve(rhs)
-            if x is None:
-                return None, order
-            xs.append(x)
-        jets = tuple(
-            Jet(tuple(xs[k][j] for k in range(n))) for j in range(self.ncols)
-        )
-        return jets, None
+        if order0_value is not None:
+            if len(order0_value) != self.ncols:
+                raise ValueError("order0_value length does not match ncols")
+            y0 = [
+                Fraction(x.numerator, x.denominator * s)
+                for x, s in zip(map(_as_fraction, order0_value), self._scales)
+            ]
+            den = math.lcm(*(y.denominator for y in y0))
+            sols = [([y.numerator * (den // y.denominator) for y in y0], den)]
+        else:
+            sols = []
+        el = self.order0
+        for k in range(len(sols), n):
+            c, den = self._rhs(k, [e.coeffs[k].as_integer_ratio() for e in b], sols)
+            nums = el.solve(c)
+            if nums is None:
+                return None, k
+            den *= el.pv
+            g = math.gcd(den, *nums)
+            y = [0] * self.ncols
+            for j, num in zip(el.pivots, nums):
+                y[j] = num // g
+            sols.append((y, den // g))
+        cols = range(self.ncols) if _columns is None else _columns
+        return tuple(self._jet(sols, j) for j in cols), None
+
+    def _rhs(self, k, b_k, sols):
+        """b_k - Sum_{i=1..k} A_i y_{k-i} as integers over one denominator;
+        b_k holds the order-k coefficients of b as integer ratios."""
+        terms = [(rows, sols[k - i]) for i, rows in self._higher if i <= k]
+        den = math.lcm(*(q for _, q in b_k), *(d for _, (_, d) in terms))
+        c = [p * (den // q) for p, q in b_k]
+        for rows, (y, d) in terms:
+            f = den // d
+            for r, js, vals in rows:
+                dot = sum(map(operator.mul, vals, map(y.__getitem__, js)))
+                if dot:
+                    c[r] -= f * dot
+        return c, den
+
+    def _jet(self, sols, j):
+        """Coordinate j of x = L y as a jet."""
+        s = self._scales[j]
+        return Jet(tuple(Fraction(s * y[j], d) if y[j] else _ZERO for y, d in sols))
 
 
 # ---------------------------------------------------------------------------
@@ -817,30 +937,30 @@ class JetSystemSolver:
 _CERT_PRIMES = ((1 << 61) - 1, 2305843009213693907)
 
 
-def _rank_modp(int_rows, ncols, p):
-    rows = [[x % p for x in row] for row in int_rows]
-    rank = 0
+def _full_rank_modp(rows, ncols, p):
+    """Whether integer rows have rank ncols modulo p. Only their nonzero
+    entries are reduced and eliminated, each row held as a dict of them,
+    and the scan stops at the first column no remaining row reaches."""
+    work = [{j: x for j in compress(range(len(row)), row) if (x := row[j] % p)} for row in rows]
     for c in range(ncols):
-        if rank == len(rows):
-            break
-        r = rank
-        while r < len(rows) and rows[r][c] == 0:
-            r += 1
-        if r == len(rows):
-            continue
-        rows[r], rows[rank] = rows[rank], rows[r]
-        prow = rows[rank]
-        inv = pow(prow[c], -1, p)
-        support = [j for j in range(c, ncols) if prow[j]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
+        for r, row in enumerate(work):
+            if c in row:
+                break
+        else:
+            return False
+        prow = work.pop(r)
+        inv = pow(prow.pop(c), -1, p)
+        for row in work:
+            f = row.pop(c, 0)
             if f:
                 f = f * inv % p
-                row = rows[i]
-                for j in support:
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-    return rank
+                for j, v in prow.items():
+                    w = (row.get(j, 0) - f * v) % p
+                    if w:
+                        row[j] = w
+                    else:
+                        row.pop(j, None)
+    return True
 
 
 def full_column_rank_int(rows, ncols) -> bool:
@@ -850,7 +970,7 @@ def full_column_rank_int(rows, ncols) -> bool:
         return True
     if len(rows) < ncols:
         return False
-    return any(_rank_modp(rows, ncols, p) == ncols for p in _CERT_PRIMES)
+    return any(_full_rank_modp(rows, ncols, p) for p in _CERT_PRIMES)
 
 
 def full_column_rank_certificate(matrix: Matrix) -> bool:

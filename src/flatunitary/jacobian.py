@@ -14,14 +14,21 @@ fibre of a family), or over jets at a basepoint. Over jets, every reduction
 reuses the order-0 echelon data order by order, so only rational
 elimination ever runs.
 
-Over the rationals and over Q(t) no scalar matrix is built. Each partial
-F_i is cleared of denominators once, to Z or to Z[t], and every generator
-row Y^m * F_i is F_i's cleared coefficients placed at the monomial indices
-of Y^m times its terms: the rows a Matrix of generator vectors would get
-by scaling each row by the lcm of its denominators. The certificate and
-the echelon data come from fraction-free elimination of these rows; over
-Q(t) the certificate tests the rows at integer points of the t-line. A
-normal form clears p once and takes integer (or Z[t]) dot products.
+Over the rationals, over Q(t) and over jets no scalar matrix is built for
+a fibre or its normal forms. Each partial F_i is cleared of denominators
+once, to Z or to Z[t], and every generator row Y^m * F_i is
+F_i's cleared coefficients placed at the monomial indices of Y^m times its
+terms: the rows a Matrix of generator vectors would get by scaling each
+row by the lcm of its denominators. The certificate and the echelon data
+come from fraction-free elimination of these rows; over Q(t) the
+certificate tests the rows at integer points of the t-line. A normal form
+clears p once and takes integer (or Z[t]) dot products. Over jets each
+partial is cleared once over all its s-coefficients, and the jet column
+solver of a degree takes its generator columns from these integers in the
+same way, one scale per partial (JetSystemSolver scales columns, not
+rows). Only the column solvers over Q and Q(t), which membership
+witnesses over those fields use, still build a Matrix of generator
+vectors.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .exactcore import (
     rref,
     rref_int,
     rref_zpoly,
+    _JetColumns,
     _clear_ratfun_rows,
     _int_dot,
     _is_zero,
@@ -153,11 +161,9 @@ class JacobianFiber:
         self.domain = F.domain
         self.partials = tuple(poly_partial(F, i) for i in range(3))
         self._rational = isinstance(F.domain, RationalDomain)
-        self._int_partials = (
-            None
-            if isinstance(F.domain, JetDomain)
-            else tuple(_integer_terms(P) for P in self.partials)
-        )
+        # over jets each entry is (scale, terms), see _integer_jet_terms
+        integer_terms = _integer_jet_terms if isinstance(F.domain, JetDomain) else _integer_terms
+        self._int_partials = tuple(integer_terms(P) for P in self.partials)
         self._degree_data = {}
         self._column_solvers = {}
         self._order0 = None
@@ -274,8 +280,10 @@ class JacobianFiber:
             )
         data = self._data(p.degree)
         if self._order0 is not None:
-            x, _ = self.column_solver(p.degree).try_solve(p.to_vector())
-            return RingElement(p.degree, x[len(x) - data.dim :])
+            solver = self.column_solver(p.degree)
+            n = solver.ncols
+            x, _ = solver.try_solve(p.to_vector(), _columns=range(n - data.dim, n))
+            return RingElement(p.degree, x)
         # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j, with p
         # cleared to b / scale and RREF row k the echelon row over pv
         pv = data.pivot_value
@@ -332,16 +340,26 @@ class JacobianFiber:
         """
         if k in self._column_solvers:
             return self._column_solvers[k]
-        jet = self._order0 is not None
-        cob = self._order0._prepare_degree(k).cobasis_idx if jet else ()
-        one, zero = self.domain.one(), self.domain.zero()
-        gen_cols = self._generator_vectors(k)
-        rows = [
-            [col[r] for col in gen_cols] + [one if i == r else zero for i in cob]
-            for r in range(monomial_count(k))
-        ]
-        m = Matrix(rows, ncols=len(gen_cols) + len(cob), domain=self.domain)
-        solver = JetSystemSolver(m) if jet else LinearSolver(m)
+        if self._order0 is None:
+            gen_cols = self._generator_vectors(k)
+            rows = [[col[r] for col in gen_cols] for r in range(monomial_count(k))]
+            solver = LinearSolver(Matrix(rows, ncols=len(gen_cols), domain=self.domain))
+        else:
+            # generator column (i, m) is F_i's integer jet terms, over their
+            # one scale, at the monomial indices of Y^m times those terms
+            scales, entries = [], []
+            for i, (m0, m1, m2) in self._generators(k):
+                scale, terms = self._int_partials[i]
+                scales.append(scale)
+                entries.append(tuple(
+                    (monomial_index((m0 + a, m1 + b, m2 + c)), x) for (a, b, c), x in terms
+                ))
+            for r in self._order0._prepare_degree(k).cobasis_idx:
+                scales.append(1)
+                entries.append(((r, (1,)),))
+            solver = JetSystemSolver(_JetColumns(
+                monomial_count(k), self.domain.precision, tuple(scales), tuple(entries)
+            ))
         self._column_solvers[k] = solver
         return solver
 
@@ -393,6 +411,16 @@ def _integer_terms(P: HomPoly):
         return tuple((e, c.numerator * (q // c.denominator)) for e, c in P.terms.items())
     (row,) = _clear_ratfun_rows([list(P.terms.values())])
     return tuple(zip(P.terms, row))
+
+
+def _integer_jet_terms(P: HomPoly):
+    """(L, terms): L the lcm of every denominator of every s-coefficient
+    of P, terms P's (exponent, integer s-coefficients) pairs times L."""
+    scale = math.lcm(*(c.denominator for j in P.terms.values() for c in j.coeffs))
+    return scale, tuple(
+        (e, tuple(c.numerator * (scale // c.denominator) for c in j.coeffs))
+        for e, j in P.terms.items()
+    )
 
 
 def _order0_part(F: HomPoly) -> HomPoly:

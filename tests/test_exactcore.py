@@ -835,6 +835,22 @@ class TestJetSystems:
         with pytest.raises(PrecisionExhaustedError):
             top.try_solve((Jet((1, 0, 0, 0)), Jet((0, 0, 0, 0))))
 
+    def test_mixed_rhs_precisions_rejected(self):
+        rows = [[Jet((1, 2, 3)), Jet((0, 1, 1))], [Jet((2, 0, 5)), Jet((1, 1, 0))]]
+        solver = JetSystemSolver(Matrix(rows))
+        # neither a dropped order-2 term nor an IndexError: the precision
+        # mismatch that jet arithmetic refuses
+        for b in ([Jet((1, 0)), Jet((0, 1, 5))], [Jet((1, 0, 0)), Jet((0, 1))]):
+            with pytest.raises(DomainMismatchError):
+                solver.try_solve(b)
+
+    @pytest.mark.parametrize("x0", [[1, 0, 99], [1], []])
+    def test_order0_value_of_the_wrong_length_rejected(self, x0):
+        rows = [[Jet((1, 2)), Jet((0, 1))], [Jet((2, 0)), Jet((1, 1))]]
+        solver = JetSystemSolver(Matrix(rows))
+        with pytest.raises(ValueError, match="order0_value length"):
+            solver.try_solve([Jet((1, 0)), Jet((2, 0))], order0_value=x0)
+
     def test_field_matrix_rejected(self):
         with pytest.raises(DomainMismatchError):
             JetSystemSolver(Matrix([[Fraction(1)]]))
@@ -930,6 +946,53 @@ class TestIntegerSolvesAgainstOracles:
         x0 = None
         if prescribe:
             x0 = data.draw(st.lists(fractions_st, min_size=ncols, max_size=ncols))
+        matrix = Matrix(
+            [
+                [Jet(tuple(blocks[k][r][j] for k in range(precision))) for j in range(ncols)]
+                for r in range(nrows)
+            ]
+        )
+        rhs = tuple(Jet(tuple(b_orders[k][r] for k in range(m))) for r in range(nrows))
+        got, fail = JetSystemSolver(matrix).try_solve(rhs, order0_value=x0)
+        want, want_fail = naive_jet_solve(blocks, b_orders, order0_value=x0)
+        assert fail == want_fail
+        event("inconsistent" if want is None else "consistent")
+        if want is None:
+            assert got is None
+        else:
+            assert [tuple(x.coeffs[k] for x in got) for k in range(m)] == [
+                tuple(x) for x in want
+            ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_jet_solver_with_large_entries_to_precision_eight(
+        self, precision, nrows, ncols, prescribe, data
+    ):
+        # 100-bit numerators over 50-bit denominators at every order, so
+        # each order's solution carries its own reduced denominator into
+        # the right-hand sides of all the orders above it
+        m = data.draw(st.integers(min_value=1, max_value=precision))
+        coeff = st.one_of(st.just(Fraction(0)), small_int_st.map(Fraction), big_fraction_st)
+        blocks = [
+            [[data.draw(coeff) for _ in range(ncols)] for _ in range(nrows)]
+            for _ in range(precision)
+        ]
+        if data.draw(st.booleans()):  # a repeated row makes M_0 singular
+            for block in blocks:
+                block[-1] = list(block[0])
+        b_orders = [
+            [data.draw(big_fraction_st) for _ in range(nrows)] for _ in range(m)
+        ]
+        x0 = None
+        if prescribe:
+            x0 = data.draw(st.lists(big_fraction_st, min_size=ncols, max_size=ncols))
         matrix = Matrix(
             [
                 [Jet(tuple(blocks[k][r][j] for k in range(precision))) for j in range(ncols)]

@@ -9,10 +9,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import flatunitary._univar as up
-from flatunitary.exactcore import Jet, JetSystemSolver, PrecisionExhaustedError, RatFun
-from flatunitary.family import generic_fibre, jet_expand, specialize, t_derivative
+from flatunitary import exactcore, jacobian, polyring
+from flatunitary.exactcore import Jet, JetDomain, JetSystemSolver, PrecisionExhaustedError, RatFun
+from flatunitary.family import FamilySpec, generic_fibre, jet_expand, specialize, t_derivative
 from flatunitary.gaussmanin import (
     NotKernelSectionError,
     Witness,
@@ -21,8 +23,8 @@ from flatunitary.gaussmanin import (
     reduce_pole,
     theta_eval,
 )
-from flatunitary.jacobian import make_fiber
-from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
+from flatunitary.jacobian import SingularFibreError, make_fiber
+from flatunitary.polyring import HomPoly, graded_basis, monomial_count, poly_mul, poly_partial
 from oracles import naive_jet_solve
 
 
@@ -251,6 +253,121 @@ class TestOneJetSolver:
         assert tuple(c.order0 for c in cls.coords) == cls0.coords
         for part, part0 in zip(w.parts, w0.parts):
             assert tuple(c.order0 for c in part.to_vector()) == part0.to_vector()
+
+
+coef_st = st.builds(
+    Fraction,
+    st.sampled_from((1, -1, 2, -2, 3, -3)),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+@st.composite
+def jet_family_st(draw):
+    """A degree 3-5 family a0 Y0^d + a1 Y1^d + a2 Y2^d plus one to three
+    terms with coefficients c0 + c1 T + c2 T^2, every c with a denominator
+    1-6, and a basepoint t0 with a denominator 1-5: the jet partials at t0
+    then carry denominators at several s-orders, and different ones."""
+    d = draw(st.integers(min_value=3, max_value=5))
+    terms = {e: (draw(coef_st),) for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
+    for e in draw(st.lists(st.sampled_from(graded_basis(d)), min_size=1, max_size=3)):
+        terms[e] = (draw(coef_st), draw(coef_st), draw(coef_st))
+    t0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    return FamilySpec(d, terms), t0
+
+
+def _reference_column_solve(fiber, q):
+    """The degree-k jet column system rebuilt from _generator_vectors
+    (poly_mul over jets) and the cobasis unit columns, solved order by
+    order by naive_jet_solve to q's precision. Returns the generator part
+    and the cobasis part of each order's solution."""
+    k, m = q.degree, q.domain.precision
+    gens = fiber._generator_vectors(k)
+    cob = fiber._data(k).cobasis_idx
+    blocks = [
+        [
+            [g[r].coeffs[o] for g in gens] + [Fraction(int(o == 0 and r == c)) for c in cob]
+            for r in range(monomial_count(k))
+        ]
+        for o in range(m)
+    ]
+    b_orders = [[c.coeffs[o] for c in q.to_vector()] for o in range(m)]
+    xs, fail = naive_jet_solve(blocks, b_orders)
+    assert fail is None  # the cobasis columns make every right-hand side solvable
+    return [x[: len(gens)] for x in xs], [x[len(gens) :] for x in xs]
+
+
+def _by_order(jets, m):
+    return [tuple(c.coeffs[o] for c in jets) for o in range(m)]
+
+
+class TestIntegerJetColumns:
+    """Jet column solvers are built from the fibre's integer jet partials;
+    what they solve must be the system of the jet generator vectors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(jet_family_st(), st.integers(min_value=1, max_value=3), st.data())
+    def test_normal_forms_and_witnesses_match_the_generator_oracle(self, case, n, data):
+        fam, t0 = case
+        try:
+            fiber = make_fiber(jet_expand(fam, t0, n))
+        except SingularFibreError:
+            event("singular")
+            return
+        d = fam.degree
+        coeff = st.one_of(st.just(Fraction(0)), coef_st)
+
+        def jet(m):
+            return Jet(tuple(data.draw(coeff) for _ in range(m)))
+
+        for k in (d, 2 * d - 3):
+            m = data.draw(st.integers(min_value=1, max_value=n))
+            terms = {e: jet(m) for e in graded_basis(k) if data.draw(st.booleans())}
+            p = HomPoly(k, terms, domain=JetDomain(m))
+            _, want = _reference_column_solve(fiber, p)
+            assert _by_order(fiber.normal_form(p).coords, m) == want
+        # a member of the ideal, plus s^j times a cobasis monomial that
+        # takes it out of the ideal from order j on
+        k = 2 * d - 3
+        mult = graded_basis(k - d + 1)
+        q = HomPoly.zero(k, fiber.domain)
+        for i in range(3):
+            terms = {e: jet(n) for e in mult if data.draw(st.booleans())}
+            A = HomPoly(k - d + 1, terms, domain=fiber.domain)
+            q = q + poly_mul(A, poly_partial(fiber.F, i))
+        j = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)))
+        if j is not None:
+            e = fiber.cobasis(k)[data.draw(st.integers(0, fiber.dim(k) - 1))]
+            q = q + HomPoly(k, {e: Jet(tuple(Fraction(int(o == j)) for o in range(n)))})
+        gen, cob = _reference_column_solve(fiber, q)
+        fail = next((o for o, x in enumerate(cob) if any(x)), None)
+        event(f"fails at order {fail}")
+        if fail is not None:
+            with pytest.raises(NotKernelSectionError) as err:
+                membership_witness(fiber, q)
+            assert err.value.order == fail
+            return
+        w = membership_witness(fiber, q)
+        assert _by_order([c for part in w.parts for c in part.to_vector()], n) == gen
+
+    def test_building_a_jet_column_solver_multiplies_no_polynomials(self, mix, monkeypatch):
+        fiber = make_fiber(jet_expand(mix, Fraction(1, 2), 3))
+        built = []
+        real_init = exactcore.Matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        def no_poly_mul(*args):
+            raise AssertionError("poly_mul called while building a jet column solver")
+
+        monkeypatch.setattr(exactcore.Matrix, "__init__", counting_init)
+        monkeypatch.setattr(jacobian, "poly_mul", no_poly_mul)
+        monkeypatch.setattr(polyring, "poly_mul", no_poly_mul)
+        for k in (1, 3, 4, 5, 9):  # below, at and past the generator degree 3
+            assert isinstance(fiber.column_solver(k), JetSystemSolver)
+        assert built == []
 
 
 def _outcome(fn, *args):
