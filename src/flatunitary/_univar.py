@@ -1,13 +1,16 @@
-"""Dense univariate polynomial helpers over exact rationals.
+"""Dense univariate polynomial helpers over exact rationals and over Z[t].
 
-A polynomial is a tuple of Fraction coefficients, ascending powers, with no
-trailing zeros; the zero polynomial is the empty tuple. These back both the
-rational-function scalar domain and the T-coefficients of family polynomials.
+A polynomial is a tuple of coefficients, ascending powers, with no
+trailing zeros; the zero polynomial is the empty tuple. The p-functions
+take Fraction coefficients and back the T-coefficients of family
+polynomials.
 
-The Z[t] section at the end holds the same conventions over Python ints,
-for fraction-free elimination over Q(t), and the gcd: pgcd and pcancel
-work on the primitive Z[t] parts of their inputs with a verified
-heuristic gcd, and fall back to Euclid over Q only when it fails.
+The Z[t] section at the end holds the same conventions over Python ints.
+It backs the rational-function scalar domain (RatFun keeps a coprime
+pair of Z[t] polynomials, put in lowest terms by zcancel) and
+fraction-free elimination over Q(t). The gcd behind zcancel is a
+verified heuristic gcd, with a primitive remainder sequence as the
+fallback when it fails.
 """
 
 from __future__ import annotations
@@ -102,53 +105,6 @@ def pdivexact(a, b) -> tuple:
     return q
 
 
-def pmonic(a) -> tuple:
-    if not a:
-        return ZERO
-    lc = a[-1]
-    if lc == 1:
-        return a
-    return tuple(c / lc for c in a)
-
-
-def pgcd(a, b) -> tuple:
-    """Monic gcd; ZERO when both are zero."""
-    if not a or not b:
-        return pmonic(a or b)
-    if len(a) == 1 or len(b) == 1:
-        return ONE
-    G = _zgcd(_primitive(a)[1], _primitive(b)[1])[0]
-    return tuple(Fraction(c, G[-1]) for c in G)
-
-
-def pcancel(a, b) -> tuple:
-    """a / b in lowest terms: (a / h, b / h) with h the gcd of a and b
-    scaled so that b / h is monic; b must be nonzero. With a and b both
-    monic, h is their monic gcd and the two are its cofactors."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ZERO, ONE
-    if len(b) == 1:
-        lc = b[0]
-        return (a if lc == 1 else tuple(c / lc for c in a)), ONE
-    ca, A = _primitive(a)
-    cb, B = _primitive(b)
-    if len(a) > 1:
-        _, A, B = _zgcd(A, B)
-    s = ca / (cb * B[-1])
-    return tuple(s * c for c in A), tuple(Fraction(c, B[-1]) for c in B)
-
-
-def _euclid_gcd(a, b) -> tuple:
-    # monic gcd; remainders kept monic each step to bound coefficient growth
-    a, b = pmonic(a), pmonic(b)
-    while b:
-        _, r = pdivmod(a, b)
-        a, b = b, pmonic(r)
-    return a
-
-
 def pderiv(a) -> tuple:
     return tuple(Fraction(i) * a[i] for i in range(1, len(a)))
 
@@ -178,9 +134,11 @@ def ptaylor(a, c, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Z[t]: the same conventions over Python ints. Fraction-free elimination
-# over Q(t) runs on these, so no step needs a rational coefficient, and so
-# does the gcd behind pgcd and pcancel.
+# Z[t]: the same conventions over Python ints. RatFun and fraction-free
+# elimination over Q(t) run on these, so no step needs a rational
+# coefficient.
+
+ZONE = (1,)
 
 
 def zmul(a, b) -> tuple:
@@ -194,6 +152,10 @@ def zmul(a, b) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+# padd makes no coefficient of its own, so it adds in Z[t] as it is
+zadd = padd
 
 
 def zsub(a, b) -> tuple:
@@ -240,15 +202,43 @@ def zeval(a, x: int) -> int:
     return acc
 
 
-def _primitive(a):
-    """(c, A) with a = c * A, A primitive in Z[t] with a positive leading
-    coefficient and c a Fraction; a must be nonzero."""
-    q = math.lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (q // c.denominator) for c in a]
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
+def zcancel(a, b) -> tuple:
+    """a / b in lowest terms: (a / h, b / h) with h the gcd of a and b in
+    Z[t], content included, signed so that b / h has a positive leading
+    coefficient; b must be nonzero. The zero fraction is (ZERO, ZONE)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) > 1 and len(b) > 1:
+        ca, cb = math.gcd(*a), math.gcd(*b)
+        _, A, B = _zgcd(_zquo(a, ca), _zquo(b, cb))
+        g = math.gcd(ca, cb)
+        a, b = zscale(A, ca // g), zscale(B, cb // g)
+        return (a, b) if b[-1] > 0 else (tuple(-x for x in a), tuple(-x for x in b))
+    return zreduce(a, b)
+
+
+def zreduce(a, b) -> tuple:
+    """a / b with the integer content of the pair divided out, signed so
+    that b has a positive leading coefficient; b must be nonzero. These
+    are lowest terms whenever a and b have no common factor of positive
+    degree: when either is a constant, or when a / b is a fraction in
+    lowest terms multiplied by a ratio of integers."""
+    if not a:
+        return ZERO, ZONE
+    g = math.gcd(*a, *b)
+    if b[-1] < 0:
         g = -g
-    return Fraction(g, q), tuple(x // g for x in ints)
+    if g == 1:
+        return a, b
+    return tuple(x // g for x in a), tuple(x // g for x in b)
+
+
+def _zquo(a, c) -> tuple:
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def zscale(a, c) -> tuple:
+    return a if c == 1 else tuple(x * c for x in a)
 
 
 # Heuristic gcd (Char, Geddes and Gonnet, "GCDHEU", J. Symb. Comp. 1989):
@@ -271,9 +261,39 @@ def _zgcd(A, B):
             if hit is not None:
                 return hit
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # about 2.73 xi^(5/4)
-    g = _euclid_gcd(tuple(map(Fraction, A)), tuple(map(Fraction, B)))
-    G = _primitive(g)[1]
+    G = _euclid_gcd(A, B)
     return G, zdivexact(A, G), zdivexact(B, G)
+
+
+def _euclid_gcd(A, B) -> tuple:
+    """The gcd of primitive A, B in Z[t], primitive with a positive
+    leading coefficient, by the primitive remainder sequence: each
+    pseudo-remainder is divided by its content to bound coefficient
+    growth."""
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        r = _zprem(A, B)
+        A, B = B, _zquo(r, math.gcd(*r)) if r else r
+    return A if A[-1] > 0 else tuple(-x for x in A)
+
+
+def _zprem(a, b) -> tuple:
+    """A pseudo-remainder of a by b: a nonzero integer multiple of a,
+    minus a Z[t] multiple of b, of degree below b's."""
+    rem = list(a)
+    lc = b[-1]
+    nb = len(b)
+    while len(rem) >= nb:
+        q = rem.pop()
+        if lc != 1:
+            rem = [x * lc for x in rem]
+        off = len(rem) - nb + 1
+        for j in range(nb - 1):
+            rem[off + j] -= q * b[j]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(rem)
 
 
 def _balanced_digits(h: int, xi: int) -> tuple:

@@ -2,10 +2,10 @@
 
 Three scalar domains, all exact: arbitrary-precision rationals
 (fractions.Fraction), rational functions of one variable t with rational
-coefficients (RatFun, kept coprime with monic denominator at every step
-by _univar.pcancel, a verified heuristic gcd on Z[t]), and truncated
-power-series jets in s with a fixed precision (Jet; a jet of precision N
-stores exactly N coefficients).
+coefficients (RatFun, a coprime pair of Z[t] polynomials kept in lowest
+terms at every step by _univar.zcancel, a verified heuristic gcd on
+Z[t]), and truncated power-series jets in s with a fixed precision (Jet;
+a jet of precision N stores exactly N coefficients).
 
 Linear algebra is pinned down to the last bit:
 
@@ -19,10 +19,10 @@ Linear algebra is pinned down to the last bit:
   over Q clear each row's denominators and call them; Jacobian fibres over
   Q build their generator rows as integers and hand them to the cores
   directly. Rational-function matrices run the same elimination over
-  Z[t], each row scaled by the lcm of its denominators and then by an
-  integer, so every Bareiss quotient is an exact division of integer
-  polynomials (rref_zpoly, the Z[t] twin of rref_int, which Jacobian
-  fibres over Q(t) call on their Z[t] generator rows). This keeps
+  Z[t], each row scaled by the Z[t] lcm of its denominators, so every
+  Bareiss quotient is an exact division of integer polynomials
+  (rref_zpoly, the Z[t] twin of rref_int, which Jacobian fibres over
+  Q(t) call on their Z[t] generator rows). This keeps
   intermediate entries polynomial-sized instead of letting gcd-heavy
   fraction arithmetic dominate.
 * LinearSolver keeps that elimination integral. Over Q each transform row
@@ -32,7 +32,7 @@ Linear algebra is pinned down to the last bit:
   per solution entry. Over Q(t) the same holds with Z[t] in place of Z:
   a transform row is a list of Z[t] numerators over one Z[t] denominator,
   a solve brings b to one denominator, and each solution entry is one
-  RatFun normalization.
+  cancel on Z[t].
 * kernel_basis emits one vector per free column, in increasing column
   order, with 1 at that free column and 0 at the other free columns.
 * JetSystemSolver solves M(s) x(s) = b(s) over jets order by order on
@@ -89,49 +89,98 @@ def _as_fraction(x) -> Fraction:
 class RatFun:
     """Rational function in t over the rationals.
 
-    Stored as coprime dense numerator/denominator coefficient tuples with a
-    monic denominator, so equal values have equal representations. The gcd
-    is taken eagerly after every operation, by _univar.pcancel: a
-    heuristic gcd of the primitive Z[t] parts (GCDHEU), accepted only once
-    it divides both exactly and leaves cofactors coprime modulo a prime,
-    with Euclid over Q as the fallback.
+    Stored as a numerator and a denominator in Z[t] (int coefficient
+    tuples, ascending powers) with no common factor in Z[t], content
+    included, and a positive leading coefficient on the denominator. Equal
+    values therefore have equal representations, and == and hash are
+    structural. Every operation ends in one cancel on Z[t]: an integer
+    content gcd (_univar.zreduce) where only integers can cancel, as in a
+    product with a constant, and otherwise _univar.zcancel, a heuristic
+    gcd (GCDHEU) accepted only once it divides both parts exactly and
+    leaves cofactors coprime modulo a prime, with a primitive remainder
+    sequence as the fallback. A derivative takes its one gcd between the
+    denominator and the denominator's derivative. num and den read the
+    value back as Fraction tuples over a monic denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=up.ONE, *, _trusted=False):
-        if _trusted:
-            self.num = num
-            self.den = den
-            return
-        den = up.pnorm(den)
+    def __init__(self, num, den=up.ONE):
+        num, den = up.pnorm(num), up.pnorm(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        self.num, self.den = up.pcancel(up.pnorm(num), den)
+        # num / den = (A / qa) / (B / qb) with A, B in Z[t]
+        qa = math.lcm(*(c.denominator for c in num))
+        qb = math.lcm(*(c.denominator for c in den))
+        self._n, self._d = up.zcancel(
+            tuple(c.numerator * (qa // c.denominator) * qb for c in num),
+            tuple(c.numerator * (qb // c.denominator) * qa for c in den),
+        )
+
+    @classmethod
+    def _of(cls, n, d) -> "RatFun":
+        """The RatFun of a Z[t] pair already in lowest terms."""
+        r = object.__new__(cls)
+        r._n = n
+        r._d = d
+        return r
+
+    @classmethod
+    def _from_z(cls, n, d) -> "RatFun":
+        """n / d for Z[t] polynomials n and d != 0."""
+        return cls._of(*up.zcancel(n, d))
 
     @classmethod
     def from_fraction(cls, q) -> "RatFun":
-        return cls(up.pconst(q), up.ONE, _trusted=True)
+        q = _as_fraction(q)
+        return cls._of((q.numerator,) if q else up.ZERO, (q.denominator,))
 
     @classmethod
     def from_poly(cls, coeffs) -> "RatFun":
-        return cls(up.pnorm(coeffs), up.ONE, _trusted=True)
+        coeffs = up.pnorm(coeffs)
+        q = math.lcm(*(c.denominator for c in coeffs))
+        return cls._of(*up.zreduce(
+            tuple(c.numerator * (q // c.denominator) for c in coeffs), (q,)
+        ))
+
+    @property
+    def num(self) -> tuple:
+        """The numerator over the monic denominator, as Fractions."""
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        """The monic denominator, as Fractions."""
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
+
+    def _scaled(self, p, q) -> "RatFun":
+        # self * p / q for nonzero ints p and q: the primitive parts stay
+        # coprime, so only integers can cancel
+        return RatFun._of(*up.zreduce(up.zscale(self._n, p), up.zscale(self._d, q)))
 
     def __add__(self, other):
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        num = up.padd(up.pmul(self.num, other.den), up.pmul(other.num, self.den))
-        return RatFun(num, up.pmul(self.den, other.den))
+        a, b, c, d = self._n, self._d, other._n, other._d
+        if not c:
+            return self
+        if not a:
+            return other
+        if b == d:
+            return RatFun._from_z(up.zadd(a, c), b)
+        return RatFun._from_z(up.zadd(up.zmul(a, d), up.zmul(c, b)), up.zmul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(up.pneg(self.num), self.den, _trusted=True)
+        return RatFun._of(tuple(-x for x in self._n), self._d)
 
     def __sub__(self, other):
         other = _as_ratfun(other)
@@ -149,7 +198,14 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFun(up.pmul(self.num, other.num), up.pmul(self.den, other.den))
+        a, b, c, d = self._n, self._d, other._n, other._d
+        if not a or not c:
+            return _RZERO
+        if len(c) == 1 and len(d) == 1:
+            return self._scaled(c[0], d[0])
+        if len(a) == 1 and len(b) == 1:
+            return other._scaled(a[0], b[0])
+        return RatFun._from_z(up.zmul(a, c), up.zmul(b, d))
 
     __rmul__ = __mul__
 
@@ -159,7 +215,10 @@ class RatFun:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(up.pmul(self.num, other.den), up.pmul(self.den, other.num))
+        a, b, c, d = self._n, self._d, other._n, other._d
+        if len(c) == 1 and len(d) == 1:
+            return self._scaled(d[0], c[0])
+        return RatFun._from_z(up.zmul(a, d), up.zmul(b, c))
 
     def __rtruediv__(self, other):
         other = _as_ratfun(other)
@@ -168,29 +227,44 @@ class RatFun:
         return other / self
 
     def derivative(self) -> "RatFun":
-        num = up.psub(
-            up.pmul(up.pderiv(self.num), self.den),
-            up.pmul(self.num, up.pderiv(self.den)),
-        )
-        return RatFun(num, up.pmul(self.den, self.den))
+        # With d = h u and d' = h v for h = gcd(d, d'), (n / d)' is
+        # (n' u - n v) / (d u) in lowest terms up to integers: u has every
+        # prime factor p of d once and v none of them (d' holds p once
+        # less than d), and n none, so p never divides n' u - n v.
+        n, d = self._n, self._d
+        if len(d) == 1:
+            return RatFun._of(*up.zreduce(_zderiv(n), d))
+        u, v = up.zcancel(d, _zderiv(d))
+        num = up.zsub(up.zmul(_zderiv(n), u), up.zmul(n, v))
+        return RatFun._of(*up.zreduce(num, up.zmul(d, u)))
 
     def evaluate(self, t0) -> Fraction:
-        d = up.peval(self.den, t0)
+        d = up.peval(self._d, t0)
         if d == 0:
             raise ZeroDivisionError(f"pole at t = {t0}")
-        return up.peval(self.num, t0) / d
+        return up.peval(self._n, t0) / d
 
     def __eq__(self, other):
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes as its Fraction, which it equals
+        if len(self._d) == 1 and len(self._n) <= 1:
+            return hash(Fraction(self._n[0] if self._n else 0, self._d[0]))
+        return hash((self._n, self._d))
 
     def __repr__(self):
         return f"RatFun({_poly_repr(self.num)} / {_poly_repr(self.den)})"
+
+
+def _zderiv(a) -> tuple:
+    return tuple(i * a[i] for i in range(1, len(a)))
+
+
+_RZERO = RatFun._of(up.ZERO, up.ZONE)
 
 
 def _poly_repr(coeffs) -> str:
@@ -213,7 +287,7 @@ def _as_ratfun(x):
     if isinstance(x, RatFun):
         return x
     if isinstance(x, (int, Fraction)):
-        return RatFun.from_fraction(Fraction(x))
+        return RatFun.from_fraction(x)
     return NotImplemented
 
 
@@ -233,10 +307,17 @@ class Jet:
         self.coeffs = cs
 
     @classmethod
+    def _of(cls, coeffs: tuple) -> "Jet":
+        """The Jet of a nonempty tuple of Fractions, taken as it is."""
+        j = object.__new__(cls)
+        j.coeffs = coeffs
+        return j
+
+    @classmethod
     def from_fraction(cls, q, precision: int) -> "Jet":
         if precision < 1:
             raise ValueError("jet precision must be >= 1")
-        return cls((_as_fraction(q),) + (_ZERO,) * (precision - 1))
+        return cls._of((_as_fraction(q),) + (_ZERO,) * (precision - 1))
 
     @property
     def precision(self) -> int:
@@ -265,18 +346,18 @@ class Jet:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet._of(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(-a for a in self.coeffs))
+        return Jet._of(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet._of(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._match(other)
@@ -297,7 +378,7 @@ class Jet:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return Jet(out)
+        return Jet._of(tuple(out))
 
     __rmul__ = __mul__
 
@@ -305,12 +386,12 @@ class Jet:
         """d/ds, dropping the precision by exactly one."""
         if self.precision == 1:
             raise PrecisionExhaustedError("cannot differentiate a precision-1 jet")
-        return Jet(tuple(Fraction(k) * self.coeffs[k] for k in range(1, self.precision)))
+        return Jet._of(tuple(k * self.coeffs[k] for k in range(1, self.precision)))
 
     def truncate(self, n: int) -> "Jet":
         if not 1 <= n <= self.precision:
             raise ValueError(f"cannot truncate precision {self.precision} jet to {n}")
-        return Jet(self.coeffs[:n])
+        return Jet._of(self.coeffs[:n])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -320,6 +401,9 @@ class Jet:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a jet with no higher terms hashes as its Fraction, which it equals
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __repr__(self):
@@ -494,43 +578,30 @@ def _clear_rational_rows(rows, scales=None):
 
 
 def _clear_ratfun_rows(rows, scales=None):
-    """Scale each RatFun row to Z[t] entries (tuples of ints): by the monic
-    lcm of its denominators, then by the integer lcm of the coefficient
-    denominators that leaves (row scaling preserves the RREF).
+    """Scale each RatFun row to Z[t] entries (tuples of ints) by the Z[t]
+    lcm of its denominators (row scaling preserves the RREF).
 
-    When `scales` is a list, each row's whole multiplier, a Q[t] polynomial,
-    is appended to it."""
+    When `scales` is a list, each row's multiplier, a Z[t] polynomial with
+    a positive leading coefficient, is appended to it."""
     out = []
     for row in rows:
-        lcm = up.ONE
-        mults = {up.ONE: lcm}  # denominator -> lcm / denominator
+        lcm = up.ZONE
+        mults = {lcm: lcm}  # denominator -> lcm / denominator
         for e in row:
-            if e.den not in mults:
-                # lcm and e.den are monic, so these are the cofactors of
-                # their monic gcd: lcm grows by the second, and every
-                # multiplier with it
-                mult, grow = up.pcancel(lcm, e.den)
-                if len(grow) > 1:
-                    lcm = up.pmul(lcm, grow)
-                    mults = {d: up.pmul(m, grow) for d, m in mults.items()}
-                mults[e.den] = mult
-        polys = [  # lcm is up.ONE when every denominator is 1
-            e.num if lcm is up.ONE else up.pmul(e.num, mults[e.den])
-            for e in row
-        ]
-        zpolys, c = _split_content(polys)
+            if e._d not in mults:
+                # lcm / e._d in lowest terms: lcm grows by the second
+                # part, and every multiplier with it
+                mult, grow = up.zcancel(lcm, e._d)
+                if grow != up.ZONE:
+                    lcm = up.zmul(lcm, grow)
+                    mults = {d: up.zmul(m, grow) for d, m in mults.items()}
+                mults[e._d] = mult
         if scales is not None:
-            scales.append(tuple(x * c for x in lcm))
-        out.append(zpolys)
+            scales.append(lcm)
+        out.append([  # lcm is up.ZONE when every denominator is 1
+            e._n if lcm is up.ZONE else up.zmul(e._n, mults[e._d]) for e in row
+        ])
     return out
-
-
-def _split_content(polys):
-    """Q[t] polynomials as Z[t] numerators over one positive int denominator."""
-    q = math.lcm(*(x.denominator for poly in polys for x in poly))
-    return [
-        tuple(x.numerator * (q // x.denominator) for x in poly) for poly in polys
-    ], q
 
 
 def _jordan_poly(rows, pivot_width):
@@ -575,8 +646,8 @@ def rref(matrix: Matrix) -> RrefResult:
         out = []
         for k, c in enumerate(pivots):
             pv = work[k][c]
-            out.append(tuple(RatFun(x, pv) for x in work[k]))
-        zero_row = (RatFun.from_fraction(0),) * matrix.ncols
+            out.append(tuple(RatFun._from_z(x, pv) for x in work[k]))
+        zero_row = (_RZERO,) * matrix.ncols
     out.extend([zero_row] * (matrix.nrows - len(pivots)))
     reduced = Matrix(out, ncols=matrix.ncols, domain=matrix.domain)
     return RrefResult(matrix=reduced, pivots=tuple(pivots), rank=len(pivots))
@@ -687,11 +758,11 @@ class LinearSolver:
     and a residual row is a list of ints; a solve scales b to integers
     once, by the lcm of its denominators, and takes integer dot products.
     Over Q(t) every row stays in Z[t]: a transform row is a list of Z[t]
-    numerators over one Z[t] denominator, its pivot polynomial times the
-    row's integer content denominator, and a residual row is a list of Z[t]
-    numerators; a solve brings b to one denominator D (the polynomial lcm
-    of its denominators times an integer), takes Z[t] dot products and
-    normalizes each entry once, as RatFun(row . Db, den * D). Particular
+    numerators over one Z[t] denominator, its pivot polynomial, and a
+    residual row is a list of Z[t] numerators; a solve brings b to one
+    denominator D (the Z[t] lcm of its denominators), takes Z[t] dot
+    products and cancels each entry once on Z[t], as (row . Db) / (den *
+    D). Particular
     solutions set every free variable to zero, which (with the pinned
     pivot rule) makes results deterministic.
     """
@@ -719,21 +790,11 @@ class LinearSolver:
             n = matrix.ncols
             # as in _IntElimination, fold D back in so transform and
             # residual rows apply to the caller's b directly
-            split = [_split_content([s]) for s in scales]
-
             def fold(row):
-                # Z[t] numerators of row * scales over one integer denominator
-                d = math.lcm(*(q for x, (_, q) in zip(row, split) if x))
-                return d, [
-                    up.zmul(x, tuple(v * (d // q) for v in z))
-                    for x, ([z], q) in zip(row, split)
-                ]
+                return list(map(up.zmul, row[n:], scales))
 
-            self._transform = []
-            for k, c in enumerate(pivots):
-                d, row = fold(work[k][n:])
-                self._transform.append((up.zmul(work[k][c], (d,)), row))
-            self._residual = tuple(fold(row[n:])[1] for row in work[self.rank:])
+            self._transform = [(work[k][c], fold(work[k])) for k, c in enumerate(pivots)]
+            self._residual = tuple(fold(row) for row in work[self.rank:])
 
     def try_solve(self, b: Sequence):
         """Particular solution of M x = b with free variables 0, or None."""
@@ -760,7 +821,7 @@ class LinearSolver:
         for c, (den, row) in zip(self.pivots, self._transform):
             num = _zdot(row, b)
             if num:
-                x[c] = RatFun(num, up.pmul(den, scales[0]))
+                x[c] = RatFun._from_z(num, up.zmul(den, scales[0]))
         return tuple(x)
 
 
@@ -928,7 +989,7 @@ class JetSystemSolver:
     def _jet(self, sols, j):
         """Coordinate j of x = L y as a jet."""
         s = self._scales[j]
-        return Jet(tuple(Fraction(s * y[j], d) if y[j] else _ZERO for y, d in sols))
+        return Jet._of(tuple(Fraction(s * y[j], d) if y[j] else _ZERO for y, d in sols))
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def jet_expand(fam: FamilySpec, t0, order: int) -> HomPoly:
     domain = JetDomain(order)
     return HomPoly(
         fam.degree,
-        {e: Jet(up.ptaylor(cs, t0, order)) for e, cs in fam.terms.items()},
+        {e: Jet._of(up.ptaylor(cs, t0, order)) for e, cs in fam.terms.items()},
         domain=domain,
     )
 

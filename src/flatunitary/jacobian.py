@@ -304,12 +304,12 @@ class JacobianFiber:
         for e, x in zip(p.terms, cleared):
             b[monomial_index(e)] = x
         head = [b[c] for c in data.pivots]
-        den = up.pmul(pv, scales[0])
+        den = up.zmul(pv, scales[0])
         zero = self.domain.zero()
         coords = []
         for j, col in zip(data.cobasis_idx, data.cols):
             num = up.zsub(up.zmul(b[j], pv), _zdot(col, head))
-            coords.append(RatFun(num, den) if num else zero)
+            coords.append(RatFun._from_z(num, den) if num else zero)
         return RingElement(p.degree, tuple(coords))
 
     def representative(self, elt: RingElement) -> HomPoly:

@@ -155,7 +155,7 @@ def _stacked_kernel(cols, m: int):
     for i in ff_gauss_jordan_int(order0, len(free)):
         v = _kernel_vector(work, pivots, free[i], width)
         picks.append(
-            tuple(Jet(tuple(v[b * J + j] for b in range(m))) for j in range(J))
+            tuple(Jet._of(tuple(v[b * J + j] for b in range(m))) for j in range(J))
         )
     return picks
 
@@ -281,7 +281,7 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
         else:
             # pad the precision-(order - r) kernel vectors back to order
             combos = [
-                tuple(Jet(c.coeffs + (Fraction(0),) * r) for c in cv)
+                tuple(Jet._of(c.coeffs + (Fraction(0),) * r) for c in cv)
                 for cv in _stacked_kernel(wcols, order - r)
             ]
         trajs = [_leibniz(trajs, c) for c in combos]

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -32,6 +33,9 @@ from flatunitary.exactcore import (
 from flatunitary.jacobian import JacobianFiber
 from flatunitary.polyring import HomPoly, graded_basis, monomial_count
 from oracles import (
+    QT,
+    _frac_pair,
+    _frac_ratfun,
     naive_ff_gauss_jordan,
     naive_jet_solve,
     naive_ratfun_rref,
@@ -55,6 +59,31 @@ def _sym_poly(coeffs):
 
 def _ratfun_to_sym(r):
     return _sym_poly(r.num) / _sym_poly(r.den)
+
+
+def _zz_poly(coeffs):
+    return sympy.Poly([int(c) for c in reversed(coeffs)] or [0], t, domain=sympy.ZZ)
+
+
+@st.composite
+def scaled_ratfun_st(draw):
+    """A RatFun from a numerator and a denominator each multiplied by a
+    nonzero integer, negative ones included, with its value in QQ(t)."""
+    num = draw(poly_st(3))
+    den = draw(poly_st(2, allow_zero=False).filter(any))
+    k, m = draw(st.integers(-60, 60).filter(bool)), draw(st.integers(-60, 60).filter(bool))
+    num, den = tuple(k * c for c in num), tuple(m * c for c in den)
+    return RatFun(num, den), _frac_ratfun((num, den))
+
+
+# each operation on RatFuns a and b, and on their values in QQ(t)
+RATFUN_OPS = {
+    "+": (operator.add, operator.add),
+    "-": (operator.sub, operator.sub),
+    "*": (operator.mul, operator.mul),
+    "/": (operator.truediv, operator.truediv),
+    "d/dt": (lambda a, b: a.derivative(), lambda a, b: a.diff(QT.field.gens[0])),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +146,35 @@ class TestRatFun:
         with pytest.raises(ZeroDivisionError):
             r.evaluate(Fraction(2))
 
+    def test_constants_hash_as_their_fractions(self):
+        for q in (Fraction(3), Fraction(-2, 7), Fraction(0)):
+            r = RatFun.from_fraction(q)
+            assert r == q and hash(r) == hash(q)
+            assert len({r, q}) == 1
+        assert len({RatFun((6,), (-4,)), Fraction(-3, 2)}) == 1
+        assert len({RatFun.from_fraction(3), 3}) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scaled_ratfun_st(),
+        st.one_of(scaled_ratfun_st(), fractions_st),
+        st.sampled_from(sorted(RATFUN_OPS)),
+    )
+    def test_results_are_canonical_over_zt(self, x, y, op):
+        # y is a RatFun or a constant, so products and sums with constants
+        # (the content-only cancels) are drawn too
+        (a, fa), (b, fb) = x, y if isinstance(y, tuple) else (y, _frac_ratfun(((y,), (1,))))
+        if op == "/" and not fb:
+            return
+        on_ratfun, on_qt = RATFUN_OPS[op]
+        got, want = on_ratfun(a, b), on_qt(fa, fb)
+        n, d = got._n, got._d
+        assert all(type(c) is int for c in n + d)
+        assert d and d[-1] > 0
+        assert math.gcd(*n, *d) == 1  # jointly primitive
+        assert sympy.gcd(_zz_poly(n), _zz_poly(d)).as_expr() == 1  # coprime in Z[t]
+        assert (got.num, got.den) == _frac_pair(want)
+
 
 # ---------------------------------------------------------------------------
 # jets
@@ -131,6 +189,12 @@ class TestJet:
     def test_rationals_broadcast(self):
         assert Jet((1, 2, 3)) + 1 == Jet((2, 2, 3))
         assert 2 * Jet((1, 2, 3)) == Jet((2, 4, 6))
+
+    def test_constant_jets_hash_as_their_fractions(self):
+        for j, q in ((Jet((2, 0)), 2), (Jet((Fraction(1, 3), 0, 0)), Fraction(1, 3))):
+            assert j == q and hash(j) == hash(q)
+            assert len({j, Fraction(q)}) == 1
+        assert Jet((2, 1)) != 2
 
     @pytest.mark.parametrize("bad", [0.1, "1/2"])
     def test_inexact_coefficients_rejected(self, bad):
@@ -655,7 +719,8 @@ class TestSparseKernels:
 
 
 # ---------------------------------------------------------------------------
-# the polynomial gcd behind RatFun: heuristic on Z[t], verified, Euclid last
+# the Z[t] cancel behind RatFun: heuristic gcd, verified, remainder
+# sequence last
 
 
 big_q_st = st.builds(
@@ -693,6 +758,19 @@ def _from_qq_poly(poly):
     return up.pnorm(cs)
 
 
+def _zpoly(coeffs):
+    """A Q[t] polynomial times the lcm of its coefficient denominators."""
+    q = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (q // c.denominator) for c in coeffs)
+
+
+def _monic_gcd(a, b):
+    """The monic gcd of nonzero Z[t] polynomials a and b, read off the
+    cofactor zcancel leaves of a."""
+    g = up.zdivexact(a, up.zcancel(a, b)[0])
+    return tuple(Fraction(c, g[-1]) for c in g)
+
+
 def _spy(monkeypatch, name):
     calls = []
     real = getattr(up, name)
@@ -711,23 +789,27 @@ class TestPolynomialGcd:
     def test_gcd_matches_sympy(self, pair):
         a, b = pair
         want = _from_qq_poly(_qq_poly(a).gcd(_qq_poly(b)).monic())
-        assert up.pgcd(a, b) == want
+        assert _monic_gcd(_zpoly(a), _zpoly(b)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(gcd_pair_st())
     def test_cancel_gives_lowest_terms(self, pair):
-        a, b = pair
-        num, den = up.pcancel(a, b)
-        assert den[-1] == 1 and up.pgcd(num, den) == up.ONE
-        assert up.pmul(num, b) == up.pmul(den, a)
+        a, b = _zpoly(pair[0]), _zpoly(pair[1])
+        num, den = up.zcancel(a, b)
+        assert den[-1] > 0 and math.gcd(*num, *den) == 1
+        assert _qq_poly(num).gcd(_qq_poly(den)) == _qq_poly(up.ONE)
+        assert up.zmul(num, b) == up.zmul(den, a)
 
     def test_zero_and_constant_inputs(self):
-        f = (Fraction(2), Fraction(-4))
-        assert up.pgcd(up.ZERO, up.ZERO) == up.ZERO
-        assert up.pgcd(up.ZERO, f) == up.pgcd(f, up.ZERO) == (Fraction(-1, 2), Fraction(1))
-        assert up.pgcd((Fraction(3),), f) == up.ONE
-        assert up.pcancel(up.ZERO, f) == (up.ZERO, up.ONE)
-        assert up.pcancel(f, (Fraction(2),)) == ((Fraction(1), Fraction(-2)), up.ONE)
+        f = (2, -4)
+        with pytest.raises(ZeroDivisionError):
+            up.zcancel(up.ZERO, up.ZERO)
+        with pytest.raises(ZeroDivisionError):
+            up.zcancel(f, up.ZERO)
+        assert _monic_gcd((3,), f) == up.ONE
+        assert up.zcancel((3,), f) == ((-3,), (-2, 4))
+        assert up.zcancel(up.ZERO, f) == (up.ZERO, up.ONE)
+        assert up.zcancel(f, (2,)) == ((1, -2), up.ONE)
 
     def test_euclid_fallback_when_every_heuristic_try_fails(self, monkeypatch):
         # t and t - N with every heuristic point dividing N: gcd(xi, xi - N)
@@ -735,9 +817,9 @@ class TestPolynomialGcd:
         # divide t - N; the true gcd is 1
         fallback = _spy(monkeypatch, "_euclid_gcd")
         N = math.lcm(*range(1, 20001))
-        a, b = (Fraction(0), Fraction(1)), (Fraction(-N), Fraction(1))
-        assert up.pgcd(a, b) == up.ONE
-        assert up.pcancel(a, b) == (a, b)
+        a, b = (0, 1), (-N, 1)
+        assert _monic_gcd(a, b) == up.ONE
+        assert up.zcancel(a, b) == (a, b)
         assert len(fallback) == 2
 
     def test_heuristic_needs_no_fallback_on_random_inputs(self, monkeypatch):
@@ -749,7 +831,7 @@ class TestPolynomialGcd:
                 + (Fraction(1),)
                 for n in (rng.randint(0, 6), rng.randint(1, 8), rng.randint(1, 8))
             )
-            up.pgcd(up.pmul(g, a), up.pmul(g, b))
+            up.zcancel(_zpoly(up.pmul(g, a)), _zpoly(up.pmul(g, b)))
         assert fallback == []
 
     def test_acceptance_rejects_a_proper_divisor_of_the_gcd(self):
@@ -764,9 +846,16 @@ class TestPolynomialGcd:
         up.zdivexact(A, candidate), up.zdivexact(B, candidate)  # divides both
         assert up._accept_gcd(A, B, candidate) is None
         assert up._accept_gcd(A, B, G) == (G, (1, 1), (2, 1))
-        assert up.pgcd(tuple(map(Fraction, A)), tuple(map(Fraction, B))) == tuple(
-            map(Fraction, G)
-        )
+        assert up.zcancel(A, B) == ((1, 1), (2, 1))
+        assert _monic_gcd(A, B) == tuple(map(Fraction, G))
+
+    @settings(max_examples=30, deadline=None)
+    @given(gcd_pair_st())
+    def test_remainder_sequence_alone_matches_sympy(self, pair):
+        a, b = pair
+        want = _from_qq_poly(_qq_poly(a).gcd(_qq_poly(b)).monic())
+        with mock.patch.object(up, "_HEU_TRIES", 0):
+            assert _monic_gcd(_zpoly(a), _zpoly(b)) == want
 
     def test_acceptance_rejects_a_non_divisor(self):
         assert up._accept_gcd((1, 0, 1), (2, 3, 1), (1, 1)) is None

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flatunitary._univar as up
 from flatunitary import unitary
 from flatunitary.exactcore import (
     DomainMismatchError,
@@ -276,6 +277,15 @@ class TestUnitaryRank:
 
     def test_default_mode_tracks_degree(self, mix):
         assert unitary_rank(mix).primary.mode == "ratfun"
+
+    def test_function_field_mode_runs_on_zt_only(self, mix, monkeypatch):
+        # every RatFun is a Z[t] pair: no Fraction polynomial arithmetic
+        calls = []
+        for name in ("pmul", "padd", "pdivmod"):
+            monkeypatch.setattr(up, name, lambda *args, name=name: calls.append(name))
+        rk = unitary_rank(mix, mode="ratfun")
+        assert rk.ranks == (2, 2, 2) and rk.stable
+        assert calls == []
 
 
 def _record_calls(monkeypatch, owner, name):
