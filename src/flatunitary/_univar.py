@@ -39,11 +39,6 @@ def pnorm(coeffs) -> tuple:
     return tuple(cs)
 
 
-def pconst(c) -> tuple:
-    c = _exact(c)
-    return (c,) if c != 0 else ZERO
-
-
 def padd(a, b) -> tuple:
     if len(a) < len(b):
         a, b = b, a
@@ -53,56 +48,6 @@ def padd(a, b) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def pneg(a) -> tuple:
-    return tuple(-c for c in a)
-
-
-def psub(a, b) -> tuple:
-    return padd(a, pneg(b))
-
-
-def pmul(a, b) -> tuple:
-    if not a or not b:
-        return ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def pdivmod(a, b) -> tuple:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    if len(a) < len(b):
-        return ZERO, tuple(rem)
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv_lc = 1 / b[-1]
-    for k in range(len(quo) - 1, -1, -1):
-        coef = rem[k + len(b) - 1] * inv_lc
-        if coef != 0:
-            quo[k] = coef
-            for j, cb in enumerate(b):
-                rem[k + j] -= coef * cb
-    while rem and rem[-1] == 0:
-        rem.pop()
-    while quo and quo[-1] == 0:
-        quo.pop()
-    return tuple(quo), tuple(rem)
-
-
-def pdivexact(a, b) -> tuple:
-    q, r = pdivmod(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 def pderiv(a) -> tuple:

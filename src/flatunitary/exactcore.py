@@ -12,33 +12,29 @@ Linear algebra is pinned down to the last bit:
 * rref scans columns left to right, picks the first nonzero entry at or
   below the next pivot position, swaps it up and never reorders otherwise;
   leading entries are normalized to 1.
-* Elimination over the rationals runs only on integer rows, in two cores:
-  rref_int, a fraction-free (integer-preserving) Gauss-Jordan after which
-  every pivot row carries one common pivot value, and full_column_rank_int,
-  the two-prime rank certificate. rref and full_column_rank_certificate
-  over Q clear each row's denominators and call them; Jacobian fibres over
-  Q build their generator rows as integers and hand them to the cores
-  directly. Rational-function matrices run the same elimination over
-  Z[t], each row scaled by the Z[t] lcm of its denominators, so every
-  Bareiss quotient is an exact division of integer polynomials
-  (rref_zpoly, the Z[t] twin of rref_int, which Jacobian fibres over
-  Q(t) call on their Z[t] generator rows). This keeps
-  intermediate entries polynomial-sized instead of letting gcd-heavy
-  fraction arithmetic dominate.
-* LinearSolver keeps that elimination integral. Over Q each transform row
-  is a list of ints with one integer denominator (its pivot value), each
-  residual row a list of ints, and a solve scales the right-hand side to
-  integers once, so a query costs integer dot products and one Fraction
-  per solution entry. Over Q(t) the same holds with Z[t] in place of Z:
-  a transform row is a list of Z[t] numerators over one Z[t] denominator,
-  a solve brings b to one denominator, and each solution entry is one
-  cancel on Z[t].
+* Every field elimination is fraction-free on one integral ring, chosen
+  from the domain by a private table: Z for Q and Z[t] for Q(t). Each row
+  is scaled into the ring by the lcm of its denominators (an integer, or
+  a Z[t] polynomial), which keeps the RREF, and reduced by a Bareiss
+  kernel from flatunitary._kernels, so every quotient is an exact
+  division in the ring and entries stay minors of the input instead of
+  letting gcd-heavy fraction arithmetic dominate. rref_rows reduces rows
+  already in the ring (as Jacobian fibres build them); afterwards every
+  pivot row carries one common pivot value. rref, kernel_basis and
+  LinearSolver run on the same table and divide in the field only for the
+  entries they return.
+* LinearSolver keeps that elimination in the ring: its transform rows are
+  ring elements over one pivot value, its residual rows ring elements, and
+  a solve clears the right-hand side to the ring once, so a query costs
+  ring products and one division per solution entry (one cancel on Z[t]
+  over Q(t)).
 * kernel_basis emits one vector per free column, in increasing column
-  order, with 1 at that free column and 0 at the other free columns.
+  order, with 1 at that free column and 0 at the other free columns, read
+  straight off the fraction-free echelon rows.
 * JetSystemSolver solves M(s) x(s) = b(s) over jets order by order on
   integers: M(s) is cleared once into integer blocks, one scale per column
-  over every s-order, the order-0 block is eliminated by the integer core
-  LinearSolver uses over Q, the higher blocks are kept sparse, and each
+  over every s-order, the order-0 block is eliminated over Z by the core
+  LinearSolver uses, the higher blocks are kept sparse, and each
   order's solution is integer numerators over one reduced denominator.
   It reports the first inconsistent order on failure.
 * full_column_rank_int certifies full column rank modulo two primes,
@@ -49,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from itertools import compress, repeat
 from dataclasses import dataclass
 from fractions import Fraction
@@ -604,227 +601,6 @@ def _clear_ratfun_rows(rows, scales=None):
     return out
 
 
-def _jordan_poly(rows, pivot_width):
-    return ff_gauss_jordan_ring(
-        rows, pivot_width, up.zmul, up.zsub, up.zdivexact, operator.not_
-    )
-
-
-def rref_int(rows, ncols):
-    """Fraction-free reduced echelon form of integer rows, in place.
-
-    Returns (pivots, pivot value). Row k < rank has its pivot at
-    pivots[k] and zeros in every other pivot column; rows past the rank
-    are zero in the first ncols columns. Every pivot row ends with the
-    same pivot entry, the last pivot: each step multiplies the earlier
-    pivot rows by the new pivot and divides them by the old one. So row k
-    over the pivot value is row k of the RREF."""
-    pivots = ff_gauss_jordan_int(rows, ncols)
-    return pivots, rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-
-
-def rref_zpoly(rows, ncols):
-    """rref_int over Z[t]: rows of Z[t] polynomials (int tuples), reduced
-    in place; the pivot value is a Z[t] polynomial, (1,) with no pivots."""
-    pivots = _jordan_poly(rows, ncols)
-    return pivots, rows[len(pivots) - 1][pivots[-1]] if pivots else (1,)
-
-
-def rref(matrix: Matrix) -> RrefResult:
-    """Reduced row echelon form over a field domain (rationals or t-rational
-    functions). Same shape, zero rows at the bottom, leading entries 1."""
-    if isinstance(matrix.domain, JetDomain):
-        raise DomainMismatchError("rref over jets is not defined; use JetSystemSolver")
-    if isinstance(matrix.domain, RationalDomain):
-        work = _clear_rational_rows(matrix.rows)
-        pivots, pv = rref_int(work, matrix.ncols)
-        out = [tuple(Fraction(x, pv) for x in work[k]) for k in range(len(pivots))]
-        zero_row = (_ZERO,) * matrix.ncols
-    else:
-        work = _clear_ratfun_rows(matrix.rows)
-        pivots = _jordan_poly(work, matrix.ncols)
-        out = []
-        for k, c in enumerate(pivots):
-            pv = work[k][c]
-            out.append(tuple(RatFun._from_z(x, pv) for x in work[k]))
-        zero_row = (_RZERO,) * matrix.ncols
-    out.extend([zero_row] * (matrix.nrows - len(pivots)))
-    reduced = Matrix(out, ncols=matrix.ncols, domain=matrix.domain)
-    return RrefResult(matrix=reduced, pivots=tuple(pivots), rank=len(pivots))
-
-
-def kernel_basis(matrix: Matrix):
-    """Right-kernel basis, one vector per free column in increasing column
-    order, normalized to 1 at its own free column and 0 at the others."""
-    res = rref(matrix)
-    return _kernel_from_rref(res, matrix.domain, matrix.ncols)
-
-
-def _kernel_from_rref(res: RrefResult, domain, ncols):
-    pivots = res.pivots
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero = domain.zero()
-    one = domain.one()
-    basis = []
-    rows = res.matrix.rows
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for k, c in enumerate(pivots):
-            coeff = rows[k][f]
-            if not _is_zero(coeff):
-                v[c] = -coeff
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    return x.is_zero
-
-
-# ---------------------------------------------------------------------------
-# field solver
-
-
-class _IntElimination:
-    """One fraction-free Gauss-Jordan pass on integer rows [A | I]: the
-    order-0 core of LinearSolver over Q and of JetSystemSolver.
-
-    Every pivot row ends on one pivot value (see rref_int), so A x = c
-    with integer c is solved, free variables 0, by x[pivots[k]] =
-    (T c)_k / pv, T the transform rows and pv > 0 that pivot value, both
-    divided by their gcd; each residual row r with r . c != 0 proves it
-    inconsistent. When A is D A' for a diagonal row scaling D, passing D's
-    entries as scales folds them into both kinds of row, which then apply
-    to the right-hand side of A' x = b directly. Both are kept by columns,
-    so a product reads only c's nonzero entries: a jet order's right-hand
-    side has few of them. The rows are consumed.
-    """
-
-    __slots__ = ("pivots", "rank", "pv", "_tcols", "_rcols", "_nres")
-
-    def __init__(self, rows, ncols, scales=None):
-        nrows = len(rows)
-        for i, row in enumerate(rows):
-            row.extend(1 if j == i else 0 for j in range(nrows))
-        self.pivots = tuple(ff_gauss_jordan_int(rows, ncols))
-        self.rank = len(self.pivots)
-        pv = rows[self.rank - 1][self.pivots[-1]] if self.pivots else 1
-        if scales is None:
-            folded = [row[ncols:] for row in rows]
-        else:
-            folded = [[x * s for x, s in zip(row[ncols:], scales)] for row in rows]
-        # pv and the transform rows share most of their bits; divide out
-        # their gcd (signed to leave pv positive), and each residual row's
-        # content, which no zero test needs
-        g = pv
-        for row in folded[: self.rank]:
-            g = math.gcd(g, *row)
-        g = -g if pv < 0 else g
-        self.pv = pv // g
-        transform = [[x // g for x in row] for row in folded[: self.rank]]
-        residual = [
-            [x // h for x in row] for row in folded[self.rank :] if (h := math.gcd(*row))
-        ]
-        self._nres = len(residual)
-        self._tcols = tuple(zip(*transform)) if transform else ((),) * nrows
-        self._rcols = tuple(zip(*residual)) if residual else ((),) * nrows
-
-    def solve(self, c):
-        """The pivot coordinates' numerators over pv, or None."""
-        if self._nres and any(_combine(self._rcols, c, self._nres)):
-            return None
-        return _combine(self._tcols, c, self.rank)
-
-
-def _combine(cols, c, width):
-    """Sum_r c[r] * cols[r], a width-long list, over the nonzero c[r]."""
-    acc = [0] * width
-    for r in compress(range(len(c)), c):
-        acc = list(map(operator.add, acc, map(operator.mul, cols[r], repeat(c[r]))))
-    return acc
-
-
-class LinearSolver:
-    """Reusable exact solver for one field matrix M.
-
-    Runs one fraction-free Gauss-Jordan pass on [D M | I], D the diagonal
-    row scaling that clears denominators, and answers any number of solve
-    queries. Over Q every row stays integral (_IntElimination): the
-    transform rows are lists of ints over one positive integer denominator,
-    and a residual row is a list of ints; a solve scales b to integers
-    once, by the lcm of its denominators, and takes integer dot products.
-    Over Q(t) every row stays in Z[t]: a transform row is a list of Z[t]
-    numerators over one Z[t] denominator, its pivot polynomial, and a
-    residual row is a list of Z[t] numerators; a solve brings b to one
-    denominator D (the Z[t] lcm of its denominators), takes Z[t] dot
-    products and cancels each entry once on Z[t], as (row . Db) / (den *
-    D). Particular
-    solutions set every free variable to zero, which (with the pinned
-    pivot rule) makes results deterministic.
-    """
-
-    def __init__(self, matrix: Matrix):
-        if isinstance(matrix.domain, JetDomain):
-            raise DomainMismatchError("LinearSolver needs a field domain")
-        self.domain = matrix.domain
-        self.nrows = matrix.nrows
-        self.ncols = matrix.ncols
-        self._rational = isinstance(matrix.domain, RationalDomain)
-        scales = []
-        if self._rational:
-            self._core = _IntElimination(
-                _clear_rational_rows(matrix.rows, scales), matrix.ncols, scales
-            )
-            self.pivots, self.rank = self._core.pivots, self._core.rank
-        else:
-            work = _clear_ratfun_rows(matrix.rows, scales)
-            for i, row in enumerate(work):
-                row.extend((1,) if j == i else up.ZERO for j in range(matrix.nrows))
-            pivots = _jordan_poly(work, matrix.ncols)
-            self.pivots = tuple(pivots)
-            self.rank = len(pivots)
-            n = matrix.ncols
-            # as in _IntElimination, fold D back in so transform and
-            # residual rows apply to the caller's b directly
-            def fold(row):
-                return list(map(up.zmul, row[n:], scales))
-
-            self._transform = [(work[k][c], fold(work[k])) for k, c in enumerate(pivots)]
-            self._residual = tuple(fold(row) for row in work[self.rank:])
-
-    def try_solve(self, b: Sequence):
-        """Particular solution of M x = b with free variables 0, or None."""
-        if len(b) != self.nrows:
-            raise ValueError("rhs length does not match nrows")
-        zero = self.domain.zero()
-        x = [zero] * self.ncols
-        if self._rational:
-            try:
-                scale = math.lcm(*(e.denominator for e in b))
-            except AttributeError:
-                raise DomainMismatchError("rhs is not rational") from None
-            nums = self._core.solve([e.numerator * (scale // e.denominator) for e in b])
-            if nums is None:
-                return None
-            den = self._core.pv * scale
-            for c, num in zip(self.pivots, nums):
-                x[c] = Fraction(num, den)
-            return tuple(x)
-        scales = []
-        (b,) = _clear_ratfun_rows([[self.domain.coerce(e) for e in b]], scales)
-        if any(_zdot(row, b) for row in self._residual):
-            return None
-        for c, (den, row) in zip(self.pivots, self._transform):
-            num = _zdot(row, b)
-            if num:
-                x[c] = RatFun._from_z(num, up.zmul(den, scales[0]))
-        return tuple(x)
-
-
 def _int_dot(row, vec):
     return sum(map(operator.mul, row, vec))
 
@@ -843,6 +619,228 @@ def _zdot(row, vec):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _eliminate_int(rows, ncols):
+    # the kernel is looked up when called, so a rebinding of this module's
+    # name (a tracing wrapper) is seen
+    return ff_gauss_jordan_int(rows, ncols)
+
+
+def _eliminate_zpoly(rows, ncols):
+    return ff_gauss_jordan_ring(rows, ncols, up.zmul, up.zsub, up.zdivexact, operator.not_)
+
+
+def _reduce_int(pv, transform, residual):
+    # pv and the transform rows share most of their bits; divide out their
+    # gcd (signed to leave pv positive), and each residual row's content,
+    # which no zero test needs
+    g = pv
+    for row in transform:
+        g = math.gcd(g, *row)
+    g = -g if pv < 0 else g
+    return (
+        pv // g,
+        [[x // g for x in row] for row in transform],
+        [[x // h for x in row] for row in residual if (h := math.gcd(*row))],
+    )
+
+
+def _reduce_zpoly(pv, transform, residual):
+    return pv, transform, [row for row in residual if any(row)]
+
+
+# The integral ring that a field domain's fraction-free elimination runs
+# on: Z for Q, Z[t] for Q(t). frac(n, d) is n / d in the field; clear(rows,
+# scales) scales field rows into the ring (see _clear_rational_rows);
+# eliminate(rows, ncols) is the in-place Bareiss kernel, returning the
+# pivots; reduce(pv, transform, residual) shrinks an _Elimination's rows
+# over their pivot value pv and drops its zero residual rows.
+_Ring = namedtuple("_Ring", "zero one mul sub add dot frac clear eliminate reduce")
+
+
+# Z keeps the C-level int operations: the jet solver's order-0 products
+# run on them
+_RINGS = {
+    RationalDomain: _Ring(
+        0, 1, operator.mul, operator.sub, operator.add, _int_dot, Fraction,
+        _clear_rational_rows, _eliminate_int, _reduce_int,
+    ),
+    RatFunDomain: _Ring(
+        up.ZERO, up.ZONE, up.zmul, up.zsub, up.zadd, _zdot, RatFun._from_z,
+        _clear_ratfun_rows, _eliminate_zpoly, _reduce_zpoly,
+    ),
+}
+
+
+def _ring(domain) -> _Ring:
+    """The ring of a field domain; jets have none."""
+    try:
+        return _RINGS[type(domain)]
+    except KeyError:
+        raise DomainMismatchError(
+            f"no elimination over the {domain.name} domain; use JetSystemSolver"
+        ) from None
+
+
+def rref_rows(rows, ncols, ring):
+    """Fraction-free reduced echelon form of rows over ring, in place.
+
+    Returns (pivots, pivot value). Row k < rank has its pivot at
+    pivots[k] and zeros in every other pivot column; rows past the rank
+    are zero in the first ncols columns. Every pivot row ends with the
+    same pivot entry, the last pivot: each step multiplies the earlier
+    pivot rows by the new pivot and divides them by the old one. So row k
+    over the pivot value is row k of the RREF. With no pivots the pivot
+    value is the ring's 1."""
+    pivots = ring.eliminate(rows, ncols)
+    return pivots, rows[len(pivots) - 1][pivots[-1]] if pivots else ring.one
+
+
+def rref(matrix: Matrix) -> RrefResult:
+    """Reduced row echelon form over a field domain (rationals or t-rational
+    functions). Same shape, zero rows at the bottom, leading entries 1."""
+    ring = _ring(matrix.domain)
+    work = ring.clear(matrix.rows)
+    pivots, pv = rref_rows(work, matrix.ncols, ring)
+    out = [tuple(ring.frac(x, pv) for x in work[k]) for k in range(len(pivots))]
+    out.extend([(matrix.domain.zero(),) * matrix.ncols] * (matrix.nrows - len(pivots)))
+    reduced = Matrix(out, ncols=matrix.ncols, domain=matrix.domain)
+    return RrefResult(matrix=reduced, pivots=tuple(pivots), rank=len(pivots))
+
+
+def kernel_basis(matrix: Matrix):
+    """Right-kernel basis, one vector per free column in increasing column
+    order, normalized to 1 at its own free column and 0 at the others."""
+    ring = _ring(matrix.domain)
+    work = ring.clear(matrix.rows)
+    pivots = ring.eliminate(work, matrix.ncols)
+    pivot_set = set(pivots)
+    return tuple(
+        tuple(_kernel_vector(work, pivots, f, matrix.ncols, ring))
+        for f in range(matrix.ncols)
+        if f not in pivot_set
+    )
+
+
+def _kernel_vector(rows, pivots, f, width, ring):
+    """The canonical kernel vector of free column f, read off the
+    fraction-free echelon rows over ring: 1 at f, -rows[k][f] / rows[k][c]
+    at each pivot column c = pivots[k], 0 elsewhere."""
+    v = [ring.frac(ring.zero, ring.one)] * width
+    v[f] = ring.frac(ring.one, ring.one)
+    for row, c in zip(rows, pivots):
+        if row[f]:
+            v[c] = ring.frac(ring.sub(ring.zero, row[f]), row[c])
+    return v
+
+
+def _is_zero(x) -> bool:
+    if isinstance(x, Fraction):
+        return x == 0
+    return x.is_zero
+
+
+# ---------------------------------------------------------------------------
+# field solver
+
+
+class _Elimination:
+    """One fraction-free Gauss-Jordan pass on rows [A | I] over a field's
+    ring (Z or Z[t]): the core of LinearSolver, and over Z of
+    JetSystemSolver's order 0.
+
+    Every pivot row ends on one pivot value (see rref_rows), so A x = c
+    with c over the ring is solved, free variables 0, by x[pivots[k]] =
+    (T c)_k / pv, T the transform rows and pv that pivot value; each
+    residual row r with r . c != 0 proves it inconsistent. The ring's
+    reduce step shrinks them first: over Z it divides pv and T by their
+    gcd, leaving pv > 0, and each residual row by its content. When A is
+    D A' for a diagonal row scaling D, passing D's entries as scales folds
+    them into both kinds of row, which then apply to the right-hand side
+    of A' x = b directly. Both are kept by columns, so a product reads
+    only c's nonzero entries: a jet order's right-hand side has few of
+    them. The rows are consumed.
+    """
+
+    __slots__ = ("pivots", "rank", "pv", "_ring", "_tcols", "_rcols", "_nres")
+
+    def __init__(self, rows, ncols, ring, scales=None):
+        nrows = len(rows)
+        for i, row in enumerate(rows):
+            row.extend(ring.one if j == i else ring.zero for j in range(nrows))
+        pivots, pv = rref_rows(rows, ncols, ring)
+        self.pivots = tuple(pivots)
+        self.rank = len(pivots)
+        if scales is None:
+            folded = [row[ncols:] for row in rows]
+        else:
+            folded = [list(map(ring.mul, row[ncols:], scales)) for row in rows]
+        self.pv, transform, residual = ring.reduce(
+            pv, folded[: self.rank], folded[self.rank :]
+        )
+        self._ring = ring
+        self._nres = len(residual)
+        self._tcols = tuple(zip(*transform)) if transform else ((),) * nrows
+        self._rcols = tuple(zip(*residual)) if residual else ((),) * nrows
+
+    def solve(self, c):
+        """The pivot coordinates' numerators over pv, or None."""
+        if self._nres and any(_combine(self._rcols, c, self._nres, self._ring)):
+            return None
+        return _combine(self._tcols, c, self.rank, self._ring)
+
+
+def _combine(cols, c, width, ring):
+    """Sum_r c[r] * cols[r], a width-long list, over the nonzero c[r]."""
+    add, mul = ring.add, ring.mul
+    acc = [ring.zero] * width
+    for r in compress(range(len(c)), c):
+        acc = list(map(add, acc, map(mul, cols[r], repeat(c[r]))))
+    return acc
+
+
+class LinearSolver:
+    """Reusable exact solver for one field matrix M.
+
+    Runs one fraction-free Gauss-Jordan pass (_Elimination) on [D M | I]
+    over the field's ring, Z for Q and Z[t] for Q(t), D the diagonal row
+    scaling that clears denominators, and answers any number of solve
+    queries. The transform rows are ring elements over one pivot value and
+    the residual rows ring elements; a solve clears b to the ring once, by
+    the lcm of its denominators (an integer over Q, a Z[t] polynomial over
+    Q(t)), takes products over the ring and makes each solution entry by
+    one division in the field (one cancel on Z[t] over Q(t)). Particular
+    solutions set every free variable to zero, which (with the pinned
+    pivot rule) makes results deterministic.
+    """
+
+    def __init__(self, matrix: Matrix):
+        self._ring = _ring(matrix.domain)
+        self.domain = matrix.domain
+        self.nrows = matrix.nrows
+        self.ncols = matrix.ncols
+        scales = []
+        self._core = _Elimination(
+            self._ring.clear(matrix.rows, scales), matrix.ncols, self._ring, scales
+        )
+        self.pivots, self.rank = self._core.pivots, self._core.rank
+
+    def try_solve(self, b: Sequence):
+        """Particular solution of M x = b with free variables 0, or None."""
+        if len(b) != self.nrows:
+            raise ValueError("rhs length does not match nrows")
+        ring, scales = self._ring, []
+        (c,) = ring.clear([[self.domain.coerce(e) for e in b]], scales)
+        nums = self._core.solve(c)
+        if nums is None:
+            return None
+        den = ring.mul(self._core.pv, scales[0])
+        x = [self.domain.zero()] * self.ncols
+        for col, num in zip(self.pivots, nums):
+            if num:
+                x[col] = ring.frac(num, den)
+        return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +884,8 @@ class JetSystemSolver:
     s-order (_JetColumns): M_k = A_k L^-1 with integer blocks A_k, and x =
     L y where A(s) y(s) = b(s). Scaling columns scales every minor by a
     nonzero factor, so A_0 has M_0's pivots and the same particular
-    solution up to L. A_0 is eliminated once by _IntElimination, the
-    integer core of LinearSolver over Q; A_1..A_{N-1} keep only their
+    solution up to L. A_0 is eliminated once over Z by _Elimination, the
+    core of LinearSolver; A_1..A_{N-1} keep only their
     nonzero rows, each as its nonzero columns and entries. Each order's
     y_k is kept as integer numerators over one gcd-reduced denominator, so
     order k solves A_0 y_k = b_k - Sum_i A_i y_{k-i} with that right-hand
@@ -921,7 +919,7 @@ class JetSystemSolver:
             (k, tuple((r, js, vals) for r, (js, vals) in higher[k].items()))
             for k in sorted(higher)
         )
-        self.order0 = _IntElimination(rows0, self.ncols)
+        self.order0 = _Elimination(rows0, self.ncols, _ring(RATIONAL))
 
     def try_solve(self, b: Sequence, order0_value=None, *, _columns=None):
         """Solve to the precision of b: jets of one precision m <= N.

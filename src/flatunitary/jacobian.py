@@ -15,14 +15,16 @@ reuses the order-0 echelon data order by order, so only rational
 elimination ever runs.
 
 Over the rationals, over Q(t) and over jets no scalar matrix is built for
-a fibre or its normal forms. Each partial F_i is cleared of denominators
-once, to Z or to Z[t], and every generator row Y^m * F_i is
-F_i's cleared coefficients placed at the monomial indices of Y^m times its
-terms: the rows a Matrix of generator vectors would get by scaling each
-row by the lcm of its denominators. The certificate and the echelon data
-come from fraction-free elimination of these rows; over Q(t) the
-certificate tests the rows at integer points of the t-line. A normal form
-clears p once and takes integer (or Z[t]) dot products. Over jets each
+a fibre or its normal forms. A fibre over Q or Q(t) holds the field's
+fraction-free ring from exactcore's table (Z or Z[t]) and runs one code
+path on it. Each partial F_i is cleared into the ring once, and every
+generator row Y^m * F_i is F_i's cleared coefficients placed at the
+monomial indices of Y^m times its terms: the rows a Matrix of generator
+vectors would get by scaling each row by the lcm of its denominators. The
+certificate and the echelon data come from fraction-free elimination of
+these rows (rref_rows); over Q(t) the certificate tests the rows at
+integer points of the t-line. A normal form clears p into the ring once
+and takes dot products there. Over jets each
 partial is cleared once over all its s-coefficients, and the jet column
 solver of a degree takes its generator columns from these integers in the
 same way, one scale per partial (JetSystemSolver scales columns, not
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _univar as up
 from .exactcore import (
@@ -47,17 +48,13 @@ from .exactcore import (
     JetSystemSolver,
     LinearSolver,
     Matrix,
-    RatFun,
     RationalDomain,
     full_column_rank_int,
     rref,
-    rref_int,
-    rref_zpoly,
+    rref_rows,
     _JetColumns,
-    _clear_ratfun_rows,
-    _int_dot,
     _is_zero,
-    _zdot,
+    _ring,
 )
 from .polyring import (
     HomPoly,
@@ -118,11 +115,10 @@ class _DegreeData:
 
     cols[i] lists the entries of the echelon rows in the column of the
     i-th cobasis monomial; the pivot columns are implied. The rows are the
-    fraction-free Gauss-Jordan rows of the generator rows cleared to Z
-    (over Q) or to Z[t] (over Q(t)), and RREF row k is echelon row k over
-    the one pivot_value, an int or a Z[t] polynomial: each elimination
-    step multiplies the earlier pivot rows by the new pivot and divides
-    them by the old one, so every pivot row ends on the last pivot.
+    fraction-free Gauss-Jordan rows (rref_rows) of the generator rows over
+    the fibre's ring, and RREF row k is echelon row k over the one
+    pivot_value, a ring element (the ring's 1 when there are no
+    generators).
     """
 
     __slots__ = ("degree", "pivots", "cobasis_idx", "dim", "cols", "pivot_value")
@@ -153,17 +149,18 @@ class JacobianFiber:
     def _setup(self, F: HomPoly):
         if F.degree < 3:
             raise ValueError(f"curve degree must be >= 3, got {F.degree}")
-        if F.is_zero:
-            raise ValueError("zero polynomial does not define a curve")
         self.F = F
         self.d = F.degree
         self.genus = genus_of_degree(self.d)
         self.domain = F.domain
         self.partials = tuple(poly_partial(F, i) for i in range(3))
-        self._rational = isinstance(F.domain, RationalDomain)
-        # over jets each entry is (scale, terms), see _integer_jet_terms
-        integer_terms = _integer_jet_terms if isinstance(F.domain, JetDomain) else _integer_terms
-        self._int_partials = tuple(integer_terms(P) for P in self.partials)
+        if isinstance(F.domain, JetDomain):
+            # each entry is (scale, terms), see _integer_jet_terms
+            self._ring = None
+            self._int_partials = tuple(_integer_jet_terms(P) for P in self.partials)
+        else:
+            self._ring = _ring(F.domain)
+            self._int_partials = tuple(_integer_terms(P, self._ring) for P in self.partials)
         self._degree_data = {}
         self._column_solvers = {}
         self._order0 = None
@@ -198,11 +195,11 @@ class JacobianFiber:
         return vecs
 
     def _int_generator_rows(self, k: int):
-        """The generator vectors, each scaled to Z (over Q) or Z[t] (over
-        Q(t)) by the lcm of its denominators, which are its partial's."""
+        """The generator vectors, each scaled into the fibre's ring by the
+        lcm of its denominators, which are its partial's."""
         mult_deg = k - (self.d - 1)
         ncols = monomial_count(k)
-        zero = 0 if self._rational else up.ZERO
+        zero = self._ring.zero
         rows = []
         for terms in self._int_partials:
             for m0, m1, m2 in graded_basis(mult_deg):
@@ -215,10 +212,10 @@ class JacobianFiber:
     def _smoothness_certificate(self, cert_degree: int):
         ncols = monomial_count(cert_degree)
         rows = self._int_generator_rows(cert_degree)
-        if self._rational:
+        if isinstance(self.domain, RationalDomain):
             if full_column_rank_int(rows, ncols):
                 return {"degree": cert_degree, "dim": 0, "method": "reduction"}
-            rank = len(rref_int(rows, ncols)[0])
+            rank = len(rref_rows(rows, ncols, self._ring)[0])
         else:
             # a specialization t = a never has larger rank than the rows
             # over Q(t), so full rank at one point certifies it
@@ -237,11 +234,10 @@ class JacobianFiber:
             return self._degree_data[k]
         ncols = monomial_count(k)
         if k < self.d - 1:  # no generators
-            data = _DegreeData(k, (), (), ncols, 1 if self._rational else (1,))
+            data = _DegreeData(k, (), (), ncols, self._ring.one)
         else:
             rows = self._int_generator_rows(k)
-            eliminate = rref_int if self._rational else rref_zpoly
-            pivots, pivot_value = eliminate(rows, ncols)
+            pivots, pivot_value = rref_rows(rows, ncols, self._ring)
             data = _DegreeData(k, rows[: len(pivots)], pivots, ncols, pivot_value)
         self._degree_data[k] = data
         return data
@@ -286,31 +282,17 @@ class JacobianFiber:
             return RingElement(p.degree, x)
         # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j, with p
         # cleared to b / scale and RREF row k the echelon row over pv
-        pv = data.pivot_value
-        if self._rational:
-            scale = math.lcm(*(c.denominator for c in p.terms.values()))
-            b = [0] * monomial_count(p.degree)
-            for e, c in p.terms.items():
-                b[monomial_index(e)] = c.numerator * (scale // c.denominator)
-            head = [b[c] for c in data.pivots]
-            coords = tuple(
-                Fraction(b[j] * pv - _int_dot(col, head), pv * scale)
-                for j, col in zip(data.cobasis_idx, data.cols)
-            )
-            return RingElement(p.degree, coords)
-        scales = []
-        (cleared,) = _clear_ratfun_rows([list(p.terms.values())], scales)
-        b = [up.ZERO] * monomial_count(p.degree)
+        ring, pv, scales = self._ring, data.pivot_value, []
+        (cleared,) = ring.clear([list(p.terms.values())], scales)
+        b = [ring.zero] * monomial_count(p.degree)
         for e, x in zip(p.terms, cleared):
             b[monomial_index(e)] = x
         head = [b[c] for c in data.pivots]
-        den = up.zmul(pv, scales[0])
-        zero = self.domain.zero()
-        coords = []
-        for j, col in zip(data.cobasis_idx, data.cols):
-            num = up.zsub(up.zmul(b[j], pv), _zdot(col, head))
-            coords.append(RatFun._from_z(num, den) if num else zero)
-        return RingElement(p.degree, tuple(coords))
+        den = ring.mul(pv, scales[0])
+        return RingElement(p.degree, tuple(
+            ring.frac(ring.sub(ring.mul(b[j], pv), ring.dot(col, head)), den)
+            for j, col in zip(data.cobasis_idx, data.cols)
+        ))
 
     def representative(self, elt: RingElement) -> HomPoly:
         """The canonical polynomial representative, supported on the cobasis.
@@ -402,14 +384,11 @@ class JacobianFiber:
         return nf.coords[-1]
 
 
-def _integer_terms(P: HomPoly):
-    """P's terms as (exponent, int) pairs over Q, (exponent, Z[t]
-    polynomial) pairs over Q(t): P times the lcm of its coefficient
-    denominators (over Q(t), the row multiplier of _clear_ratfun_rows)."""
-    if isinstance(P.domain, RationalDomain):
-        q = math.lcm(*(c.denominator for c in P.terms.values()))
-        return tuple((e, c.numerator * (q // c.denominator)) for e, c in P.terms.items())
-    (row,) = _clear_ratfun_rows([list(P.terms.values())])
+def _integer_terms(P: HomPoly, ring):
+    """P's terms as (exponent, ring element) pairs, int over Q and Z[t]
+    polynomial over Q(t): P cleared to the ring as one row, by the lcm of
+    its coefficient denominators."""
+    (row,) = ring.clear([list(P.terms.values())])
     return tuple(zip(P.terms, row))
 
 

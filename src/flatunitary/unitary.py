@@ -37,9 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
-from ._kernels import ff_gauss_jordan_int
 from .exactcore import (
     ExactCoreError,
     Jet,
@@ -50,6 +49,8 @@ from .exactcore import (
     RATIONAL,
     _as_fraction,
     _is_zero,
+    _kernel_vector,
+    _ring,
     kernel_basis,
 )
 from .family import (
@@ -132,16 +133,17 @@ def _stacked_kernel(cols, m: int):
     coeffs = [
         [[col[r].coeffs[k] for col in cols] for r in range(nrows)] for k in range(m)
     ]
-    work = []
-    for a in range(m):
-        for r in range(nrows):
-            # block column b holds the order a - b coefficients, b = 0..a
-            row = [e for k in range(a, -1, -1) for e in coeffs[k][r]]
-            scale = lcm(*(e.denominator for e in row))
-            row = [e.numerator * (scale // e.denominator) for e in row]
-            row.extend([0] * (width - len(row)))
-            work.append(row)
-    pivots = ff_gauss_jordan_int(work, width)
+    # block column b of row block a holds the order a - b coefficients,
+    # b = 0..a
+    z = _ring(RATIONAL)
+    work = z.clear(
+        [e for k in range(a, -1, -1) for e in coeffs[k][r]]
+        for a in range(m)
+        for r in range(nrows)
+    )
+    for row in work:
+        row.extend([0] * (width - len(row)))
+    pivots = z.eliminate(work, width)
     pivot_set = set(pivots)
     free = [f for f in range(width) if f not in pivot_set]
     # The order-0 parts of the canonical vectors, one column per free
@@ -152,24 +154,12 @@ def _stacked_kernel(cols, m: int):
     order0 = [[row[f] for f in free] for row, c in zip(work, pivots) if c < J]
     order0 += [[int(f == j) for f in free] for j in range(J) if j not in pivot_set]
     picks = []
-    for i in ff_gauss_jordan_int(order0, len(free)):
-        v = _kernel_vector(work, pivots, free[i], width)
+    for i in z.eliminate(order0, len(free)):
+        v = _kernel_vector(work, pivots, free[i], width, z)
         picks.append(
             tuple(Jet._of(tuple(v[b * J + j] for b in range(m))) for j in range(J))
         )
     return picks
-
-
-def _kernel_vector(work, pivots, f, width):
-    """The canonical kernel vector of free column f, read off the
-    fraction-free echelon form: 1 at f, -work[k][f] / work[k][c] at each
-    pivot column c = pivots[k], 0 elsewhere."""
-    v = [Fraction(0)] * width
-    v[f] = Fraction(1)
-    for row, c in zip(work, pivots):
-        if row[f]:
-            v[c] = Fraction(-row[f], row[c])
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,72 @@ def naive_stacked_kernel(cols, m):
     return picks
 
 
+def naive_canonical_kernel(red, pivots, ncols, zero, one, neg):
+    """The canonical kernel basis read off a reduced row echelon form
+    (red, pivots): for each free column f, in increasing order, the vector
+    with one at f, zero at the other free columns and neg((red row k)[f])
+    at pivot column pivots[k]."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, c in zip(red, pivots):
+            v[c] = neg(row[f])
+        basis.append(tuple(v))
+    return basis
+
+
 def naive_kernel_dim(rows, ncols):
     red, pivots = naive_rref([list(r) for r in rows]) if rows else ([], ())
     return ncols - len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q: Fraction coefficient tuples, ascending powers, no
+# trailing zeros
+
+
+def _trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def qpoly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def qpoly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
+
+
+def qpoly_divexact(a, b):
+    """a / b over Q by long division; ArithmeticError on a remainder."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q = rem[k + len(b) - 1] / b[-1]
+        quo[k] = q
+        for j, cb in enumerate(b):
+            rem[k + j] -= q * cb
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return _trim(quo)
 
 
 # ---------------------------------------------------------------------------

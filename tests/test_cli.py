@@ -75,6 +75,18 @@ class TestExitCodes:
         assert report["error"]["kind"] == "no-smooth-fibre"
         assert "result" not in report
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["hodge"], ["higgs"], ["mu-report"], ["unitary-rank", "--mode", "jet"]],
+    )
+    def test_zero_fibre_at_given_basepoint(self, argv, tmp_path):
+        # a valid family whose fibre at t = 0 is the zero form
+        family = "T*Y0^4 + T*Y1^4 + T*Y2^4"
+        report, code = run_to_dict([argv[0], family, "--t0", "0", *argv[1:]], tmp_path)
+        assert code == 3
+        assert report["error"]["kind"] == "no-smooth-fibre"
+        assert "dim R_7 = 36" in report["error"]["detail"]
+
     def test_family_without_smooth_fibre(self, tmp_path):
         report, code = run_to_dict(["validate", "Y1^2*Y2 - Y0^3"], tmp_path)
         assert code == 3

@@ -98,6 +98,14 @@ class TestSingularityDetection:
                 make_fiber(specialize(mix, t0))
         make_fiber(specialize(mix, Fraction(1)))  # and not at t = 1
 
+    def test_zero_fibre_is_singular(self):
+        # every coefficient carries T, so the fibre at t = 0 is the zero
+        # form: every point is singular and R_7 is all of degree 7
+        fam = parse_family("T*Y0^4 + T*Y1^4 + T*Y2^4")
+        with pytest.raises(SingularFibreError, match="dim R_7 = 36") as exc:
+            make_fiber(specialize(fam, Fraction(0)))
+        assert exc.value.degree == 7
+
 
 class TestNormalForm:
     def test_ideal_members_reduce_to_zero(self, mix):
