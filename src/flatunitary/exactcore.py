@@ -15,12 +15,13 @@ Linear algebra is pinned down to the last bit:
 * Every field elimination is fraction-free on one integral ring, chosen
   from the domain by a private table: Z for Q and Z[t] for Q(t). Each row
   is scaled into the ring by the lcm of its denominators (an integer, or
-  a Z[t] polynomial), which keeps the RREF, and reduced by a Bareiss
-  kernel from flatunitary._kernels, so every quotient is an exact
-  division in the ring and entries stay minors of the input instead of
-  letting gcd-heavy fraction arithmetic dominate. rref_rows reduces rows
-  already in the ring (as Jacobian fibres build them); afterwards every
-  pivot row carries one common pivot value. rref, kernel_basis and
+  a Z[t] polynomial), which keeps the RREF, and reduced by a kernel from
+  flatunitary._kernels instead of gcd-heavy fraction arithmetic: over Z
+  on primitive rows, each divided by its content and so never larger
+  than the Bareiss row it stands for; over Z[t] by Bareiss steps, exact
+  divisions that keep entries minors of the input. rref_rows reduces
+  rows already in the ring (as Jacobian fibres build them); afterwards
+  every pivot row carries one common pivot value. rref, kernel_basis and
   LinearSolver run on the same table and divide in the field only for the
   entries they return.
 * LinearSolver keeps that elimination in the ring: its transform rows are
@@ -653,8 +654,8 @@ def _reduce_zpoly(pv, transform, residual):
 # The integral ring that a field domain's fraction-free elimination runs
 # on: Z for Q, Z[t] for Q(t). frac(n, d) is n / d in the field; clear(rows,
 # scales) scales field rows into the ring (see _clear_rational_rows);
-# eliminate(rows, ncols) is the in-place Bareiss kernel, returning the
-# pivots; reduce(pv, transform, residual) shrinks an _Elimination's rows
+# eliminate(rows, ncols) is the in-place fraction-free kernel, returning
+# the pivots; reduce(pv, transform, residual) shrinks an _Elimination's rows
 # over their pivot value pv and drops its zero residual rows.
 _Ring = namedtuple("_Ring", "zero one mul sub add dot frac clear eliminate reduce")
 
@@ -689,10 +690,11 @@ def rref_rows(rows, ncols, ring):
     Returns (pivots, pivot value). Row k < rank has its pivot at
     pivots[k] and zeros in every other pivot column; rows past the rank
     are zero in the first ncols columns. Every pivot row ends with the
-    same pivot entry, the last pivot: each step multiplies the earlier
-    pivot rows by the new pivot and divides them by the old one. So row k
-    over the pivot value is row k of the RREF. With no pivots the pivot
-    value is the ring's 1."""
+    same pivot entry, the pivot value, so row k over it is row k of the
+    RREF: over Z the least common denominator of the reduced rows (the
+    kernel keeps rows primitive and scales the pivot rows to it at the
+    end), over Z[t] the last Bareiss pivot. With no pivots the pivot value
+    is the ring's 1."""
     pivots = ring.eliminate(rows, ncols)
     return pivots, rows[len(pivots) - 1][pivots[-1]] if pivots else ring.one
 
@@ -753,9 +755,11 @@ class _Elimination:
     Every pivot row ends on one pivot value (see rref_rows), so A x = c
     with c over the ring is solved, free variables 0, by x[pivots[k]] =
     (T c)_k / pv, T the transform rows and pv that pivot value; each
-    residual row r with r . c != 0 proves it inconsistent. The ring's
-    reduce step shrinks them first: over Z it divides pv and T by their
-    gcd, leaving pv > 0, and each residual row by its content. When A is
+    residual row r with r . c != 0 proves it inconsistent. Over Z, pv is
+    the least common denominator of the reduced rows [A | I] and the
+    residual rows are primitive. The ring's reduce step shrinks them
+    further: over Z it divides pv and T by their gcd, leaving pv > 0, and
+    each residual row by its content, after the scales below. When A is
     D A' for a diagonal row scaling D, passing D's entries as scales folds
     them into both kinds of row, which then apply to the right-hand side
     of A' x = b directly. Both are kept by columns, so a product reads

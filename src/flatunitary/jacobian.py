@@ -117,8 +117,10 @@ class _DegreeData:
     i-th cobasis monomial; the pivot columns are implied. The rows are the
     fraction-free Gauss-Jordan rows (rref_rows) of the generator rows over
     the fibre's ring, and RREF row k is echelon row k over the one
-    pivot_value, a ring element (the ring's 1 when there are no
-    generators).
+    pivot_value, a ring element: over Z the least common denominator of
+    the RREF, so the echelon rows are its numerators over one denominator;
+    over Z[t] the last Bareiss pivot; the ring's 1 when there are no
+    generators.
     """
 
     __slots__ = ("degree", "pivots", "cobasis_idx", "dim", "cols", "pivot_value")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .exactcore import (
     ExactCoreError,
@@ -118,31 +118,38 @@ def _stacked_kernel(cols, m: int):
 
     cols: J coordinate vectors of jets (precision at least m). Couples all
     jet orders of Sum_j c_j(s) cols_j(s) = 0 (mod s^m) into one
-    block-Toeplitz system, built directly as integer rows (each row scaled
-    by the lcm of its denominators, which keeps the RREF) and eliminated
-    fraction-free. Returns kernel vectors c (tuples of precision-m jets)
-    whose order-0 parts are independent and span the order-0 values of
-    all solutions, chosen greedily from the canonical kernel basis (one
-    vector per free column f: 1 at f, 0 at the other free columns). Their
-    number is the level rank.
+    block-Toeplitz system of integer rows: each row r of W(s) is cleared
+    of denominators once, by one lcm over all of its orders, and every
+    stacked row of it keeps that scale, which keeps the RREF. The
+    elimination (ff_gauss_jordan_int) keeps its rows primitive, which
+    divides out what that shared scale leaves over. Returns kernel
+    vectors c (tuples of precision-m jets) whose order-0 parts are
+    independent and span the order-0 values of all solutions, chosen
+    greedily from the canonical kernel basis (one vector per free column
+    f: 1 at f, 0 at the other free columns). Their number is the level
+    rank.
     """
     J = len(cols)
     nrows = len(cols[0])
     width = m * J
-    # coeffs[k][r]: the order-k coefficients of row r, one per column
-    coeffs = [
-        [[col[r].coeffs[k] for col in cols] for r in range(nrows)] for k in range(m)
-    ]
+    # coeffs[r][k]: the order-k coefficients of row r, one per column,
+    # over one scale for the row
+    coeffs = []
+    for r in range(nrows):
+        entries = [col[r].coeffs[:m] for col in cols]
+        scale = lcm(*(c.denominator for e in entries for c in e))
+        coeffs.append([
+            [e[k].numerator * (scale // e[k].denominator) for e in entries]
+            for k in range(m)
+        ])
     # block column b of row block a holds the order a - b coefficients,
     # b = 0..a
-    z = _ring(RATIONAL)
-    work = z.clear(
-        [e for k in range(a, -1, -1) for e in coeffs[k][r]]
+    work = [
+        [e for k in range(a, -1, -1) for e in coeffs[r][k]] + [0] * ((m - 1 - a) * J)
         for a in range(m)
         for r in range(nrows)
-    )
-    for row in work:
-        row.extend([0] * (width - len(row)))
+    ]
+    z = _ring(RATIONAL)
     pivots = z.eliminate(work, width)
     pivot_set = set(pivots)
     free = [f for f in range(width) if f not in pivot_set]

@@ -17,16 +17,18 @@ QT = sympy.QQ.frac_field(T)
 # plain-Fraction Gauss-Jordan with the same pinned pivot rule
 
 
-def naive_rref(rows):
+def naive_rref(rows, ncols=None):
     """Textbook reduced row echelon form over Fraction.
 
     Pivot rule: scan columns left to right, take the first nonzero entry
     at or below the next pivot row, swap it up. Returns (rows, pivots).
+    Given ncols, pivots are searched in the first ncols columns only and
+    the columns past them are carried along (augmented columns).
     """
     rows = [[Fraction(x) for x in row] for row in rows]
     if not rows:
         return rows, ()
-    nrows, ncols = len(rows), len(rows[0])
+    nrows, ncols = len(rows), len(rows[0]) if ncols is None else ncols
     pivots = []
     r = 0
     for c in range(ncols):

@@ -379,7 +379,8 @@ class TestRationalElimination:
                 b, m, lambda x, y: x * y, lambda x, y: x - y, divexact, lambda x: x == 0
             )
             assert piv_a == piv_b
-            assert a == b
+            # the ring kernel holds the dense loop's rows (TestSparseKernels)
+            _assert_primitive_rows(rows, m, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +721,24 @@ def _position(objects, row):
     return k
 
 
+def _assert_primitive_rows(rows, ncols, got, dense):
+    """ff_gauss_jordan_int's rows `got` from integer `rows`, against the
+    dense fraction-free loop's rows `dense`: each is a nonzero rational
+    multiple of the dense row, the pivot rows are L times the RREF rows, L
+    the least common denominator of the RREF, and every row past the rank
+    is primitive."""
+    for g, d in zip(got, dense):
+        j = next((j for j, x in enumerate(d) if x), None)
+        assert (j is None) == (not any(g))
+        if j is not None:
+            assert [x * d[j] for x in g] == [y * g[j] for y in d]
+    red, pivots = naive_rref(rows, ncols)
+    rank = len(pivots)
+    lcd = math.lcm(*(x.denominator for row in red[:rank] for x in row))
+    assert got[:rank] == [[lcd * x for x in row] for row in red[:rank]]
+    assert all(math.gcd(*row) <= 1 for row in got[rank:])
+
+
 class TestSparseKernels:
     @settings(max_examples=200, deadline=None)
     @given(kernel_case_st())
@@ -738,9 +757,13 @@ class TestSparseKernels:
             got_objects = list(got_rows)
             assert kernel(got_rows, ncols, *args) == want
             # the caller's row objects, swapped into the same places,
-            # holding the same entries
+            # holding the same entries (the ring kernel) or primitive
+            # multiples of them (the int kernel)
             assert [_position(got_objects, r) for r in got_rows] == want_order
-            assert got_rows == want_rows
+            if kernel is ff_gauss_jordan_int:
+                _assert_primitive_rows(rows, ncols, got_rows, want_rows)
+            else:
+                assert got_rows == want_rows
 
 
 # ---------------------------------------------------------------------------

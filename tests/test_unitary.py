@@ -203,6 +203,34 @@ def jet_column_system_st(draw):
     return cols, m
 
 
+@st.composite
+def expansion_column_system_st(draw):
+    """(cols, m) shaped like a jet expansion at t0 = p/q: precision up to
+    10, order-k coefficients over q^k, some jet multiples of the first
+    column, and rows and columns that are identically zero."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    J = draw(st.integers(min_value=1, max_value=4))
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    q = draw(st.integers(min_value=1, max_value=7))
+    num = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+
+    def jet():
+        return Jet([Fraction(draw(num), q**k) for k in range(m)])
+
+    cols = [[jet() for _ in range(nrows)] for _ in range(J)]
+    for j in range(1, J):
+        if draw(st.booleans()):
+            scalar = jet()
+            cols[j] = [scalar * e for e in cols[0]]
+    zero = Jet([0] * m)
+    for r in draw(st.sets(st.integers(min_value=0, max_value=nrows - 1))):
+        for col in cols:
+            col[r] = zero
+    for j in draw(st.sets(st.integers(min_value=0, max_value=J - 1))):
+        cols[j] = [zero] * nrows
+    return cols, m
+
+
 class TestStackedKernel:
     """_stacked_kernel eliminates integer rows and reads the canonical
     kernel vectors off the fraction-free echelon form; the picks must be
@@ -211,6 +239,15 @@ class TestStackedKernel:
     @settings(max_examples=120, deadline=None)
     @given(jet_column_system_st())
     def test_matches_the_fraction_oracle(self, system):
+        cols, m = system
+        got = _stacked_kernel(cols, m)
+        assert _pick_coeffs(got) == naive_stacked_kernel(_coeff_cols(cols), m)
+        assert all(c.precision == m for pick in got for c in pick)
+
+    @settings(max_examples=60, deadline=None)
+    @given(expansion_column_system_st())
+    def test_matches_the_fraction_oracle_on_expansions(self, system):
+        # the block-Toeplitz shape whose row scalings swelled Bareiss rows
         cols, m = system
         got = _stacked_kernel(cols, m)
         assert _pick_coeffs(got) == naive_stacked_kernel(_coeff_cols(cols), m)
@@ -279,12 +316,21 @@ class TestUnitaryRank:
         assert unitary_rank(mix).primary.mode == "ratfun"
 
     def test_function_field_mode_runs_on_zt_only(self, mix, monkeypatch):
-        # every RatFun is a Z[t] pair: no Fraction polynomial arithmetic
-        calls = []
-        monkeypatch.setattr(up, "padd", lambda *args: calls.append("padd"))
+        # every RatFun is a Z[t] pair: the polynomial sums and products
+        # RatFun arithmetic calls see int coefficients only
+        operands = []
+        for name in ("zadd", "zmul"):
+            real = getattr(up, name)
+
+            def spy(a, b, real=real):
+                operands.extend((a, b))
+                return real(a, b)
+
+            monkeypatch.setattr(up, name, spy)
         rk = unitary_rank(mix, mode="ratfun")
         assert rk.ranks == (2, 2, 2) and rk.stable
-        assert calls == []
+        assert operands
+        assert all(type(c) is int for poly in operands for c in poly)
 
 
 def _record_calls(monkeypatch, owner, name):
