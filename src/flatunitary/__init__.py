@@ -55,7 +55,6 @@ from .gaussmanin import (
     theta_eval,
 )
 from .jacobian import (
-    DegreeNotPreparedError,
     JacobianFiber,
     RingElement,
     SingularFibreError,
@@ -80,7 +79,6 @@ from .unitary import (
 __all__ = [
     "__version__",
     "fixture_path",
-    "DegreeNotPreparedError",
     "DomainMismatchError",
     "Eta2Result",
     "ExactCoreError",

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=("ratfun", "jet"),
             default=None,
-            help="rank computation mode (default: ratfun up to degree 5)",
+            help="rank computation mode (default: ratfun)",
         )
         p.add_argument(
             "--order",

@@ -4,14 +4,17 @@ For a degree-d form F in Y0, Y1, Y2 with partial derivatives F0, F1, F2,
 the degree-k piece of the Jacobian ideal is spanned by the monomial
 multiples Y^m * F_i with deg m = k - (d-1); the quotient R_k is presented
 by the non-pivot monomials (the cobasis) of the reduced echelon form of
-that span. The construction is gated by an exact smoothness certificate:
+that span. Building a fibre runs only its exact smoothness certificate:
 dim R_{3d-5} = 0, which holds exactly when the partials share no projective
 zero. On a smooth fibre dim R_{d-3} = dim R_{2d-3} = (d-1)(d-2)/2 and
 dim R_{3d-6} = 1; the one-dimensional top piece carries the socle pairing.
+Each graded piece R_k is row-reduced the first time anything reads degree
+k (its dimension, cobasis, a normal form, a column solver) and then
+cached, so a fibre pays only for the degrees its caller uses.
 
 Fibres work over the rationals, over rational functions of t (the generic
 fibre of a family), or over jets at a basepoint. Over jets, every reduction
-reuses the order-0 echelon data order by order, so only rational
+reuses the order-0 fibre's echelon data order by order, so only rational
 elimination ever runs.
 
 Over the rationals, over Q(t) and over jets no scalar matrix is built for
@@ -78,14 +81,6 @@ class SingularFibreError(ExactCoreError, ValueError):
         super().__init__(msg)
 
 
-class DegreeNotPreparedError(ExactCoreError, KeyError):
-    """A graded degree was used without being requested at construction."""
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        super().__init__(f"degree {degree} was not prepared for this fibre")
-
-
 @dataclass(frozen=True)
 class RingElement:
     """Coordinates of a residue class over the cobasis of its degree."""
@@ -103,7 +98,7 @@ def genus_of_degree(d: int) -> int:
 
 
 def standard_degrees(d: int):
-    """The degrees the Hodge-theoretic pipeline needs prepared."""
+    """The graded degrees of the Hodge-theoretic pipeline: d-3, d, 2d-3, 3d-6."""
     return (d - 3, d, 2 * d - 3, 3 * d - 6)
 
 
@@ -135,15 +130,11 @@ class _DegreeData:
 class JacobianFiber:
     """One fibre (or jet/generic-fibre thickening) of a Jacobian ring."""
 
-    def __init__(self, F: HomPoly, degrees):
+    def __init__(self, F: HomPoly):
         if isinstance(F.domain, JetDomain):
             raise ValueError("build a jet fibre by thickening its order-0 fibre")
         self._setup(F)
-        cert_degree = 3 * self.d - 5
-        self.certificate = self._smoothness_certificate(cert_degree)
-        self.dims = {}
-        for k in sorted(set(degrees)):
-            self.dims[k] = self._prepare_degree(k).dim
+        self.certificate = self._smoothness_certificate(3 * self.d - 5)
 
     def _setup(self, F: HomPoly):
         if F.degree < 3:
@@ -164,13 +155,14 @@ class JacobianFiber:
         self._order0 = None
 
     def thicken(self, F: HomPoly) -> "JacobianFiber":
-        """The jet fibre of F, sharing this rational fibre's certificate and
-        echelon data; F's order-0 part must be this fibre's polynomial."""
+        """The jet fibre of F. It shares this rational fibre's certificate
+        and its echelon data, which either fibre prepares on first use; F's
+        order-0 part must be this fibre's polynomial."""
         if not isinstance(F.domain, JetDomain) or _order0_part(F) != self.F:
             raise ValueError("F is not a jet thickening of this rational fibre")
         jet = JacobianFiber.__new__(JacobianFiber)
         jet._setup(F)
-        jet._order0, jet.certificate, jet.dims = self, self.certificate, dict(self.dims)
+        jet._order0, jet.certificate = self, self.certificate
         return jet
 
     # -- construction internals ------------------------------------------
@@ -216,24 +208,23 @@ class JacobianFiber:
             raise SingularFibreError(cert_degree, f"dim R_{cert_degree} = {ncols - rank}")
         return {"degree": cert_degree, "dim": 0, "method": "exact"}
 
+    def _data(self, k: int) -> _DegreeData:
+        """The echelon data of degree k, prepared the first time anything
+        reads degree k and then cached; a jet fibre reads its order-0
+        fibre's."""
+        if self._order0 is not None:
+            return self._order0._data(k)
+        if k not in self._degree_data:
+            self._degree_data[k] = self._prepare_degree(k)
+        return self._degree_data[k]
+
     def _prepare_degree(self, k: int) -> _DegreeData:
-        if k in self._degree_data:
-            return self._degree_data[k]
         ncols = monomial_count(k)
         if k < self.d - 1:  # no generators
-            data = _DegreeData(k, (), (), ncols, self._ring.one)
-        else:
-            rows = self._int_generator_rows(k)
-            pivots, pivot_value = rref_rows(rows, ncols, self._ring)
-            data = _DegreeData(k, rows[: len(pivots)], pivots, ncols, pivot_value)
-        self._degree_data[k] = data
-        return data
-
-    def _data(self, k: int) -> _DegreeData:
-        base = self._order0 if self._order0 is not None else self
-        if k not in base.dims and k >= 0:
-            raise DegreeNotPreparedError(k)
-        return base._prepare_degree(k)
+            return _DegreeData(k, (), (), ncols, self._ring.one)
+        rows = self._int_generator_rows(k)
+        pivots, pivot_value = rref_rows(rows, ncols, self._ring)
+        return _DegreeData(k, rows[: len(pivots)], pivots, ncols, pivot_value)
 
     # -- public queries ---------------------------------------------------
 
@@ -305,9 +296,8 @@ class JacobianFiber:
         unit columns of the degree-k cobasis, so every right-hand side
         solves: normal_form reads the cobasis part and membership_witness
         the generator part, and a form leaves the ideal at the first
-        s-order where the cobasis part is nonzero. Degree k does not need
-        to be prepared: an unprepared degree takes its cobasis from the
-        order-0 fibre's echelon data, computed when first needed.
+        s-order where the cobasis part is nonzero; that cobasis is the
+        order-0 fibre's, prepared on first use like every degree.
         """
         if k in self._column_solvers:
             return self._column_solvers[k]
@@ -321,7 +311,7 @@ class JacobianFiber:
         if self._order0 is None:
             solver = LinearSolver(_Columns(monomial_count(k), self.domain, scales, entries))
         else:
-            for r in self._order0._prepare_degree(k).cobasis_idx:
+            for r in self._data(k).cobasis_idx:
                 scales.append(1)
                 entries.append(((r, (1,)),))
             solver = JetSystemSolver(_Columns(monomial_count(k), self.domain, scales, entries))
@@ -381,13 +371,11 @@ def _order0_part(F: HomPoly) -> HomPoly:
     return F.map_coefficients(lambda c: c.order0, domain=RATIONAL)
 
 
-def make_fiber(F: HomPoly, degrees=None) -> JacobianFiber:
-    """Build a fibre with the given degrees prepared (plus the certificate
-    degree 3d-5, which is always checked). Raises SingularFibreError when
-    the smoothness certificate fails. A jet polynomial gets its order-0
-    fibre built, then thickened."""
-    if degrees is None:
-        degrees = standard_degrees(F.degree)
+def make_fiber(F: HomPoly) -> JacobianFiber:
+    """Build a fibre: run its smoothness certificate in degree 3d-5 and
+    raise SingularFibreError when it fails. No graded degree is prepared
+    until it is read. A jet polynomial gets its order-0 fibre built, then
+    thickened."""
     if isinstance(F.domain, JetDomain):
-        return JacobianFiber(_order0_part(F), degrees).thicken(F)
-    return JacobianFiber(F, degrees)
+        return JacobianFiber(_order0_part(F)).thicken(F)
+    return JacobianFiber(F)

@@ -198,16 +198,18 @@ class FiltrationResult:
 
 def _settings(fam: FamilySpec, mode, order, max_level):
     """(mode, order, max_level) with the defaults filled in and checked:
-    mode "ratfun" through degree 5, order 2*genus + 4 (None over Q(t)),
-    max_level the genus."""
+    mode "ratfun", order 2*genus + 4 in jet mode (None over Q(t), where a
+    given order is an error), max_level the genus."""
     if mode is None:
-        mode = "ratfun" if fam.degree <= 5 else "jet"
+        mode = "ratfun"
     if mode not in ("ratfun", "jet"):
         raise ValueError(f"unknown mode {mode!r}")
     rmax = fam.genus if max_level is None else max_level
     if rmax < 1:
         raise ValueError("max_level must be >= 1")
     if mode == "ratfun":
+        if order is not None:
+            raise ValueError("a jet order needs mode 'jet'")
         return mode, None, rmax
     if order is None:
         order = default_jet_order(fam.genus)
@@ -230,9 +232,10 @@ def filtration_ranks(
 ) -> FiltrationResult:
     """Compute the kernel chain ranks down to max_level (default: genus).
 
-    mode "ratfun" works over Q(t) and gives generic ranks; mode "jet"
-    works at the basepoint t0 (picked by seed when not given) with jets
-    of the given order (default 2*genus + 4). The chain never stops
+    mode "ratfun" (the default) works over Q(t) and gives generic ranks;
+    mode "jet" works at the basepoint t0 (picked by seed when not given)
+    with jets of the given order (default 2*genus + 4; an order given in
+    ratfun mode raises ValueError). The chain never stops
     early except on hitting rank zero, so stabilization is observed
     rather than assumed. The sections the pass ends with are checked
     against the last theta-condition.
@@ -563,7 +566,9 @@ def mu_report(
     order: int = None,
     max_level: int = None,
 ) -> MuReport:
-    """Assemble the second-order comparison at one basepoint."""
+    """Assemble the second-order comparison at one basepoint; mode, order
+    and max_level are unitary_rank's, checked before any fibre is built."""
+    _settings(fam, mode, order, max_level)
     pk = pointwise_kernel(fam, t0, seed)
     eta = eta2_on_K(fam, _pk=pk)
     _, principal = mu_principal(fam, _pk=pk)

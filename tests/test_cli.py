@@ -12,6 +12,7 @@ import flatunitary
 from flatunitary import cli, unitary
 from flatunitary.exactcore import ExactCoreError
 from flatunitary.gaussmanin import NotKernelSectionError
+from flatunitary.jacobian import JacobianFiber
 
 MIX = "Y0^4+Y1^4+Y2^4+T*Y0^2*Y1^2"
 RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -59,6 +60,21 @@ class TestExitCodes:
     def test_bad_order(self, capsys):
         assert cli.run(["unitary-rank", MIX, "--mode", "jet", "--order", "0"]) == 2
 
+    @pytest.mark.parametrize("command", ["unitary-rank", "mu-report"])
+    def test_order_outside_jet_mode_is_input_error(self, command, tmp_path, capsys):
+        # the default mode is ratfun, which has no jet order to honour
+        out = tmp_path / "r.json"
+        assert cli.run([command, MIX, "--order", "8", "--output", str(out)]) == 2
+        assert "mode 'jet'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_order_in_jet_mode_is_honoured(self, tmp_path):
+        report, code = run_to_dict(
+            ["unitary-rank", MIX, "--mode", "jet", "--order", "8"], tmp_path
+        )
+        assert code == 0
+        assert report["result"]["order"] == 8
+
     def test_bad_seed_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.run(["validate", MIX, "--seed", str(2**64)])
@@ -86,6 +102,20 @@ class TestExitCodes:
         assert code == 3
         assert report["error"]["kind"] == "no-smooth-fibre"
         assert "dim R_7 = 36" in report["error"]["detail"]
+
+    def test_validate_prepares_no_graded_degree(self, monkeypatch, tmp_path):
+        # building a fibre runs only its smoothness certificate
+        prepared = []
+        real = JacobianFiber._prepare_degree
+
+        def spy(fiber, k):
+            prepared.append(k)
+            return real(fiber, k)
+
+        monkeypatch.setattr(JacobianFiber, "_prepare_degree", spy)
+        _, code = run_to_dict(["validate", MIX], tmp_path)
+        assert code == 0
+        assert prepared == []
 
     def test_family_without_smooth_fibre(self, tmp_path):
         report, code = run_to_dict(["validate", "Y1^2*Y2 - Y0^3"], tmp_path)

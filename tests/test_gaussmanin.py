@@ -420,7 +420,7 @@ class TestScaledColumns:
         else:
             F = generic_fibre(fam)
         try:
-            fiber = make_fiber(F, degrees=(d - 1, d, 2 * d - 3))
+            fiber = make_fiber(F)
         except SingularFibreError:
             event("singular")
             return

@@ -17,7 +17,6 @@ from flatunitary.family import (
     t_derivative,
 )
 from flatunitary.jacobian import (
-    DegreeNotPreparedError,
     RingElement,
     SingularFibreError,
     genus_of_degree,
@@ -61,24 +60,19 @@ class TestBasicInvariants:
     def test_fermat_quartic_dimensions(self):
         # Hilbert series of the quotient is ((1 - q^3)/(1 - q))^3
         # = 1 + 3q + 6q^2 + 7q^3 + 6q^4 + 3q^5 + q^6
-        fiber = make_fiber(_fermat(4), degrees=(1, 4, 5, 6, 7))
+        fiber = make_fiber(_fermat(4))
         assert fiber.dim(1) == 3
         assert fiber.dim(4) == 6
         assert fiber.dim(5) == 3
         assert fiber.dim(6) == 1
         assert fiber.dim(7) == 0
 
-    def test_unprepared_degree_raises(self):
-        fiber = make_fiber(_fermat(4))
-        with pytest.raises(DegreeNotPreparedError):
-            fiber.dim(7)
-
     def test_dimensions_match_groebner_oracle(self):
         rng = random.Random(11)
         for _ in range(3):
             p = _random_hompoly(rng, 4)
             try:
-                fiber = make_fiber(p, degrees=(1, 4, 5, 6, 7))
+                fiber = make_fiber(p)
             except SingularFibreError:
                 continue
             want = jacobian_quotient_dims(sym_trivariate(p), (1, 4, 5, 6, 7))
@@ -158,7 +152,7 @@ class TestNormalForm:
         rfiber = make_fiber(specialize(mix, Fraction(1)))
         jfiber = rfiber.thicken(jet_expand(mix, Fraction(1), 3))
         assert jfiber.certificate is rfiber.certificate
-        assert jfiber.dims == rfiber.dims
+        assert all(jfiber.dim(k) == rfiber.dim(k) for k in standard_degrees(4))
         with pytest.raises(ValueError):
             rfiber.thicken(jet_expand(mix, Fraction(-1), 3))
         with pytest.raises(ValueError):

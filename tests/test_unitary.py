@@ -314,6 +314,41 @@ class TestUnitaryRank:
 
     def test_default_mode_tracks_degree(self, mix):
         assert unitary_rank(mix).primary.mode == "ratfun"
+        sextic = parse_family("Y0^6 + Y1^6 + Y2^6 + T*Y0^3*Y1^3")
+        rk = unitary_rank(sextic)
+        assert rk.primary.mode == "ratfun" and rk.primary.order is None
+        assert rk.ranks == (6,) * 10
+
+    @pytest.mark.parametrize("call", [filtration_ranks, unitary_rank])
+    def test_order_in_ratfun_mode_raises(self, mix, call):
+        with pytest.raises(ValueError, match="mode 'jet'"):
+            call(mix, order=8)
+        with pytest.raises(ValueError, match="mode 'jet'"):
+            call(mix, mode="ratfun", order=8)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Y0^5 + Y1^5 + Y2^5 + T*Y0^2*Y1^3",
+            "Y0^6 + Y1^6 + Y2^6 + T*Y0^5*Y1 + 2*T^2*Y1^3*Y2^3 - 3*T*Y0*Y1^2*Y2^3",
+        ],
+    )
+    def test_function_field_walk_prepares_only_the_higgs_degrees(self, text, monkeypatch):
+        # the chain reads R_{d-3} and R_{2d-3} only; R_d and R_{3d-6}, the
+        # widest Z[t] elimination, are never row-reduced
+        fam = parse_family(text)
+        prepared = set()
+        real = JacobianFiber._prepare_degree
+
+        def spy(fiber, k):
+            prepared.add(k)
+            return real(fiber, k)
+
+        monkeypatch.setattr(JacobianFiber, "_prepare_degree", spy)
+        res = filtration_ranks(fam, mode="ratfun")
+        assert res.ranks[0] > 0
+        d = fam.degree
+        assert prepared == {d - 3, 2 * d - 3}
 
     def test_function_field_mode_runs_on_zt_only(self, mix, monkeypatch):
         # every RatFun is a Z[t] pair: the polynomial sums and products
