@@ -6,7 +6,12 @@ inputs and seed produce byte-identical output except for the final
 
 * 0 success;
 * 2 input error, with a message on stderr and no report; a jet order too
-  low for the requested levels (PrecisionExhaustedError) counts as one;
+  low for the requested levels (PrecisionExhaustedError) counts as one,
+  and so do --order without --mode jet and, on unitary-rank, --t0
+  without --mode jet (ratfun mode has no jet order and no basepoint). A
+  flag the subcommand does not take is an argparse usage error, also
+  exit 2: only unitary-rank and mu-report take --mode, --order and
+  --max-level;
 * 3 mathematical error, with an "error" block in the report: kind
   "no-smooth-fibre" when no certified-smooth fibre is available, kind
   "exact-arithmetic" for any other ExactCoreError or an ArithmeticError
@@ -163,6 +168,10 @@ def _emit(report: dict, output) -> None:
     target = os.path.abspath(output)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".flatunitary-")
     try:
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, target)
@@ -199,50 +208,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    specs = [
-        ("validate", "parse the family and search for a smooth fibre"),
-        ("hodge", "genus and graded Jacobian-ring dimensions at a smooth fibre"),
-        ("higgs", "rank and kernel basis of the Higgs field at a basepoint"),
-        ("unitary-rank", "kernel-chain ranks and the flat unitary rank"),
-        ("mu-report", "second-order pairings on the Higgs kernel at a basepoint"),
-    ]
-    for name, help_text in specs:
+    for name, (help_text, _, chain) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "family",
-            help="path to a family file, or the polynomial itself inline",
-        )
+        p.add_argument("family", help="path to a family file, or the polynomial itself inline")
         p.add_argument(
             "--t0",
             type=_fraction_arg,
-            default=None,
             metavar="p/q",
             help="basepoint in the t-line (default: searched by seed)",
         )
-        p.add_argument(
-            "--mode",
-            choices=("ratfun", "jet"),
-            default=None,
-            help="rank computation mode (default: ratfun)",
-        )
-        p.add_argument(
-            "--order",
-            type=int,
-            default=None,
-            metavar="N",
-            help="jet truncation order (default: 2*genus + 4)",
-        )
-        p.add_argument(
-            "--max-level",
-            type=int,
-            default=None,
-            metavar="r",
-            help="deepest kernel-chain level to compute (default: genus)",
-        )
+        if chain:
+            p.add_argument(
+                "--mode", choices=("ratfun", "jet"), help="rank computation mode (default: ratfun)"
+            )
+            p.add_argument(
+                "--order", type=int, metavar="N", help="jet truncation order (default: 2*genus + 4)"
+            )
+            p.add_argument(
+                "--max-level",
+                type=int,
+                metavar="r",
+                help="deepest kernel-chain level to compute (default: genus)",
+            )
         p.add_argument("--seed", type=_u64, default=0, help="basepoint search seed")
         p.add_argument(
             "--output",
-            default=None,
             metavar="PATH",
             help="write the report to PATH atomically instead of stdout",
         )
@@ -369,12 +359,16 @@ def _cmd_mu_report(fam, args):
     return result, 0 if rep.rank_stable else 4
 
 
+# name -> (help, handler, whether it takes the kernel-chain settings
+# --mode, --order and --max-level)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "hodge": _cmd_hodge,
-    "higgs": _cmd_higgs,
-    "unitary-rank": _cmd_unitary_rank,
-    "mu-report": _cmd_mu_report,
+    "validate": ("parse the family and search for a smooth fibre", _cmd_validate, False),
+    "hodge": ("genus and graded Jacobian-ring dimensions at a smooth fibre", _cmd_hodge, False),
+    "higgs": ("rank and kernel basis of the Higgs field at a basepoint", _cmd_higgs, False),
+    "unitary-rank": ("kernel-chain ranks and the flat unitary rank", _cmd_unitary_rank, True),
+    "mu-report": (
+        "second-order pairings on the Higgs kernel at a basepoint", _cmd_mu_report, True
+    ),
 }
 
 
@@ -389,7 +383,7 @@ def run(argv=None) -> int:
 
     report = _envelope(args.command, fam, source, args.seed)
     try:
-        result, code = _COMMANDS[args.command](fam, args)
+        result, code = _COMMANDS[args.command][1](fam, args)
         report["result"] = result
     except (SingularFibreError, NoSmoothFibreError) as exc:
         rejected = getattr(exc, "rejected", ())

@@ -936,18 +936,16 @@ class JetSystemSolver:
         )
         self.order0 = _Elimination(rows0, self.ncols, _ring(RATIONAL))
 
-    def try_solve(self, b: Sequence, order0_value=None, *, _columns=None):
+    def try_solve(self, b: Sequence, *, _columns=None):
         """Solve to the precision of b: jets of one precision m <= N.
 
-        order0_value, when given, is used as the order-0 solution instead of
-        solving (the caller asserting M_0 * order0_value = b_0); used for
-        lifting prescribed kernel vectors. Its entries are Fractions or ints;
-        anything else raises DomainMismatchError, and a length other than
-        ncols raises ValueError. Returns (solution, None) on success, (None,
-        failing_order) on failure; raises DomainMismatchError when b mixes
-        precisions and PrecisionExhaustedError when m exceeds the solver's
-        precision. _columns, a range of coordinates, is private: only those
-        are returned, so only they are made into Fractions.
+        Returns (solution, None) on success, (None, failing_order) on
+        failure; raises DomainMismatchError when b mixes precisions and
+        PrecisionExhaustedError when m exceeds the solver's precision.
+        _columns, a range of coordinates, is private: only those are
+        returned, so only they are made into Fractions. Lifting a pointwise
+        kernel vector to first order is one LinearSolver solve on the
+        order-0 matrix (see unitary.eta2_on_K), not a solve here.
         """
         if len(b) != self.nrows:
             raise ValueError("rhs length does not match nrows")
@@ -959,19 +957,8 @@ class JetSystemSolver:
             raise PrecisionExhaustedError(
                 f"right-hand side has precision {n}; solver has {self.precision}"
             )
-        if order0_value is not None:
-            if len(order0_value) != self.ncols:
-                raise ValueError("order0_value length does not match ncols")
-            y0 = [
-                Fraction(x.numerator, x.denominator * s)
-                for x, s in zip(map(_as_fraction, order0_value), self._scales)
-            ]
-            den = math.lcm(*(y.denominator for y in y0))
-            sols = [([y.numerator * (den // y.denominator) for y in y0], den)]
-        else:
-            sols = []
-        el = self.order0
-        for k in range(len(sols), n):
+        el, sols = self.order0, []
+        for k in range(n):
             c, den = self._rhs(k, [e.coeffs[k].as_integer_ratio() for e in b], sols)
             nums = el.solve(c)
             if nums is None:

@@ -26,7 +26,9 @@ monomial indices of Y^m times its terms: the rows a Matrix of generator
 vectors would get by scaling each row by the lcm of its denominators. The
 certificate and the echelon data come from fraction-free elimination of
 these rows (rref_rows); over Q(t) the certificate tests the rows at
-integer points of the t-line. A normal form clears p into the ring once
+integer points of the t-line, by ranks modulo primes at a few and, when
+those fall short, by exact integer ranks at enough points that a nonzero
+minor cannot vanish at all of them. A normal form clears p into the ring once
 and takes dot products there. Over jets each partial is cleared once over
 all its s-coefficients. The column solver of a degree, over every domain,
 takes its generator columns from the cleared partials in the same way,
@@ -196,17 +198,26 @@ class JacobianFiber:
         ncols = monomial_count(cert_degree)
         rows = self._int_generator_rows(cert_degree)
         if isinstance(self.domain, RationalDomain):
-            tests = (rows,)
+            tests = exact = (rows,)
         else:
-            # a specialization t = a never has larger rank than the rows
-            # over Q(t), so full rank at one point certifies it
-            tests = ([[up.zeval(x, a) for x in row] for row in rows] for a in _CERT_POINTS)
-        if any(full_column_rank_int(at, ncols) for at in tests):
+            # a specialization t = a never has larger rank than the rows over
+            # Q(t), so full rank at one point certifies it; and a nonzero
+            # minor, of t-degree at most D, is nonzero at one of any D + 1
+            # points, so the largest rank there is the rank over Q(t)
+            def at(a):
+                return [[up.zeval(x, a) for x in row] for row in rows]
+
+            D = ncols * max((len(x) - 1 for row in rows for x in row), default=0)
+            tests = map(at, _CERT_POINTS)
+            exact = map(at, range(D + 1))
+        if any(full_column_rank_int(m, ncols) for m in tests):
             return {"degree": cert_degree, "dim": 0, "method": "reduction"}
-        rank = len(rref_rows(rows, ncols, self._ring)[0])
-        if rank != ncols:
-            raise SingularFibreError(cert_degree, f"dim R_{cert_degree} = {ncols - rank}")
-        return {"degree": cert_degree, "dim": 0, "method": "exact"}
+        rank = 0
+        for m in exact:
+            rank = max(rank, len(rref_rows(m, ncols, _ring(RATIONAL))[0]))
+            if rank == ncols:
+                return {"degree": cert_degree, "dim": 0, "method": "exact"}
+        raise SingularFibreError(cert_degree, f"dim R_{cert_degree} = {ncols - rank}")
 
     def _data(self, k: int) -> _DegreeData:
         """The echelon data of degree k, prepared the first time anything

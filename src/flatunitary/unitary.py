@@ -43,7 +43,7 @@ from .exactcore import (
     ExactCoreError,
     Jet,
     JetDomain,
-    JetSystemSolver,
+    LinearSolver,
     Matrix,
     PrecisionExhaustedError,
     RATIONAL,
@@ -196,10 +196,10 @@ class FiltrationResult:
         return self.ranks[-1]
 
 
-def _settings(fam: FamilySpec, mode, order, max_level):
+def _settings(fam: FamilySpec, mode, order, max_level, t0=None):
     """(mode, order, max_level) with the defaults filled in and checked:
     mode "ratfun", order 2*genus + 4 in jet mode (None over Q(t), where a
-    given order is an error), max_level the genus."""
+    given order or basepoint t0 is an error), max_level the genus."""
     if mode is None:
         mode = "ratfun"
     if mode not in ("ratfun", "jet"):
@@ -210,6 +210,8 @@ def _settings(fam: FamilySpec, mode, order, max_level):
     if mode == "ratfun":
         if order is not None:
             raise ValueError("a jet order needs mode 'jet'")
+        if t0 is not None:
+            raise ValueError("a basepoint needs mode 'jet'")
         return mode, None, rmax
     if order is None:
         order = default_jet_order(fam.genus)
@@ -234,13 +236,13 @@ def filtration_ranks(
 
     mode "ratfun" (the default) works over Q(t) and gives generic ranks;
     mode "jet" works at the basepoint t0 (picked by seed when not given)
-    with jets of the given order (default 2*genus + 4; an order given in
-    ratfun mode raises ValueError). The chain never stops
+    with jets of the given order (default 2*genus + 4; an order or a t0
+    given in ratfun mode raises ValueError). The chain never stops
     early except on hitting rank zero, so stabilization is observed
     rather than assumed. The sections the pass ends with are checked
     against the last theta-condition.
     """
-    mode, order, rmax = _settings(fam, mode, order, max_level)
+    mode, order, rmax = _settings(fam, mode, order, max_level, t0)
     if mode == "ratfun":
         fiber = make_fiber(generic_fibre(fam))
         return _walk_chain(fiber, generic_fibre(t_derivative(fam)), None, None, rmax)
@@ -381,9 +383,10 @@ def unitary_rank(
     (seeded when None; _pk's when the caller holds its pointwise kernel),
     and the second resumes the seeded walk past every candidate certified
     so far. One jet fibre at the primary, of precision order + 2, serves
-    the primary run and the higher check.
+    the primary run and the higher check. Over Q(t) there is no basepoint:
+    a t0 or an order given there raises ValueError.
     """
-    mode, order, rmax = _settings(fam, mode, order, max_level)
+    mode, order, rmax = _settings(fam, mode, order, max_level, t0)
     if mode == "ratfun":
         primary = filtration_ranks(fam, mode, max_level=rmax)
         return UnitaryRank(primary=primary, checks=(), stable=True)
@@ -432,9 +435,11 @@ def eta2_on_K(
 ) -> Eta2Result:
     """Second-order pairing via first-order extensions of kernel vectors.
 
-    Each pointwise kernel vector is extended to a kernel section of the
-    Higgs matrix mod s^2 (order-0 part prescribed); the extension can
-    fail exactly on jumping parameter values, and such rows are flagged.
+    Each pointwise kernel vector v is extended to a kernel section
+    v + s x_1 of the Higgs matrix H_0 + s H_1 mod s^2 by one solve on the
+    pointwise Higgs matrix, H_0 x_1 = -H_1 v (free variables 0); the
+    extension can fail exactly on jumping parameter values, and such rows
+    are flagged.
     The pairing does not depend on the choice of extension; the optional
     extension_tweaks map {row index: rational kernel vector} adds s times
     the given pointwise kernel vector to that row's extension, which
@@ -461,27 +466,22 @@ def eta2_on_K(
         return Eta2Result(t0=pk.t0, basis=(), matrix=(), flags=())
 
     fib2, Ft2 = _jet_fibre(fam, pk.t0, pk.fiber, 2)
-    H2 = fib2.higgs_matrix(fib2.delta_class(Ft2))
-    solver = JetSystemSolver(H2)
-    zero_b = [Jet.from_fraction(0, 2) for _ in range(H2.nrows)]
-
-    basis_elts = [
-        RingElement(d - 3, tuple(Fraction(x) for x in v)) for v in pk.basis
-    ]
+    solver = LinearSolver(pk.higgs)
+    basis_elts = [RingElement(d - 3, v) for v in pk.basis]
     rows = []
     flags = []
     for i, v in enumerate(pk.basis):
-        x, fail = solver.try_solve(zero_b, order0_value=list(v))
-        if x is None:
+        # H(s) v = theta(v): the order-1 part of theta at v held constant
+        # is H_1 v, and H_0 x_1 = -H_1 v gives the order-1 part x_1
+        v2 = RingElement(d - 3, tuple(Jet.from_fraction(x, 2) for x in v))
+        h1 = [-c.coeffs[1] for c in theta_eval(fib2, Ft2, v2).coords]
+        x1 = solver.try_solve(h1)
+        if x1 is None:
             flags.append(i)
             rows.append(None)
             continue
-        if i in tweaks:
-            gamma = tweaks[i]
-            x = tuple(
-                Jet((c.coeffs[0], c.coeffs[1] + gamma[j]))
-                for j, c in enumerate(x)
-            )
+        gamma = tweaks.get(i, (0,) * len(v))
+        x = tuple(Jet((v[j], x1[j] + gamma[j])) for j in range(len(v)))
         ext = fib2.representative(RingElement(d - 3, x))
         dext = gm_derivative(fib2, Ft2, ext)
         th = theta_eval(fib2, Ft2, dext)
@@ -566,8 +566,9 @@ def mu_report(
     order: int = None,
     max_level: int = None,
 ) -> MuReport:
-    """Assemble the second-order comparison at one basepoint; mode, order
-    and max_level are unitary_rank's, checked before any fibre is built."""
+    """Assemble the second-order comparison at one basepoint t0, which the
+    pointwise kernel reads in either mode; mode, order and max_level are
+    unitary_rank's, checked before any fibre is built."""
     _settings(fam, mode, order, max_level)
     pk = pointwise_kernel(fam, t0, seed)
     eta = eta2_on_K(fam, _pk=pk)

@@ -111,14 +111,13 @@ def naive_solve(rows, rhs):
     return tuple(x)
 
 
-def naive_jet_solve(blocks, b_orders, order0_value=None):
+def naive_jet_solve(blocks, b_orders):
     """Order-by-order solve of M(s) x(s) = b(s) through naive_solve.
 
     blocks[k] is the rational matrix M_k (as many as the solver has
     orders), b_orders[k] the order-k right-hand side. Each order solves
-    M_0 x_k = b_k - Sum_{i=1..k} M_i x_{k-i}; order0_value, when given,
-    replaces x_0. Returns (xs, None), xs[k] the order-k solution, or
-    (None, k) for the first unsolvable order k.
+    M_0 x_k = b_k - Sum_{i=1..k} M_i x_{k-i}. Returns (xs, None), xs[k]
+    the order-k solution, or (None, k) for the first unsolvable order k.
     """
     xs = []
     for k, b in enumerate(b_orders):
@@ -131,9 +130,6 @@ def naive_jet_solve(blocks, b_orders, order0_value=None):
             )
             for r in range(len(b))
         ]
-        if k == 0 and order0_value is not None:
-            xs.append(tuple(Fraction(v) for v in order0_value))
-            continue
         x = naive_solve(blocks[0], rhs)
         if x is None:
             return None, k

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -65,6 +66,24 @@ class TestExitCodes:
         # the default mode is ratfun, which has no jet order to honour
         out = tmp_path / "r.json"
         assert cli.run([command, MIX, "--order", "8", "--output", str(out)]) == 2
+        assert "mode 'jet'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "hodge", "higgs"])
+    @pytest.mark.parametrize(
+        "flag", [["--mode", "jet"], ["--order", "8"], ["--max-level", "2"]]
+    )
+    def test_chain_settings_refused_where_unread(self, command, flag, capsys):
+        # only unitary-rank and mu-report walk the kernel chain
+        with pytest.raises(SystemExit) as exc:
+            cli.run([command, MIX, "--t0", "1", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_basepoint_outside_jet_mode_is_input_error(self, tmp_path, capsys):
+        # t = 2 is a singular fibre of MIX, which ratfun mode never reads
+        out = tmp_path / "r.json"
+        assert cli.run(["unitary-rank", MIX, "--t0", "2", "--output", str(out)]) == 2
         assert "mode 'jet'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -292,6 +311,15 @@ class TestOutputHandling:
         out = tmp_path / "report.json"
         cli.run(["validate", MIX, "--output", str(out)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_report_file_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "report.json"
+        old = os.umask(0o022)
+        try:
+            assert cli.run(["validate", MIX, "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     def test_stdout_when_no_output_given(self, capsys):
         code = cli.run(["validate", MIX])

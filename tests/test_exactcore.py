@@ -929,13 +929,21 @@ class TestJetSystems:
         assert got == (Jet((1, 0)), Jet((1, 0)))
 
     def test_order0_kernel_is_lifted(self):
-        # column 2 = 2 * column 1 at every order
-        m = Matrix([[Jet((1, 1)), Jet((2, 2))]])
-        solver = JetSystemSolver(m)
-        (h0,) = kernel_basis(Matrix([[e.order0 for e in row] for row in m.rows]))
-        got, fail = solver.try_solve((Jet((0, 0)),), order0_value=h0)
+        # M(s) = (1, 2 + s): the kernel vector h0 = (-2, 1) of M_0 extends
+        # to h0 + s x_1 in the kernel of M(s) mod s^2 by one solve on M_0,
+        # M_0 x_1 = -M_1 h0, which is order 1 of the jet solve of
+        # M(s) y = -M(s) h0
+        m = Matrix([[Jet((1, 0)), Jet((2, 1))]])
+        m0 = Matrix([[e.order0 for e in row] for row in m.rows])
+        (h0,) = kernel_basis(m0)
+        const = [Jet.from_fraction(h, 2) for h in h0]
+        x1 = LinearSolver(m0).try_solve([-e.coeffs[1] for e in m.mul_vec(const)])
+        assert h0 == (-2, 1) and x1 == (-1, 0)
+        lift = [Jet((h, y)) for h, y in zip(h0, x1)]
+        assert all(e.is_zero for e in m.mul_vec(lift))
+        got, fail = JetSystemSolver(m).try_solve([-e for e in m.mul_vec(const)])
         assert fail is None
-        assert tuple(x.order0 for x in got) == h0
+        assert got == tuple(Jet((0, y)) for y in x1)
 
     def test_first_obstructed_order_is_reported(self):
         # s * x = s has the solution x = 1, but the order-0 pass pins the
@@ -946,20 +954,15 @@ class TestJetSystems:
         assert got is None and fail == 1
 
     def test_prescribed_order0_value(self):
-        # extending a chosen order-0 kernel vector through one more order
-        m = Matrix([[Jet((0, 1)), Jet((0, 2))]])
-        solver = JetSystemSolver(m)
-        got, fail = solver.try_solve(
-            (Jet((0, 0)),), order0_value=[Fraction(2), Fraction(-1)]
-        )
-        assert fail is None
-        assert got[0].order0 == 2 and got[1].order0 == -1
-
-    @pytest.mark.parametrize("bad", [0.1, "1/2"])
-    def test_inexact_order0_value_rejected(self, bad):
-        solver = JetSystemSolver(Matrix([[Jet((0, 1)), Jet((0, 2))]]))
-        with pytest.raises(DomainMismatchError):
-            solver.try_solve((Jet((0, 0)),), order0_value=[bad, Fraction(-1)])
+        # the order-0 kernel vector h0 = (0, 1) of diag(1, s) has M_1 h0 =
+        # (0, 1) outside the image of M_0, so no first-order kernel section
+        # extends it: the solve on M_0 has none, and the jet solve of
+        # M(s) y = -M(s) h0 fails at order 1
+        m = Matrix([[Jet((1, 0)), Jet((0, 0))], [Jet((0, 0)), Jet((0, 1))]])
+        m0 = Matrix([[e.order0 for e in row] for row in m.rows])
+        assert kernel_basis(m0) == ((0, 1),)
+        assert LinearSolver(m0).try_solve([0, -1]) is None
+        assert JetSystemSolver(m).try_solve([Jet((0, 0)), Jet((0, -1))]) == (None, 1)
 
     def test_solves_to_the_rhs_precision(self):
         rows = [[Jet((1, 2, 3)), Jet((0, 1, 1))], [Jet((2, 0, 5)), Jet((1, 1, 0))]]
@@ -980,13 +983,6 @@ class TestJetSystems:
         for b in ([Jet((1, 0)), Jet((0, 1, 5))], [Jet((1, 0, 0)), Jet((0, 1))]):
             with pytest.raises(DomainMismatchError):
                 solver.try_solve(b)
-
-    @pytest.mark.parametrize("x0", [[1, 0, 99], [1], []])
-    def test_order0_value_of_the_wrong_length_rejected(self, x0):
-        rows = [[Jet((1, 2)), Jet((0, 1))], [Jet((2, 0)), Jet((1, 1))]]
-        solver = JetSystemSolver(Matrix(rows))
-        with pytest.raises(ValueError, match="order0_value length"):
-            solver.try_solve([Jet((1, 0)), Jet((2, 0))], order0_value=x0)
 
     def test_field_matrix_rejected(self):
         with pytest.raises(DomainMismatchError):
@@ -1062,11 +1058,10 @@ class TestIntegerSolvesAgainstOracles:
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=1, max_value=3),
-        st.booleans(),
         st.data(),
     )
     def test_jet_solver_matches_order_by_order_oracle(
-        self, precision, nrows, ncols, prescribe, data
+        self, precision, nrows, ncols, data
     ):
         m = data.draw(st.integers(min_value=1, max_value=precision))
         coeff = st.one_of(st.just(Fraction(0)), fractions_st)
@@ -1080,9 +1075,6 @@ class TestIntegerSolvesAgainstOracles:
         b_orders = [
             [data.draw(fractions_st) for _ in range(nrows)] for _ in range(m)
         ]
-        x0 = None
-        if prescribe:
-            x0 = data.draw(st.lists(fractions_st, min_size=ncols, max_size=ncols))
         matrix = Matrix(
             [
                 [Jet(tuple(blocks[k][r][j] for k in range(precision))) for j in range(ncols)]
@@ -1090,8 +1082,8 @@ class TestIntegerSolvesAgainstOracles:
             ]
         )
         rhs = tuple(Jet(tuple(b_orders[k][r] for k in range(m))) for r in range(nrows))
-        got, fail = JetSystemSolver(matrix).try_solve(rhs, order0_value=x0)
-        want, want_fail = naive_jet_solve(blocks, b_orders, order0_value=x0)
+        got, fail = JetSystemSolver(matrix).try_solve(rhs)
+        want, want_fail = naive_jet_solve(blocks, b_orders)
         assert fail == want_fail
         event("inconsistent" if want is None else "consistent")
         if want is None:
@@ -1106,11 +1098,10 @@ class TestIntegerSolvesAgainstOracles:
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=1, max_value=3),
-        st.booleans(),
         st.data(),
     )
     def test_jet_solver_with_large_entries_to_precision_eight(
-        self, precision, nrows, ncols, prescribe, data
+        self, precision, nrows, ncols, data
     ):
         # 100-bit numerators over 50-bit denominators at every order, so
         # each order's solution carries its own reduced denominator into
@@ -1127,9 +1118,6 @@ class TestIntegerSolvesAgainstOracles:
         b_orders = [
             [data.draw(big_fraction_st) for _ in range(nrows)] for _ in range(m)
         ]
-        x0 = None
-        if prescribe:
-            x0 = data.draw(st.lists(big_fraction_st, min_size=ncols, max_size=ncols))
         matrix = Matrix(
             [
                 [Jet(tuple(blocks[k][r][j] for k in range(precision))) for j in range(ncols)]
@@ -1137,8 +1125,8 @@ class TestIntegerSolvesAgainstOracles:
             ]
         )
         rhs = tuple(Jet(tuple(b_orders[k][r] for k in range(m))) for r in range(nrows))
-        got, fail = JetSystemSolver(matrix).try_solve(rhs, order0_value=x0)
-        want, want_fail = naive_jet_solve(blocks, b_orders, order0_value=x0)
+        got, fail = JetSystemSolver(matrix).try_solve(rhs)
+        want, want_fail = naive_jet_solve(blocks, b_orders)
         assert fail == want_fail
         event("inconsistent" if want is None else "consistent")
         if want is None:

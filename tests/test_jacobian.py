@@ -102,6 +102,33 @@ class TestSingularityDetection:
         assert exc.value.degree == 7
 
 
+class TestFunctionFieldCertificate:
+    """Over Q(t) the certificate tests the Z[t] rows at a few integer
+    points, then falls back to exact integer ranks at enough points to
+    see every nonzero minor."""
+
+    def test_generically_singular_family_is_refused(self):
+        # singular at every t; the Z[t] rows have t-degree 2
+        fam = parse_family("Y0^4 + T*Y1^4 + Y0^2*Y1*Y2 + T^2*Y1^2*Y2^2")
+        with pytest.raises(SingularFibreError, match=r"\(dim R_7 = 3\)") as exc:
+            make_fiber(generic_fibre(fam))
+        assert exc.value.degree == 7
+
+    def test_smooth_family_singular_at_every_test_point(self):
+        # a cusp plus p(t) * (Y0^3 + Y2^3), p vanishing at each of the
+        # points 1, -1, 2, -2, 3 the reduction test tries: generically
+        # smooth, certified by the exact ranks
+        assert all(a**5 - 3 * a**4 - 5 * a**3 + 15 * a**2 + 4 * a - 12 == 0
+                   for a in jacobian._CERT_POINTS)
+        fam = parse_family(
+            "Y1^2*Y2 - Y0^3"
+            " + T^5*Y0^3 - 3*T^4*Y0^3 - 5*T^3*Y0^3 + 15*T^2*Y0^3 + 4*T*Y0^3 - 12*Y0^3"
+            " + T^5*Y2^3 - 3*T^4*Y2^3 - 5*T^3*Y2^3 + 15*T^2*Y2^3 + 4*T*Y2^3 - 12*Y2^3"
+        )
+        fiber = make_fiber(generic_fibre(fam))
+        assert fiber.certificate == {"degree": 4, "dim": 0, "method": "exact"}
+
+
 class TestNormalForm:
     def test_ideal_members_reduce_to_zero(self, mix):
         rng = random.Random(5)

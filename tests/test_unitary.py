@@ -14,6 +14,7 @@ from flatunitary.exactcore import (
     Jet,
     JetSystemSolver,
     PrecisionExhaustedError,
+    _Columns,
 )
 from flatunitary.family import (
     candidate_basepoints,
@@ -326,6 +327,14 @@ class TestUnitaryRank:
         with pytest.raises(ValueError, match="mode 'jet'"):
             call(mix, mode="ratfun", order=8)
 
+    @pytest.mark.parametrize("call", [filtration_ranks, unitary_rank])
+    def test_basepoint_in_ratfun_mode_raises(self, mix, call):
+        # Q(t) has no basepoint to honour: t = 1 would otherwise be dropped
+        with pytest.raises(ValueError, match="a basepoint needs mode 'jet'"):
+            call(mix, t0=1)
+        with pytest.raises(ValueError, match="a basepoint needs mode 'jet'"):
+            call(mix, mode="ratfun", t0=Fraction(1))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -501,10 +510,23 @@ class TestEta2:
         assert certified == []
 
     def test_reuses_the_pointwise_higgs_matrix(self, mix, monkeypatch):
+        # each lift is one solve on the pointwise Higgs matrix: no Higgs
+        # matrix over jets and no jet system of its own
         pk = pointwise_kernel(mix, t0=Fraction(1))
         built = _record_calls(monkeypatch, JacobianFiber, "higgs_matrix")
+        systems = []
+        real = JetSystemSolver.__init__
+
+        def recording(solver, matrix):
+            systems.append(matrix)
+            real(solver, matrix)
+
+        monkeypatch.setattr(JetSystemSolver, "__init__", recording)
         eta2_on_K(mix, _pk=pk)
-        assert len(built) == 1  # only the precision-2 matrix is new
+        assert built == []
+        # the one jet solver is the precision-2 fibre's degree-(2d-3)
+        # column solver, which theta_eval and gm_derivative share
+        assert len(systems) == 1 and isinstance(systems[0], _Columns)
 
     def test_empty_kernel_gives_empty_result(self, hesse):
         eta = eta2_on_K(hesse, t0=Fraction(1))
