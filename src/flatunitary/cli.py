@@ -7,11 +7,12 @@ inputs and seed produce byte-identical output except for the final
 * 0 success;
 * 2 input error, with a message on stderr and no report; a jet order too
   low for the requested levels (PrecisionExhaustedError) counts as one,
-  and so do --order without --mode jet and, on unitary-rank, --t0
-  without --mode jet (ratfun mode has no jet order and no basepoint). A
-  flag the subcommand does not take is an argparse usage error, also
-  exit 2: only unitary-rank and mu-report take --mode, --order and
-  --max-level;
+  and so do --order without --mode jet, on unitary-rank --t0 without
+  --mode jet (ratfun mode has no jet order and no basepoint), and --seed
+  where no basepoint is searched (given --t0 without --mode jet, or on
+  unitary-rank without --mode jet). A flag the subcommand does not take
+  is an argparse usage error, also exit 2: only unitary-rank and
+  mu-report take --mode, --order and --max-level;
 * 3 mathematical error, with an "error" block in the report: kind
   "no-smooth-fibre" when no certified-smooth fibre is available, kind
   "exact-arithmetic" for any other ExactCoreError or an ArithmeticError
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="r",
                 help="deepest kernel-chain level to compute (default: genus)",
             )
-        p.add_argument("--seed", type=_u64, default=0, help="basepoint search seed")
+        p.add_argument("--seed", type=_u64, help="basepoint search seed (default: 0)")
         p.add_argument(
             "--output",
             metavar="PATH",
@@ -374,6 +375,14 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a basepoint is searched, and the seed read, without --t0 and for jet
+    # mode's second basepoint; unitary-rank over Q(t) has no basepoint
+    jet = getattr(args, "mode", None) == "jet"
+    if args.seed is None:
+        args.seed = 0
+    elif not (jet if args.command == "unitary-rank" else jet or args.t0 is None):
+        print("flatunitary: --seed given where no basepoint is searched", file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         fam, source = _load_family(args.family)

@@ -371,26 +371,35 @@ def iter_basepoints(fam: FamilySpec, seed: int = 0, _rejected=None, _skip=()):
 
     Each yielded Basepoint carries the rejections seen so far; pass a list
     as _rejected to also observe them after exhaustion. Candidates in
-    _skip are passed over before they are certified."""
+    _skip are passed over before they are certified. A certificate and
+    its failure text depend on the fibre alone, so a fibre already
+    rejected in this search (every t0 of a T-free family, -t0 after t0
+    of one even in T) is rejected again with the stored reason."""
     rejected = _rejected if _rejected is not None else []
+    reasons = {}  # fibre terms -> rejection reason
     for t0 in candidate_basepoints(seed):
         if t0 in _skip:
             continue
         F = specialize(fam, t0)
-        if F.is_zero:
-            rejected.append((t0, "fibre is the zero polynomial"))
-            continue
-        try:
-            fiber = make_fiber(F)
-        except SingularFibreError as exc:
-            rejected.append((t0, str(exc)))
-            continue
-        yield Basepoint(t0=t0, fiber=fiber, rejected=tuple(rejected))
+        key = frozenset(F.terms.items())
+        if key not in reasons:
+            if F.is_zero:
+                reasons[key] = "fibre is the zero polynomial"
+            else:
+                try:
+                    fiber = make_fiber(F)
+                except SingularFibreError as exc:
+                    reasons[key] = str(exc)
+                else:
+                    yield Basepoint(t0=t0, fiber=fiber, rejected=tuple(rejected))
+                    continue
+        rejected.append((t0, reasons[key]))
 
 
 def pick_basepoint(fam: FamilySpec, seed: int = 0) -> Basepoint:
     """First certified-smooth candidate; raises NoSmoothFibreError after
-    exhausting all candidates."""
+    exhausting all candidates, each distinct fibre certified once (a
+    T-free singular family is refused after one certificate)."""
     rejected = []
     for bp in iter_basepoints(fam, seed, _rejected=rejected):
         return bp

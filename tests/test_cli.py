@@ -99,6 +99,37 @@ class TestExitCodes:
             cli.run(["validate", MIX, "--seed", str(2**64)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "fermat_mix.fam", "--t0", "1"],
+            ["unitary-rank", "fermat_mix.fam"],  # ratfun: no basepoint at all
+            ["mu-report", "fermat_mix_tt.fam", "--t0", "0"],
+        ],
+    )
+    def test_seed_refused_where_no_basepoint_is_searched(self, argv, tmp_path, capsys):
+        command, fam, *rest = argv
+        out = tmp_path / "r.json"
+        argv = [command, flatunitary.fixture_path(fam), *rest, "--seed", "5"]
+        assert cli.run([*argv, "--output", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["higgs", "fermat_mix.fam", "--seed", "9"],
+            # jet mode searches its second basepoint even given --t0
+            ["unitary-rank", "fermat_mix.fam", "--mode", "jet", "--t0", "1", "--seed", "5"],
+            ["mu-report", "fermat_mix_tt.fam", "--mode", "jet", "--t0", "0", "--seed", "5"],
+        ],
+    )
+    def test_seed_accepted_where_a_basepoint_is_searched(self, argv, tmp_path):
+        command, fam, *rest = argv
+        report, code = run_to_dict([command, flatunitary.fixture_path(fam), *rest], tmp_path)
+        assert code == 0
+        assert report["seed"] == int(argv[-1])
+
     def test_bad_t0_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.run(["higgs", MIX, "--t0", "one-half"])

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from flatunitary import family
 from flatunitary.exactcore import Jet
 from flatunitary.family import (
     FamilyParseError,
@@ -181,6 +182,49 @@ class TestBasepoints:
         with pytest.raises(NoSmoothFibreError) as exc:
             pick_basepoint(cusp, 0)
         assert len(exc.value.rejected) == 301
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        """Fibres passed to make_fiber through family's binding."""
+        calls = []
+        real = family.make_fiber
+
+        def spy(F):
+            calls.append(F)
+            return real(F)
+
+        monkeypatch.setattr(family, "make_fiber", spy)
+        return calls
+
+    def test_constant_family_certified_once(self, certified):
+        # every fibre of a T-free family is one polynomial
+        cusp = parse_family("Y1^2*Y2 - Y0^3")
+        with pytest.raises(NoSmoothFibreError) as exc:
+            pick_basepoint(cusp, 0)
+        assert len(exc.value.rejected) == 301
+        assert {reason for _, reason in exc.value.rejected} == {
+            "singular fibre: certificate failed in degree 4 (dim R_4 = 2)"
+        }
+        assert len(certified) == 1
+
+    def test_even_family_reuses_the_rejection_at_minus_t0(self, certified):
+        # F(t0) = F(-t0); only t^2 = 4 is singular. Smooth fibres are
+        # yielded, not remembered, so each is certified at both signs.
+        even = parse_family("Y0^4+Y1^4+Y2^4+1/2*T^2*Y0^2*Y1^2")
+        rejected = []
+        smooth = list(iter_basepoints(even, 0, _rejected=rejected))
+        assert len(smooth) == 299
+        assert [t0 for t0, _ in rejected] == [Fraction(2), Fraction(-2)]
+        reasons = {reason for _, reason in rejected}
+        assert reasons == {"singular fibre: certificate failed in degree 7 (dim R_7 = 6)"}
+        assert len(certified) == 300
+
+    def test_skipped_candidates_are_never_certified(self, certified):
+        cusp = parse_family("Y1^2*Y2 - Y0^3")
+        rejected = []
+        skip = set(candidate_basepoints(0))
+        assert list(iter_basepoints(cusp, 0, _rejected=rejected, _skip=skip)) == []
+        assert rejected == [] and certified == []
 
     def test_iter_skips_singular_values(self, mix):
         seen = []
