@@ -40,7 +40,7 @@ Linear algebra is pinned down to the last bit:
   LinearSolver uses, the higher blocks are kept sparse, and each
   order's solution is integer numerators over one reduced denominator.
   It reports the first inconsistent order on failure.
-* full_column_rank_int certifies full column rank modulo two primes,
+* full_column_rank_int certifies full column rank modulo one prime,
   eliminating on the nonzero entries of the rows only.
 """
 
@@ -634,32 +634,13 @@ def _eliminate_zpoly(rows, ncols):
     return ff_gauss_jordan_ring(rows, ncols, up.zmul, up.zsub, up.zdivexact, operator.not_)
 
 
-def _reduce_int(pv, transform, residual):
-    # pv and the transform rows share most of their bits; divide out their
-    # gcd (signed to leave pv positive), and each residual row's content,
-    # which no zero test needs
-    g = pv
-    for row in transform:
-        g = math.gcd(g, *row)
-    g = -g if pv < 0 else g
-    return (
-        pv // g,
-        [[x // g for x in row] for row in transform],
-        [[x // h for x in row] for row in residual if (h := math.gcd(*row))],
-    )
-
-
-def _reduce_zpoly(pv, transform, residual):
-    return pv, transform, [row for row in residual if any(row)]
-
-
 # The integral ring that a field domain's fraction-free elimination runs
 # on: Z for Q, Z[t] for Q(t). frac(n, d) is n / d in the field; clear(rows,
 # scales) scales field rows into the ring (see _clear_rational_rows);
 # eliminate(rows, ncols) is the in-place fraction-free kernel, returning
-# the pivots; reduce(pv, transform, residual) shrinks an _Elimination's rows
-# over their pivot value pv and drops its zero residual rows.
-_Ring = namedtuple("_Ring", "zero one mul sub add dot frac clear eliminate reduce")
+# the pivots. Over Z it leaves a positive pivot value and primitive rows
+# past the rank, so _Elimination takes its rows as they are.
+_Ring = namedtuple("_Ring", "zero one mul sub add dot frac clear eliminate")
 
 
 # Z keeps the C-level int operations: the jet solver's order-0 products
@@ -667,11 +648,11 @@ _Ring = namedtuple("_Ring", "zero one mul sub add dot frac clear eliminate reduc
 _RINGS = {
     RationalDomain: _Ring(
         0, 1, operator.mul, operator.sub, operator.add, _int_dot, Fraction,
-        _clear_rational_rows, _eliminate_int, _reduce_int,
+        _clear_rational_rows, _eliminate_int,
     ),
     RatFunDomain: _Ring(
         up.ZERO, up.ZONE, up.zmul, up.zsub, up.zadd, _zdot, RatFun._from_z,
-        _clear_ratfun_rows, _eliminate_zpoly, _reduce_zpoly,
+        _clear_ratfun_rows, _eliminate_zpoly,
     ),
 }
 
@@ -801,13 +782,12 @@ class _Elimination:
     Every pivot row ends on one pivot value (see rref_rows), so A y = c
     with c over the ring is solved, free variables 0, by y[pivots[k]] =
     (T c)_k / pv, T the transform rows and pv that pivot value; each
-    residual row r with r . c != 0 proves it inconsistent. Over Z, pv is
-    the least common denominator of the reduced rows [A | I] and the
-    residual rows are primitive. The ring's reduce step shrinks them
-    further: over Z it divides pv and T by their gcd, leaving pv > 0, and
-    each residual row by its content. Both are kept by columns, so a
-    product reads only c's nonzero entries: a jet order's right-hand side
-    has few of them. The rows are consumed.
+    residual row r with r . c != 0 proves it inconsistent. pv and the
+    rows are kept as the kernel leaves them, zero residual rows dropped:
+    over Z, pv > 0 is the least common denominator of the reduced rows
+    [A | I] and the residual rows are primitive. T and the residual rows
+    are kept by columns, so a product reads only c's nonzero entries: a
+    jet order's right-hand side has few of them. The rows are consumed.
     """
 
     __slots__ = ("pivots", "rank", "pv", "_ring", "_tcols", "_rcols", "_nres")
@@ -819,8 +799,9 @@ class _Elimination:
         pivots, pv = rref_rows(rows, ncols, ring)
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
-        tail = [row[ncols:] for row in rows]
-        self.pv, transform, residual = ring.reduce(pv, tail[: self.rank], tail[self.rank :])
+        self.pv = pv
+        transform = [row[ncols:] for row in rows[: self.rank]]
+        residual = [tail for row in rows[self.rank :] if any(tail := row[ncols:])]
         self._ring = ring
         self._nres = len(residual)
         self._tcols = tuple(zip(*transform)) if transform else ((),) * nrows
@@ -995,13 +976,19 @@ class JetSystemSolver:
 # ---------------------------------------------------------------------------
 # sound one-sided full-rank certificates
 
-_CERT_PRIMES = ((1 << 61) - 1, 2305843009213693907)
+_CERT_PRIME = (1 << 61) - 1
 
 
-def _full_rank_modp(rows, ncols, p):
-    """Whether integer rows have rank ncols modulo p. Only their nonzero
-    entries are reduced and eliminated, each row held as a dict of them,
-    and the scan stops at the first column no remaining row reaches."""
+def full_column_rank_int(rows, ncols) -> bool:
+    """The certificate below on integer rows: True when the rows have
+    full column rank modulo one fixed prime, hence over Q. Only their
+    nonzero entries are reduced and eliminated, each row held as a dict of
+    them, and the scan stops at the first column no remaining row reaches."""
+    if ncols == 0:
+        return True
+    if len(rows) < ncols:
+        return False
+    p = _CERT_PRIME
     work = [{j: x for j in compress(range(len(row)), row) if (x := row[j] % p)} for row in rows]
     for c in range(ncols):
         for r, row in enumerate(work):
@@ -1024,20 +1011,11 @@ def _full_rank_modp(rows, ncols, p):
     return True
 
 
-def full_column_rank_int(rows, ncols) -> bool:
-    """The certificate below on integer rows: True when the rows have
-    full column rank modulo one of two fixed primes, hence over Q."""
-    if ncols == 0:
-        return True
-    if len(rows) < ncols:
-        return False
-    return any(_full_rank_modp(rows, ncols, p) for p in _CERT_PRIMES)
-
-
 def full_column_rank_certificate(matrix: Matrix) -> bool:
     """True certifies that a rational matrix has full column rank (exactly:
-    rank over Q never falls below rank after reduction mod p). False means
-    "inconclusive": fall back to exact elimination. Never wrong when True.
+    rank over Q never falls below rank modulo the one fixed prime p). False
+    means "inconclusive": fall back to exact elimination. Never wrong when
+    True.
     """
     if not isinstance(matrix.domain, RationalDomain):
         raise DomainMismatchError("certificate needs a rational matrix")

@@ -13,8 +13,9 @@ k (its dimension, cobasis, a normal form, a column solver) and then
 cached, so a fibre pays only for the degrees its caller uses.
 
 Fibres work over the rationals, over rational functions of t (the generic
-fibre of a family), or over jets at a basepoint. Over jets, every reduction
-reuses the order-0 fibre's echelon data order by order, so only rational
+fibre of a family), or over jets at a basepoint. A jet fibre reuses only
+its order-0 fibre's cobasis and certificate; the column solver of each
+degree eliminates its own order-0 block over Z, so only integer
 elimination ever runs.
 
 Over the rationals, over Q(t) and over jets no scalar matrix is built for
@@ -26,7 +27,7 @@ monomial indices of Y^m times its terms: the rows a Matrix of generator
 vectors would get by scaling each row by the lcm of its denominators. The
 certificate and the echelon data come from fraction-free elimination of
 these rows (rref_rows); over Q(t) the certificate tests the rows at
-integer points of the t-line, by ranks modulo primes at a few and, when
+integer points of the t-line, by ranks modulo one prime at a few and, when
 those fall short, by exact integer ranks at enough points that a nonzero
 minor cannot vanish at all of them. A normal form clears p into the ring once
 and takes dot products there. Over jets each partial is cleared once over

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .exactcore import (
     ExactCoreError,
@@ -48,6 +48,7 @@ from .exactcore import (
     PrecisionExhaustedError,
     RATIONAL,
     _as_fraction,
+    _clear_jet_rows,
     _is_zero,
     _kernel_vector,
     _ring,
@@ -118,34 +119,27 @@ def _stacked_kernel(cols, m: int):
 
     cols: J coordinate vectors of jets (precision at least m). Couples all
     jet orders of Sum_j c_j(s) cols_j(s) = 0 (mod s^m) into one
-    block-Toeplitz system of integer rows: each row r of W(s) is cleared
-    of denominators once, by one lcm over all of its orders, and every
-    stacked row of it keeps that scale, which keeps the RREF. The
-    elimination (ff_gauss_jordan_int) keeps its rows primitive, which
-    divides out what that shared scale leaves over. Returns kernel
-    vectors c (tuples of precision-m jets) whose order-0 parts are
-    independent and span the order-0 values of all solutions, chosen
-    greedily from the canonical kernel basis (one vector per free column
-    f: 1 at f, 0 at the other free columns). Their number is the level
-    rank.
+    block-Toeplitz system of integer rows: each row r of W(s), its
+    entries truncated to order m, is cleared of denominators once by
+    _clear_jet_rows, one lcm over all of its orders, and every stacked row
+    of it keeps that scale, which keeps the RREF. The elimination
+    (ff_gauss_jordan_int) keeps its rows primitive, which divides out
+    what that shared scale leaves over. Returns kernel vectors c (tuples
+    of precision-m jets) whose order-0 parts are independent and span the
+    order-0 values of all solutions, chosen greedily from the canonical
+    kernel basis (one vector per free column f: 1 at f, 0 at the other
+    free columns). Their number is the level rank.
     """
     J = len(cols)
     nrows = len(cols[0])
     width = m * J
-    # coeffs[r][k]: the order-k coefficients of row r, one per column,
+    # cleared[r][j]: the m integer s-coefficients of entry j of row r,
     # over one scale for the row
-    coeffs = []
-    for r in range(nrows):
-        entries = [col[r].coeffs[:m] for col in cols]
-        scale = lcm(*(c.denominator for e in entries for c in e))
-        coeffs.append([
-            [e[k].numerator * (scale // e[k].denominator) for e in entries]
-            for k in range(m)
-        ])
+    cleared = _clear_jet_rows([[col[r].truncate(m) for col in cols] for r in range(nrows)], [])
     # block column b of row block a holds the order a - b coefficients,
     # b = 0..a
     work = [
-        [e for k in range(a, -1, -1) for e in coeffs[r][k]] + [0] * ((m - 1 - a) * J)
+        [e[k] for k in range(a, -1, -1) for e in cleared[r]] + [0] * ((m - 1 - a) * J)
         for a in range(m)
         for r in range(nrows)
     ]

@@ -29,6 +29,7 @@ from flatunitary.exactcore import (
     kernel_basis,
     rref,
     rref_rows,
+    _CERT_PRIME,
     _ring,
 )
 from flatunitary.jacobian import JacobianFiber
@@ -329,6 +330,14 @@ class TestRationalElimination:
             Matrix([[1, 0], [0, 1], [1, 1]])
         )
         assert not full_column_rank_certificate(Matrix([[1, 2], [2, 4]]))
+
+    def test_certificate_uses_one_prime(self):
+        # [[P]] has rank 1 over Q but 0 modulo the one certificate prime P:
+        # the certificate is inconclusive and exact elimination decides
+        P = _CERT_PRIME
+        assert not full_column_rank_int([[P]], 1)
+        assert not full_column_rank_certificate(Matrix([[P]]))
+        assert rref(Matrix([[P]])).rank == 1
 
     @settings(max_examples=120, deadline=None)
     @given(core_case_st())
