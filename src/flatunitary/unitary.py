@@ -15,7 +15,10 @@ because every lower theta-condition vanishes on V_r, so each level is
 one exact kernel computation. One pass walks the chain: each section of
 V_r keeps its trajectory [p, D p, ..., D^r p], and the Leibniz rule
 passes these on to the sections of V_{r+1}, so no derivative is taken
-twice.
+twice. The diagonal torus that scales every monomial of F(t) by one
+factor splits the cobasis into character classes; a cobasis section
+whose class theta maps to an empty block of R_{2d-3} is inert: it lies
+in every V_r, holds only [p] and is never differentiated.
 
 Two computation modes share the level logic. Over the rational-function
 field the kernels are taken over Q(t) and the answer is the generic
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .exactcore import (
     ExactCoreError,
@@ -147,6 +150,8 @@ def _stacked_kernel(cols, m: int):
     pivots = z.eliminate(work, width)
     pivot_set = set(pivots)
     free = [f for f in range(width) if f not in pivot_set]
+    if not free:
+        return []
     # The order-0 parts of the canonical vectors, one column per free
     # column, form a matrix whose rows are, up to nonzero scaling, the
     # free entries of each echelon row with its pivot in block 0 and a
@@ -233,8 +238,10 @@ def filtration_ranks(
     with jets of the given order (default 2*genus + 4; an order or a t0
     given in ratfun mode raises ValueError). The chain never stops
     early except on hitting rank zero, so stabilization is observed
-    rather than assumed. The sections the pass ends with are checked
-    against the last theta-condition.
+    rather than assumed. Inert sections, those theta cannot see on any
+    derivative (_inert_sections), are carried as they are; the active
+    sections the pass ends with are checked against the last
+    theta-condition.
     """
     mode, order, rmax = _settings(fam, mode, order, max_level, t0)
     if mode == "ratfun":
@@ -256,22 +263,29 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
     is None, else over jets of that order at t0 (the fibre's precision
     may be higher).
 
-    Level r+1 extends the held trajectory of each basis section p of V_r
-    (cobasis unit sections at level 1) to D^r p by one gm_derivative step,
-    takes the kernel of theta on the D^r p (precision order - r over jets)
-    and builds the new trajectories by the Leibniz rule.
+    Level r+1 extends the held trajectory of each active basis section p
+    of V_r (cobasis unit sections at level 1) to D^r p by one
+    gm_derivative step, takes the kernel of theta on the D^r p (precision
+    order - r over jets) and builds the new trajectories by the Leibniz
+    rule. An inert section (_inert_sections) holds only [p] and gives a
+    zero theta column; it is never differentiated.
     """
     d = fiber.d
     dom = fiber.domain if order is None else JetDomain(order)
-    trajs = [
-        [HomPoly.monomial(e, dom.one(), domain=dom)] for e in fiber.cobasis(d - 3)
-    ]
+    cobasis = fiber.cobasis(d - 3)
+    inert = _inert_sections(fiber, Ft, cobasis)
+    trajs = [[HomPoly.monomial(e, dom.one(), domain=dom)] for e in cobasis]
+    zero = (dom.zero(),) * fiber.genus
     ranks = []
     for r in range(rmax):
+        active = [traj for traj, idle in zip(trajs, inert) if not idle]
         if r:
-            for traj in trajs:
+            for traj in active:
                 traj.append(gm_derivative(fiber, Ft, traj[-1]))
-        wcols = [theta_eval(fiber, Ft, traj[-1]).coords for traj in trajs]
+        wcols = [
+            zero if idle else theta_eval(fiber, Ft, traj[-1]).coords
+            for traj, idle in zip(trajs, inert)
+        ]
         if order is None:
             combos = kernel_basis(Matrix(list(zip(*wcols)), domain=dom))
         else:
@@ -280,7 +294,18 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
                 tuple(Jet._of(c.coeffs + (Fraction(0),) * r) for c in cv)
                 for cv in _stacked_kernel(wcols, order - r)
             ]
-        trajs = [_leibniz(trajs, c) for c in combos]
+        # an inert column is zero, hence free: its kernel vector is its unit
+        # vector, which carries [p], and every other vector is 0 on it
+        held, held_inert = [], []
+        for c in combos:
+            j, *rest = (j for j, x in enumerate(c) if not _is_zero(x))
+            idle = not rest and inert[j]
+            if idle:
+                held.append(trajs[j])
+            else:
+                held.append(_leibniz(active, [x for x, i in zip(c, inert) if not i]))
+            held_inert.append(idle)
+        trajs, inert = held, held_inert
         ranks.append(len(trajs))
         if not trajs:
             break
@@ -296,9 +321,41 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
         ranks=tuple(ranks),
         sections=tuple(traj[0] for traj in trajs),
     )
-    if trajs:
-        _verify_chain(fiber, Ft, trajs)
+    active = [traj for traj, idle in zip(trajs, inert) if not idle]
+    if active:
+        _verify_chain(fiber, Ft, active)
     return result
+
+
+def _inert_sections(fiber: JacobianFiber, Ft: HomPoly, cobasis):
+    """Flags the cobasis sections of R_{d-3} that theta cannot see.
+
+    Let L be the lattice of differences of the exponents of F and F_T.
+    The Jacobian ideal, theta and D respect the grading of monomials by
+    their class modulo L, and theta adds the class [F] of F's monomials.
+    A section is inert when no cobasis monomial of R_{2d-3} lies in its
+    class plus [F]: theta vanishes on every derivative of it, so it lies
+    in every level of the chain. Differences have coordinate sum 0, so
+    the Hermite form Z(a, b) + Z(0, c) of L on the first two coordinates
+    gives each class of one degree a canonical key.
+    """
+    x0, y0, _ = next(iter(fiber.F.terms))
+    a = b = c = 0
+    for e in (*fiber.F.terms, *Ft.terms):
+        x, y = e[0] - x0, e[1] - y0
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        c = gcd(c, y)
+    a, b = (-a, -b) if a < 0 else (a, b)
+
+    def key(x, y):
+        if a:
+            x, y = x % a, y - x // a * b
+        return x, y % c if c else y
+
+    targets = {key(f[0], f[1]) for f in fiber.cobasis(2 * fiber.d - 3)}
+    return [key(e[0] + x0, e[1] + y0) not in targets for e in cobasis]
 
 
 def _leibniz(trajs, coeffs):
@@ -325,9 +382,9 @@ def _leibniz(trajs, coeffs):
 
 def _verify_chain(fiber: JacobianFiber, Ft: HomPoly, trajectories):
     """Check theta(D^(L-1) p) = 0 on each held trajectory [p, .., D^(L-1) p]
-    of a final section, L = max_level. The lower conditions hold already:
-    the entries combine ones gm_derivative was applied to, which raises
-    unless theta kills them."""
+    of an active final section, L = max_level. The lower conditions hold
+    already: the entries combine ones gm_derivative was applied to, which
+    raises unless theta kills them."""
     for traj in trajectories:
         if not theta_eval(fiber, Ft, traj[-1]).is_zero:
             raise ExactCoreError(

@@ -31,3 +31,10 @@ def mix_tt():
 def path_family():
     """Family whose kernel chain stays at rank two through a jumping point."""
     return parse_family("Y0^4 + Y1^4 + Y2^4 + T*Y0^3*Y1 + T^2*Y0^2*Y1^2")
+
+
+@pytest.fixture(scope="session")
+def septic():
+    """Fermat septic with one T-monomial: at level 2 its chain ends with
+    five inert and two active sections."""
+    return parse_family("Y0^7 + Y1^7 + Y2^7 + T*Y0^3*Y1^4")

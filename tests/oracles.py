@@ -5,11 +5,15 @@ bug in the package cannot hide in its own oracle.
 """
 
 from fractions import Fraction
+from math import comb
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from flatunitary.exactcore import Jet, JetDomain, Matrix, _is_zero, kernel_basis
+from flatunitary.gaussmanin import _precision, _truncate_poly, gm_derivative, theta_eval
 from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
+from flatunitary.unitary import _stacked_kernel
 
 Y0, Y1, Y2, T = sympy.symbols("Y0 Y1 Y2 T")
 QT = sympy.QQ.frac_field(T)
@@ -398,3 +402,59 @@ def jacobian_quotient_dims(fexpr, degrees):
         return count
 
     return {k: standard(k) for k in degrees}
+
+
+# ---------------------------------------------------------------------------
+# the kernel chain without the inert split
+
+
+def naive_walk_chain(fiber, Ft, order, rmax):
+    """(ranks, sections) of the kernel chain, walked the plain way: every
+    section keeps its whole trajectory [p, D p, ..., D^r p], every one is
+    differentiated and theta-evaluated at every level, and each kernel
+    vector's trajectory is built by the Leibniz rule over all of them.
+    Over Q(t) when order is None, else over jets of that order; the
+    final trajectories are checked against the last theta-condition."""
+    def leibniz(trajs, coeffs):
+        derivs = [coeffs]
+        for _ in range(len(trajs[0]) - 1):
+            derivs.append([c.derivative() for c in derivs[-1]])
+        out = []
+        for k, first in enumerate(trajs[0]):
+            n = _precision(first)
+            total = HomPoly.zero(first.degree, first.domain)
+            for i in range(k + 1):
+                for c, traj in zip(derivs[i], trajs):
+                    if _is_zero(c):
+                        continue
+                    if n is not None:
+                        c = c.truncate(n)
+                    total = total + _truncate_poly(traj[k - i], n).scale(comb(k, i) * c)
+            out.append(total)
+        return out
+
+    dom = fiber.domain if order is None else JetDomain(order)
+    trajs = [
+        [HomPoly.monomial(e, dom.one(), domain=dom)] for e in fiber.cobasis(fiber.d - 3)
+    ]
+    ranks = []
+    for r in range(rmax):
+        if r:
+            for traj in trajs:
+                traj.append(gm_derivative(fiber, Ft, traj[-1]))
+        wcols = [theta_eval(fiber, Ft, traj[-1]).coords for traj in trajs]
+        if order is None:
+            combos = kernel_basis(Matrix(list(zip(*wcols)), domain=dom))
+        else:
+            combos = [
+                tuple(Jet._of(c.coeffs + (Fraction(0),) * r) for c in cv)
+                for cv in _stacked_kernel(wcols, order - r)
+            ]
+        trajs = [leibniz(trajs, c) for c in combos]
+        ranks.append(len(trajs))
+        if not trajs:
+            break
+    ranks.extend([0] * (rmax - len(ranks)))
+    for traj in trajs:
+        assert theta_eval(fiber, Ft, traj[-1]).is_zero, "final theta-condition nonzero"
+    return tuple(ranks), tuple(traj[0] for traj in trajs)

@@ -16,6 +16,7 @@ from flatunitary.gaussmanin import NotKernelSectionError
 from flatunitary.jacobian import JacobianFiber
 
 MIX = "Y0^4+Y1^4+Y2^4+T*Y0^2*Y1^2"
+SEPTIC = "Y0^7+Y1^7+Y2^7+T*Y0^3*Y1^4"
 RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
@@ -216,8 +217,13 @@ class TestExactCoreFailures:
     )
     def test_maps_to_three_with_an_error_block(self, monkeypatch, tmp_path, target, exc):
         monkeypatch.setattr(unitary, target, self._raise(exc))
-        mode = "jet" if target == "_stacked_kernel" else "ratfun"
-        report, code = run_to_dict(["unitary-rank", MIX, "--mode", mode], tmp_path)
+        if target == "_stacked_kernel":
+            argv = ["unitary-rank", MIX, "--mode", "jet"]
+        else:
+            # differentiated and verified sections are active ones; the
+            # septic keeps two to level 2
+            argv = ["unitary-rank", SEPTIC, "--mode", "ratfun", "--max-level", "2"]
+        report, code = run_to_dict(argv, tmp_path)
         assert code == 3
         assert "result" not in report
         assert report["error"] == {
@@ -225,6 +231,15 @@ class TestExactCoreFailures:
             "exception": type(exc).__name__,
             "detail": str(exc),
         }
+
+    @pytest.mark.parametrize("target", ["_verify_chain", "gm_derivative"])
+    def test_faults_never_reached_on_inert_sections(self, monkeypatch, tmp_path, target):
+        # every final section of the quartic is inert: none is
+        # differentiated past level 1 or verified, so the faults never fire
+        monkeypatch.setattr(unitary, target, self._raise(ExactCoreError("unreached")))
+        report, code = run_to_dict(["unitary-rank", MIX, "--mode", "ratfun"], tmp_path)
+        assert code == 0
+        assert report["result"]["ranks"] == [2, 2, 2]
 
     def test_exhausted_precision_stays_an_input_error(self, capsys):
         argv = ["unitary-rank", MIX, "--mode", "jet", "--order", "2", "--max-level", "3"]

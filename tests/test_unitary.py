@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flatunitary._univar as up
-from flatunitary import unitary
+from flatunitary import exactcore, unitary
 from flatunitary.exactcore import (
+    RATFUN,
     DomainMismatchError,
     ExactCoreError,
     Jet,
     JetSystemSolver,
+    Matrix,
     PrecisionExhaustedError,
     _Columns,
+    kernel_basis,
 )
 from flatunitary.family import (
     candidate_basepoints,
@@ -27,8 +30,9 @@ from flatunitary.family import (
 )
 from flatunitary.gaussmanin import gm_derivative, theta_eval
 from flatunitary.jacobian import JacobianFiber, make_fiber
-from flatunitary.polyring import HomPoly
+from flatunitary.polyring import HomPoly, graded_basis
 from flatunitary.unitary import (
+    _inert_sections,
     _stacked_kernel,
     default_jet_order,
     eta2_on_K,
@@ -38,7 +42,7 @@ from flatunitary.unitary import (
     pointwise_kernel,
     unitary_rank,
 )
-from oracles import naive_stacked_kernel
+from oracles import naive_stacked_kernel, naive_walk_chain
 
 
 class TestPointwiseKernel:
@@ -125,23 +129,45 @@ def _chain_trajectory(fiber, Ft, p, depth):
     return out
 
 
+def _walk_fibre(fam, res):
+    """The fibre and F_T a filtration run res walked on, built afresh."""
+    if res.mode == "ratfun":
+        return make_fiber(generic_fibre(fam)), generic_fibre(t_derivative(fam))
+    return (
+        make_fiber(jet_expand(fam, res.t0, res.order)),
+        jet_expand(t_derivative(fam), res.t0, res.order),
+    )
+
+
 class TestHeldTrajectories:
-    """The pass builds each final section's trajectory by the Leibniz rule
-    and verifies the trajectories it holds; re-deriving them step by step
-    on a fresh fibre must give the same polynomials, ending in a zero
-    theta value."""
+    """The pass builds each active final section's trajectory by the
+    Leibniz rule and verifies the trajectories it holds; re-deriving them
+    step by step on a fresh fibre must give the same polynomials. Every
+    final section, inert ones included, re-derived to depth max_level - 1
+    must end in a zero theta value."""
 
     @pytest.mark.parametrize(
-        "name,mode,t0",
+        "name,mode,t0,max_level,n_active",
         [
-            ("mix", "ratfun", None),
-            ("mix", "jet", Fraction(1)),
-            ("path_family", "jet", Fraction(0)),
-            ("tfree", "ratfun", None),
-            ("tfree", "jet", None),
+            ("mix", "ratfun", None, None, 0),
+            ("mix", "jet", Fraction(1), None, 0),
+            ("path_family", "jet", Fraction(0), None, 0),
+            ("tfree", "ratfun", None, None, 0),
+            ("tfree", "jet", None, None, 0),
+            ("septic", "ratfun", None, 2, 2),
+        ],
+        ids=[
+            "mix-ratfun-None",
+            "mix-jet-t01",
+            "path_family-jet-t02",
+            "tfree-ratfun-None",
+            "tfree-jet-None",
+            "septic-ratfun-level2",
         ],
     )
-    def test_match_the_rederived_chain(self, request, monkeypatch, name, mode, t0):
+    def test_match_the_rederived_chain(
+        self, request, monkeypatch, name, mode, t0, max_level, n_active
+    ):
         fam = request.getfixturevalue(name)
         held = []
         real = unitary._verify_chain
@@ -151,18 +177,17 @@ class TestHeldTrajectories:
             real(fiber, Ft, trajectories)
 
         monkeypatch.setattr(unitary, "_verify_chain", capture)
-        res = filtration_ranks(fam, mode=mode, t0=t0)
-        if mode == "ratfun":
-            fiber = make_fiber(generic_fibre(fam))
-            Ft = generic_fibre(t_derivative(fam))
-        else:
-            fiber = make_fiber(jet_expand(fam, res.t0, res.order))
-            Ft = jet_expand(t_derivative(fam), res.t0, res.order)
-        (trajs,) = held
-        assert res.sections and [t[0] for t in trajs] == list(res.sections)
+        res = filtration_ranks(fam, mode=mode, t0=t0, max_level=max_level)
+        fiber, Ft = _walk_fibre(fam, res)
+        # _verify_chain runs once, on the active final trajectories, if any
+        assert [len(t) for t in held] == ([n_active] if n_active else [])
+        trajs = held[0] if held else []
+        heads = [t[0] for t in trajs]
+        assert res.sections and heads == [p for p in res.sections if p in heads]
         for traj in trajs:
-            want = _chain_trajectory(fiber, Ft, traj[0], res.max_level - 1)
-            assert traj == want
+            assert traj == _chain_trajectory(fiber, Ft, traj[0], res.max_level - 1)
+        for p in res.sections:
+            want = _chain_trajectory(fiber, Ft, p, res.max_level - 1)
             assert theta_eval(fiber, Ft, want[-1]).is_zero
 
     def test_verify_rejects_a_nonzero_final_theta(self, mix):
@@ -267,6 +292,21 @@ class TestStackedKernel:
         res = filtration_ranks(mix, mode="jet", t0=Fraction(1), order=6)
         assert tuple(seen) == res.ranks
 
+    def test_full_rank_system_runs_one_elimination(self, monkeypatch):
+        # no free column: no kernel vector and no order-0 elimination of
+        # zero-width rows
+        widths = []
+        real = exactcore.ff_gauss_jordan_int
+
+        def counting(rows, ncols):
+            widths.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(exactcore, "ff_gauss_jordan_int", counting)
+        cols = [[Jet((1, 2)), Jet((0, 1))], [Jet((0, 3)), Jet((1, 0))]]
+        assert _stacked_kernel(cols, 2) == []
+        assert widths == [4]
+
     def test_builds_no_fraction_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("_stacked_kernel built a Fraction matrix")
@@ -275,6 +315,129 @@ class TestStackedKernel:
         monkeypatch.setattr(unitary, "kernel_basis", refuse)
         cols = [[Jet((1, 2, 0))], [Jet((2, 4, 1))]]
         assert len(_stacked_kernel(cols, 3)) == 1
+
+
+QUINTIC = "Y0^5 + Y1^5 + Y2^5 + T*Y0^2*Y1^3"
+TWO_MONOMIAL_QUINTIC = "Y0^5 + Y1^5 + Y2^5 + 2/3*T*Y1^4*Y2 + 3*T*Y1^3*Y2^2"
+SEXTIC = "Y0^6 + Y1^6 + Y2^6 + T*Y0^3*Y1^3"
+
+
+class TestInertSplit:
+    """The walk never differentiates an inert section; it must still give
+    the plain walk's ranks and sections."""
+
+    @pytest.mark.parametrize("mode", ["ratfun", "jet"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "mix", "tfree", "hesse", "mix_tt", "path_family",
+            QUINTIC, TWO_MONOMIAL_QUINTIC, SEXTIC,
+        ],
+    )
+    def test_matches_the_plain_walk(self, request, name, mode):
+        fam = parse_family(name) if "^" in name else request.getfixturevalue(name)
+        res = filtration_ranks(fam, mode=mode)
+        fiber, Ft = _walk_fibre(fam, res)
+        assert naive_walk_chain(fiber, Ft, res.order, res.max_level) == (
+            res.ranks,
+            res.sections,
+        )
+
+    @pytest.mark.parametrize(
+        "text,inert",
+        [
+            (QUINTIC, 3),
+            (TWO_MONOMIAL_QUINTIC, 3),
+            (SEXTIC, 6),
+            ("Y0^7 + Y1^7 + Y2^7 + T*Y0^3*Y1^4", 5),
+            ("Y0^8 + Y1^8 + Y2^8 + T*Y0^3*Y1^5", 6),
+            ("Y0^6 + Y1^6 + Y2^6 + T*Y0^5*Y1 + 2*T^2*Y1^3*Y2^3 - 3*T*Y0*Y1^2*Y2^3", 0),
+        ],
+    )
+    def test_inert_dimensions(self, text, inert):
+        fam = parse_family(text)
+        fiber = make_fiber(generic_fibre(fam))
+        Ft = generic_fibre(t_derivative(fam))
+        assert sum(_inert_sections(fiber, Ft, fiber.cobasis(fam.degree - 3))) == inert
+
+
+def _character_classes(F):
+    """Class of each monomial (of any degree) modulo the lattice of
+    exponent differences of F, a Fermat deformation of degree d: that
+    lattice holds d times the coordinate-sum-0 lattice, so a class is
+    the degree and a coset, in (Z/d)^2, of the subgroup the differences
+    generate."""
+    d = F.degree
+    (x0, y0, _), *rest = F.terms
+    gens = [((x - x0) % d, (y - y0) % d) for x, y, _ in rest]
+    group, grown = {(0, 0)}, True
+    while grown:
+        new = {((a + u) % d, (b + v) % d) for a, b in group for u, v in gens}
+        grown = not new <= group
+        group |= new
+
+    def cls(e):
+        return sum(e), frozenset(((e[0] + a) % d, (e[1] + b) % d) for a, b in group)
+
+    return cls
+
+
+@st.composite
+def fermat_deformation_st(draw):
+    """Y0^d + Y1^d + Y2^d + T * (1 to 3 monomials), d = 4 or 5."""
+    d = draw(st.integers(min_value=4, max_value=5))
+    mons = draw(
+        st.lists(st.sampled_from(graded_basis(d)), min_size=1, max_size=3, unique=True)
+    )
+    coeffs = draw(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=len(mons), max_size=len(mons))
+    )
+    text = f"Y0^{d} + Y1^{d} + Y2^{d}" + "".join(
+        f" + {c}*T*Y0^{a}*Y1^{b}*Y2^{e}" for c, (a, b, e) in zip(coeffs, mons)
+    )
+    return parse_family(text)
+
+
+def _support_classes(cls, poly):
+    return {cls(e) for e in poly.terms}
+
+
+class TestCharacterGrading:
+    """On a single-class input, D keeps its class, theta adds [F] and a
+    normal form stays in the class: what makes a section inert."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(fermat_deformation_st(), st.data())
+    def test_single_class_inputs_stay_in_one_class(self, fam, data):
+        fiber = make_fiber(generic_fibre(fam))
+        Ft = generic_fibre(t_derivative(fam))
+        d = fam.degree
+        cls = _character_classes(fiber.F)
+        shift = next(iter(fiber.F.terms))
+        cob = fiber.cobasis(d - 3)
+        for chi in {cls(e) for e in cob}:
+            block = [e for e in cob if cls(e) == chi]
+            thetas = [
+                theta_eval(fiber, Ft, HomPoly.monomial(e, 1, domain=RATFUN)) for e in block
+            ]
+            (target,) = {cls(tuple(a + b for a, b in zip(e, shift))) for e in block}
+            for th in thetas:
+                assert _support_classes(cls, fiber.representative(th)) <= {target}
+            matrix = Matrix(list(zip(*(th.coords for th in thetas))), domain=RATFUN)
+            for v in kernel_basis(matrix):
+                p = HomPoly(d - 3, dict(zip(block, v)), domain=RATFUN)
+                assert _support_classes(cls, gm_derivative(fiber, Ft, p)) <= {chi}
+        # a normal form: any single-class polynomial of a degree the walk
+        # reduces in
+        k = data.draw(st.sampled_from([d - 3, d, 2 * d - 3]))
+        e = data.draw(st.sampled_from(graded_basis(k)))
+        chi = cls(e)
+        same = [f for f in graded_basis(k) if cls(f) == chi]
+        coeffs = data.draw(
+            st.lists(st.integers(-3, 3), min_size=len(same), max_size=len(same))
+        )
+        p = HomPoly(k, dict(zip(same, coeffs)), domain=RATFUN)
+        assert _support_classes(cls, fiber.representative(fiber.normal_form(p))) <= {chi}
 
 
 class TestUnitaryRank:
