@@ -3,8 +3,9 @@
 A family is a homogeneous degree-d polynomial in Y0, Y1, Y2 whose
 coefficients are polynomials in one parameter T over the rationals. The
 text grammar is a sum of terms `coef*Y0^a*Y1^b*Y2^c`: each factor is a
-rational literal `p/q`, `T` (optionally `T^k`), or a `Y` power; `^1` may be
-omitted, whitespace is insignificant, and terms are joined by `+`/`-`.
+rational literal `p/q` (ASCII digits, no space around `/`), `T`
+(optionally `T^k`), or a `Y` power; `^1` may be omitted, whitespace
+elsewhere is insignificant, and terms are joined by `+`/`-`.
 
 Specialization (T = t0), the generic fibre over the rational-function
 field, jet expansion T = t0 + s truncated at a chosen order, and T-
@@ -17,6 +18,7 @@ exact smoothness certificate, together with the rejection log.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,164 +100,94 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 # text form
 
-_VAR_INDEX = {"Y0": 0, "Y1": 1, "Y2": 2}
+_TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|(Y[012]|T)|([-+*^])|(\S)")
 
 
 def _tokenize(text: str):
+    """(kind, value, pos) tokens ending in ("end", None, len(text)); a var
+    token's value indexes Y0, Y1, Y2, T in that order."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, None, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            num = int(text[start:i])
-            if i < n and text[i] == "/":
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                if dstart == i:
-                    raise FamilyParseError("expected digits after '/'", dstart)
-                den = int(text[dstart:i])
-                if den == 0:
-                    raise FamilyParseError("zero denominator", dstart)
-                tokens.append(("num", Fraction(num, den), start))
-            else:
-                tokens.append(("num", Fraction(num), start))
-            continue
-        if ch == "Y":
-            if i + 1 < n and text[i + 1] in "012":
-                tokens.append(("var", "Y" + text[i + 1], i))
-                i += 2
-                continue
-            raise FamilyParseError("expected Y0, Y1, or Y2", i)
-        if ch == "T":
-            tokens.append(("var", "T", i))
-            i += 1
-            continue
-        raise FamilyParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+    for m in _TOKEN.finditer(text):
+        num, den, var, op, other = m.groups()
+        pos = m.start()
+        if other is not None:
+            if other == "Y":
+                raise FamilyParseError("expected Y0, Y1, or Y2", pos)
+            raise FamilyParseError(f"unexpected character {other!r}", pos)
+        if op is not None:
+            tokens.append((op, None, pos))
+        elif var is not None:
+            tokens.append(("var", 3 if var == "T" else int(var[1]), pos))
+        elif den == "/":
+            raise FamilyParseError("expected digits after '/'", m.end())
+        else:
+            try:
+                value = Fraction(int(num), int(den[1:]) if den else 1)
+            except ValueError:  # past the int string limit
+                raise FamilyParseError("number has too many digits", pos) from None
+            except ZeroDivisionError:
+                raise FamilyParseError("zero denominator", m.start(2) + 1) from None
+            tokens.append(("num", value, pos))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
 def parse_family(text: str) -> FamilySpec:
     """Parse the family grammar; errors carry the offending position."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_exponent(default=1) -> int:
-        nonlocal pos
-        if peek()[0] == "^":
-            advance()
-            kind, value, p = advance()
-            if kind != "num" or value.denominator != 1 or value < 0:
-                raise FamilyParseError("exponent must be a nonnegative integer", p)
-            return int(value)
-        return default
-
-    raw_terms = []
-    sign = 1
-    kind, _, p = peek()
-    if kind in "+-":
+    tokens = iter(_tokenize(text))
+    kind, value, pos = next(tokens)
+    acc = {}  # Y exponents -> {T power: coefficient}
+    degrees = set()
+    while True:  # at a sign (optional before the first term) or a term
         sign = -1 if kind == "-" else 1
-        advance()
-    while True:
-        coef = Fraction(sign)
-        tpow = 0
-        exps = [0, 0, 0]
-        saw_factor = False
-        term_pos = peek()[2]
+        if kind in ("+", "-"):
+            kind, value, pos = next(tokens)
+        if kind not in ("num", "var"):
+            raise FamilyParseError("expected a term", pos)
+        coef, exps = Fraction(sign), [0, 0, 0, 0]
         while True:
-            kind, value, p = peek()
             if kind == "num":
-                advance()
                 coef *= value
-                saw_factor = True
-            elif kind == "var":
-                advance()
-                k = parse_exponent()
-                if value == "T":
-                    tpow += k
-                else:
-                    exps[_VAR_INDEX[value]] += k
-                saw_factor = True
+                kind, value, pos = next(tokens)
             else:
+                var, (kind, value, pos) = value, next(tokens)
+                k = 1
+                if kind == "^":
+                    kind, k, pos = next(tokens)
+                    if kind != "num" or k.denominator != 1:
+                        raise FamilyParseError(
+                            "exponent must be a nonnegative integer", pos
+                        )
+                    kind, value, pos = next(tokens)
+                exps[var] += int(k)
+            if kind != "*":
                 break
-            if peek()[0] == "*":
-                advance()
-                if peek()[0] not in ("num", "var"):
-                    raise FamilyParseError("expected a factor after '*'", peek()[2])
-            else:
-                break
-        if not saw_factor:
-            raise FamilyParseError("expected a term", term_pos)
-        raw_terms.append((tuple(exps), tpow, coef))
-        kind, _, p = advance()
+            kind, value, pos = next(tokens)
+            if kind not in ("num", "var"):
+                raise FamilyParseError("expected a factor after '*'", pos)
+        e, tpow = tuple(exps[:3]), exps[3]
+        degrees.add(sum(e))
+        bucket = acc.setdefault(e, {})
+        bucket[tpow] = bucket.get(tpow, 0) + coef
         if kind == "end":
             break
-        if kind == "+":
-            sign = 1
-        elif kind == "-":
-            sign = -1
-        else:
-            raise FamilyParseError(f"unexpected {kind!r}", p)
+        if kind not in ("+", "-"):
+            raise FamilyParseError(f"unexpected {kind!r}", pos)
 
-    degrees = {sum(e) for e, _, _ in raw_terms}
     if len(degrees) > 1:
         raise FamilyParseError(
             f"non-homogeneous input: term degrees {sorted(degrees)}", 0
         )
-    degree = degrees.pop()
+    (degree,) = degrees
     if degree < 3:
         raise FamilyParseError(f"curve degree must be >= 3, got {degree}", 0)
-    acc = {}
-    for e, tpow, coef in raw_terms:
-        bucket = acc.setdefault(e, {})
-        bucket[tpow] = bucket.get(tpow, Fraction(0)) + coef
-    terms = {}
-    for e, bucket in acc.items():
-        width = max(bucket) + 1
-        cs = [bucket.get(k, Fraction(0)) for k in range(width)]
-        cs = up.pnorm(cs)
-        if cs:
-            terms[e] = cs
-    fam = FamilySpec(degree, terms)
+    fam = FamilySpec(
+        degree,
+        {e: [b.get(k, 0) for k in range(max(b) + 1)] for e, b in acc.items()},
+    )
     if fam.is_zero:
         raise FamilyParseError("the terms cancel to the zero polynomial", 0)
     return fam
-
-
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _format_monomial(e) -> str:
-    parts = []
-    for name, k in zip(("Y0", "Y1", "Y2"), e):
-        if k == 1:
-            parts.append(name)
-        elif k > 1:
-            parts.append(f"{name}^{k}")
-    return "*".join(parts)
 
 
 def print_family(fam: FamilySpec) -> str:
@@ -263,32 +195,21 @@ def print_family(fam: FamilySpec) -> str:
     parse_family(print_family(f)) == f exactly."""
     if fam.is_zero:
         return "0"
-    chunks = []
-    for e in sorted(fam.terms, key=monomial_sort_key):
-        cs = fam.terms[e]
-        for k, c in enumerate(cs):
-            if c == 0:
-                continue
-            factors = []
-            if abs(c) != 1:
-                factors.append(_format_fraction(abs(c)))
-            if k == 1:
-                factors.append("T")
-            elif k > 1:
-                factors.append(f"T^{k}")
-            mono = _format_monomial(e)
-            if mono:
-                factors.append(mono)
-            if not factors:
-                factors.append(_format_fraction(abs(c)))
-            chunks.append((c < 0, "*".join(factors)))
     out = []
-    for i, (neg, body) in enumerate(chunks):
-        if i == 0:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
+    for e in sorted(fam.terms, key=monomial_sort_key):
+        mono = "*".join(
+            f"{name}^{k}" if k > 1 else name
+            for name, k in zip(("Y0", "Y1", "Y2"), e)
+            if k
+        )
+        for k, c in enumerate(fam.terms[e]):
+            if c:
+                t = "" if k == 0 else "T" if k == 1 else f"T^{k}"
+                factors = (str(abs(c)) if abs(c) != 1 else "", t, mono)
+                out.append(" - " if c < 0 else " + ")
+                out.append("*".join(f for f in factors if f) or "1")
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ rational basepoint t0 in truncated power series in s = t - t0: each
 level solves the block-triangular rational system coupling all s-orders
 at once, the level rank is the dimension of order-0 values of solutions,
 and one order of s-precision is spent per level. Jet answers are
-certified by recomputing at a higher order on the same jet fibre and at
-a second basepoint; no basepoint is certified twice.
+checked, not certified: `stable` means only that the ranks agree when
+recomputed two orders higher on the same jet fibre and at a second
+basepoint. No basepoint's fibre is certified smooth twice.
 
 The second-order data lives here too: the pairing on the pointwise
 Higgs kernel obtained by differentiating kernel vectors once (eta2), the

@@ -10,9 +10,17 @@ from math import comb
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from flatunitary import _univar as up
 from flatunitary.exactcore import Jet, JetDomain, Matrix, _is_zero, kernel_basis
+from flatunitary.family import FamilyParseError, FamilySpec
 from flatunitary.gaussmanin import _precision, _truncate_poly, gm_derivative, theta_eval
-from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
+from flatunitary.polyring import (
+    HomPoly,
+    graded_basis,
+    monomial_sort_key,
+    poly_mul,
+    poly_partial,
+)
 from flatunitary.unitary import _stacked_kernel
 
 Y0, Y1, Y2, T = sympy.symbols("Y0 Y1 Y2 T")
@@ -458,3 +466,200 @@ def naive_walk_chain(fiber, Ft, order, rmax):
     for traj in trajs:
         assert theta_eval(fiber, Ft, traj[-1]).is_zero, "final theta-condition nonzero"
     return tuple(ranks), tuple(traj[0] for traj in trajs)
+
+
+# ---------------------------------------------------------------------------
+# the family text form, scanned and printed in two passes
+
+
+def _naive_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^":
+            tokens.append((ch, None, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            num = int(text[start:i])
+            if i < n and text[i] == "/":
+                i += 1
+                dstart = i
+                while i < n and text[i].isdigit():
+                    i += 1
+                if dstart == i:
+                    raise FamilyParseError("expected digits after '/'", dstart)
+                den = int(text[dstart:i])
+                if den == 0:
+                    raise FamilyParseError("zero denominator", dstart)
+                tokens.append(("num", Fraction(num, den), start))
+            else:
+                tokens.append(("num", Fraction(num), start))
+            continue
+        if ch == "Y":
+            if i + 1 < n and text[i + 1] in "012":
+                tokens.append(("var", "Y" + text[i + 1], i))
+                i += 2
+                continue
+            raise FamilyParseError("expected Y0, Y1, or Y2", i)
+        if ch == "T":
+            tokens.append(("var", "T", i))
+            i += 1
+            continue
+        raise FamilyParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+def naive_parse_family(text):
+    """The family parser as a scanner, a peek/advance term loop and a
+    second accumulation pass over the raw terms. Non-ASCII decimal
+    digits pass its str.isdigit scan."""
+    var_index = {"Y0": 0, "Y1": 1, "Y2": 2}
+    tokens = _naive_tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def advance():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_exponent(default=1):
+        nonlocal pos
+        if peek()[0] == "^":
+            advance()
+            kind, value, p = advance()
+            if kind != "num" or value.denominator != 1 or value < 0:
+                raise FamilyParseError("exponent must be a nonnegative integer", p)
+            return int(value)
+        return default
+
+    raw_terms = []
+    sign = 1
+    kind, _, p = peek()
+    if kind in "+-":
+        sign = -1 if kind == "-" else 1
+        advance()
+    while True:
+        coef = Fraction(sign)
+        tpow = 0
+        exps = [0, 0, 0]
+        saw_factor = False
+        term_pos = peek()[2]
+        while True:
+            kind, value, p = peek()
+            if kind == "num":
+                advance()
+                coef *= value
+                saw_factor = True
+            elif kind == "var":
+                advance()
+                k = parse_exponent()
+                if value == "T":
+                    tpow += k
+                else:
+                    exps[var_index[value]] += k
+                saw_factor = True
+            else:
+                break
+            if peek()[0] == "*":
+                advance()
+                if peek()[0] not in ("num", "var"):
+                    raise FamilyParseError("expected a factor after '*'", peek()[2])
+            else:
+                break
+        if not saw_factor:
+            raise FamilyParseError("expected a term", term_pos)
+        raw_terms.append((tuple(exps), tpow, coef))
+        kind, _, p = advance()
+        if kind == "end":
+            break
+        if kind == "+":
+            sign = 1
+        elif kind == "-":
+            sign = -1
+        else:
+            raise FamilyParseError(f"unexpected {kind!r}", p)
+
+    degrees = {sum(e) for e, _, _ in raw_terms}
+    if len(degrees) > 1:
+        raise FamilyParseError(
+            f"non-homogeneous input: term degrees {sorted(degrees)}", 0
+        )
+    degree = degrees.pop()
+    if degree < 3:
+        raise FamilyParseError(f"curve degree must be >= 3, got {degree}", 0)
+    acc = {}
+    for e, tpow, coef in raw_terms:
+        bucket = acc.setdefault(e, {})
+        bucket[tpow] = bucket.get(tpow, Fraction(0)) + coef
+    terms = {}
+    for e, bucket in acc.items():
+        width = max(bucket) + 1
+        cs = [bucket.get(k, Fraction(0)) for k in range(width)]
+        cs = up.pnorm(cs)
+        if cs:
+            terms[e] = cs
+    fam = FamilySpec(degree, terms)
+    if fam.is_zero:
+        raise FamilyParseError("the terms cancel to the zero polynomial", 0)
+    return fam
+
+
+def _naive_format_fraction(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _naive_format_monomial(e):
+    parts = []
+    for name, k in zip(("Y0", "Y1", "Y2"), e):
+        if k == 1:
+            parts.append(name)
+        elif k > 1:
+            parts.append(f"{name}^{k}")
+    return "*".join(parts)
+
+
+def naive_print_family(fam):
+    """Canonical text form, one chunk per nonzero coefficient, then the
+    chunks joined with their signs in a second loop."""
+    if fam.is_zero:
+        return "0"
+    chunks = []
+    for e in sorted(fam.terms, key=monomial_sort_key):
+        cs = fam.terms[e]
+        for k, c in enumerate(cs):
+            if c == 0:
+                continue
+            factors = []
+            if abs(c) != 1:
+                factors.append(_naive_format_fraction(abs(c)))
+            if k == 1:
+                factors.append("T")
+            elif k > 1:
+                factors.append(f"T^{k}")
+            mono = _naive_format_monomial(e)
+            if mono:
+                factors.append(mono)
+            if not factors:
+                factors.append(_naive_format_fraction(abs(c)))
+            chunks.append((c < 0, "*".join(factors)))
+    out = []
+    for i, (neg, body) in enumerate(chunks):
+        if i == 0:
+            out.append(("-" if neg else "") + body)
+        else:
+            out.append((" - " if neg else " + ") + body)
+    return "".join(out)

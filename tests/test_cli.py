@@ -45,6 +45,16 @@ class TestExitCodes:
         assert cli.run(["validate", "Y0^4 + Y1^3"]) == 2
         assert "homogeneous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["Y0^3+Y1^3+Y2^\u00b2", "1" * 5000 + "*Y0^3+Y1^3+Y2^3"],
+        ids=["superscript", "long-numerator"],
+    )
+    def test_literal_outside_the_grammar_is_input_error(self, text, capsys):
+        assert cli.run(["validate", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flatunitary: ") and "Traceback" not in err
+
     def test_non_utf8_family_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fam"
         bad.write_bytes(b"\xff\xfeY\x000\x00^\x004\x00")  # UTF-16 with a BOM

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flatunitary import family
 from flatunitary.exactcore import Jet
 from flatunitary.family import (
     FamilyParseError,
+    FamilySpec,
     NoSmoothFibreError,
     candidate_basepoints,
     iter_basepoints,
@@ -21,7 +22,16 @@ from flatunitary.family import (
     t_derivative,
 )
 from flatunitary.polyring import graded_basis
-from oracles import T, Y0, Y1, Y2, sym_family, sym_trivariate
+from oracles import (
+    T,
+    Y0,
+    Y1,
+    Y2,
+    naive_parse_family,
+    naive_print_family,
+    sym_family,
+    sym_trivariate,
+)
 
 
 class TestParsing:
@@ -58,37 +68,114 @@ class TestParsing:
             parse_family("Y0^3 + @")
         assert exc.value.pos == 7
 
-
-def family_st():
-    exps3 = list(graded_basis(3))
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    return st.dictionaries(
-        st.tuples(st.sampled_from(exps3), st.integers(min_value=0, max_value=2)),
-        coeff,
-        min_size=1,
-        max_size=6,
+    @pytest.mark.parametrize(
+        "text,pos",
+        [
+            ("Y0^3+Y1^3+Y2^\u00b2", 13),  # superscript two
+            ("1" * 5000 + "*Y0^3+Y1^3+Y2^3", 0),  # past the int string limit
+            ("Y0^3+Y1^3+1/" + "1" * 5000, 10),
+            ("\u0663*Y0^3+Y1^3+Y2^3", 0),  # Arabic-Indic three
+        ],
+        ids=["superscript", "long-numerator", "long-denominator", "non-ascii-digit"],
     )
+    def test_literals_outside_the_grammar_are_parse_errors(self, text, pos):
+        with pytest.raises(FamilyParseError) as exc:
+            parse_family(text)
+        assert exc.value.pos == pos
+
+
+@st.composite
+def family_st(draw, degrees=(3,)):
+    """{(Y exponents, T power): coefficient} of one drawn degree."""
+    exps = graded_basis(draw(st.sampled_from(degrees)))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(exps), st.integers(min_value=0, max_value=2)),
+            coeff,
+            min_size=1,
+            max_size=6,
+        )
+    )
+
+
+@st.composite
+def family_spec_st(draw):
+    """FamilySpec of degree 0-6, zero coefficient lists included."""
+    degree = draw(st.integers(min_value=0, max_value=6))
+    coeffs = st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4
+    )
+    terms = draw(
+        st.dictionaries(st.sampled_from(graded_basis(degree)), coeffs, max_size=5)
+    )
+    return FamilySpec(degree, terms)
+
+
+def _well_formed_text(raw, sep=" + "):
+    """The nonzero terms of a family_st draw as family text."""
+    return sep.join(
+        f"{q}*Y0^{a}*Y1^{b}*Y2^{c}" + (f"*T^{k}" if k else "")
+        for ((a, b, c), k), q in raw.items()
+        if q
+    )
+
+
+TOKEN_ALPHABET = [
+    "Y0", "Y1", "Y2", "Y3", "Y", "T", "+", "-", "*", "^", "/", "/0", "/3",
+    "0", "1", "2", "3", "12", "Y0^3", "Y1^3", "Y2^3", " ", "\t", "@", "x",
+]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FamilyParseError as exc:
+        return str(exc), exc.pos
+
+
+class TestAgainstTheTwoPassForm:
+    """parse_family and print_family against the scanner, term loop,
+    accumulation pass and chunk printer they replaced (tests/oracles.py).
+    Non-ASCII decimal digits are the one deliberate difference: the old
+    scanner read them as digits, the grammar is ASCII."""
+
+    def _check(self, text):
+        assume(not any(not ch.isascii() and ch.isdigit() for ch in text))
+        assert _parse_outcome(parse_family, text) == _parse_outcome(
+            naive_parse_family, text
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_parse_any_text(self, text):
+        self._check(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=16).map("".join))
+    def test_parse_token_strings(self, text):
+        self._check(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(family_st(degrees=range(3, 8)), st.sampled_from([" + ", "+", " - "]))
+    def test_parse_well_formed_families(self, raw, sep):
+        self._check(_well_formed_text(raw, sep))
+
+    @settings(max_examples=300, deadline=None)
+    @given(family_spec_st())
+    def test_print(self, fam):
+        assert print_family(fam) == naive_print_family(fam)
 
 
 class TestPrinting:
     @settings(max_examples=60, deadline=None)
-    @given(family_st())
+    @given(family_st(degrees=range(3, 8)))
     def test_print_parse_round_trip(self, raw):
-        terms = {}
-        for (e, k), c in raw.items():
-            cs = terms.setdefault(e, [Fraction(0)] * 3)
-            cs[k] = c
-        parts = []
-        for (a, b, c), cs in terms.items():
-            for k, q in enumerate(cs):
-                if q:
-                    parts.append(
-                        f"{q}*Y0^{a}*Y1^{b}*Y2^{c}" + (f"*T^{k}" if k else "")
-                    )
-        if not parts:
+        text = _well_formed_text(raw)
+        if not text:
             return
         try:
-            fam = parse_family(" + ".join(parts))
+            fam = parse_family(text)
         except FamilyParseError:
             return  # cancellation may produce the zero polynomial
         assert parse_family(print_family(fam)) == fam
@@ -103,20 +190,11 @@ class TestCalculus:
     @settings(max_examples=40, deadline=None)
     @given(family_st(), st.integers(min_value=1, max_value=2))
     def test_t_derivative_matches_sympy(self, raw, order):
-        terms = {}
-        for (e, k), c in raw.items():
-            cs = terms.setdefault(e, [Fraction(0)] * 3)
-            cs[k] = c
-        parts = [
-            f"{q}*Y0^{a}*Y1^{b}*Y2^{c}*T^{k}"
-            for (a, b, c), cs in terms.items()
-            for k, q in enumerate(cs)
-            if q
-        ]
-        if not parts:
+        text = _well_formed_text(raw)
+        if not text:
             return
         try:
-            fam = parse_family(" + ".join(parts))
+            fam = parse_family(text)
         except FamilyParseError:
             return
         got = sym_family(t_derivative(fam, order))

@@ -361,6 +361,48 @@ class TestInertSplit:
         assert sum(_inert_sections(fiber, Ft, fiber.cobasis(fam.degree - 3))) == inert
 
 
+class TestCensusSlice:
+    """The paper's non-triviality check on Fermat curves deformed by one
+    T-monomial: the generic chain ranks, the inert dimension as a lower
+    bound on rank_u, and the families where the level-2 condition cuts."""
+
+    @pytest.mark.parametrize(
+        "degree,monomial,ranks",
+        [
+            (4, "Y0^2*Y1^2", (2, 2, 2)),
+            (4, "Y0^2*Y1*Y2", (0, 0, 0)),
+            (5, "Y0^2*Y1^3", (4, 3, 3, 3, 3, 3)),
+            (5, "Y0^3*Y1*Y2", (1,) + (0,) * 5),
+            (5, "Y0*Y1^2*Y2^2", (0,) * 6),
+            (6, "Y0^3*Y1^3", (6,) * 10),
+            (6, "Y0^2*Y1^2*Y2^2", (0,) * 10),
+            (6, "Y0^4*Y1*Y2", (3,) + (0,) * 9),
+            (7, "Y0^3*Y1^4", (9, 7, 6) + (5,) * 12),
+            (7, "Y0^2*Y1^2*Y2^3", (1,) + (0,) * 14),
+        ],
+    )
+    def test_ranks_meet_the_inert_bound(self, degree, monomial, ranks):
+        d = degree
+        fam = parse_family(f"Y0^{d} + Y1^{d} + Y2^{d} + T*{monomial}")
+        res = unitary_rank(fam, mode="ratfun")
+        assert res.ranks == ranks
+        fiber = make_fiber(generic_fibre(fam))
+        Ft = generic_fibre(t_derivative(fam))
+        assert res.rank_u >= sum(_inert_sections(fiber, Ft, fiber.cobasis(d - 3)))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Y0^5 + Y1^5 + Y2^5 + T*Y0^2*Y1^3",
+            "Y0^6 + Y1^6 + Y2^6 + T*Y0^4*Y1*Y2",
+            "Y0^7 + Y1^7 + Y2^7 + T*Y0^3*Y1^4",
+        ],
+    )
+    def test_level_two_condition_cuts(self, text):
+        ranks = unitary_rank(parse_family(text), mode="ratfun").ranks
+        assert ranks[1] < ranks[0]
+
+
 def _character_classes(F):
     """Class of each monomial (of any degree) modulo the lattice of
     exponent differences of F, a Fermat deformation of degree d: that
