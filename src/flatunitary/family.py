@@ -5,7 +5,8 @@ coefficients are polynomials in one parameter T over the rationals. The
 text grammar is a sum of terms `coef*Y0^a*Y1^b*Y2^c`: each factor is a
 rational literal `p/q` (ASCII digits, no space around `/`), `T`
 (optionally `T^k`), or a `Y` power; `^1` may be omitted, whitespace
-elsewhere is insignificant, and terms are joined by `+`/`-`.
+elsewhere is insignificant, and terms are joined by `+`/`-`. A term's
+T power is at most 1000.
 
 Specialization (T = t0), the generic fibre over the rational-function
 field, jet expansion T = t0 + s truncated at a chosen order, and T-
@@ -100,6 +101,7 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 # text form
 
+_MAX_T_POWER = 1000  # T coefficients are stored densely
 _TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|(Y[012]|T)|([-+*^])|(\S)")
 
 
@@ -144,7 +146,7 @@ def parse_family(text: str) -> FamilySpec:
             kind, value, pos = next(tokens)
         if kind not in ("num", "var"):
             raise FamilyParseError("expected a term", pos)
-        coef, exps = Fraction(sign), [0, 0, 0, 0]
+        coef, exps, start = Fraction(sign), [0, 0, 0, 0], pos
         while True:
             if kind == "num":
                 coef *= value
@@ -166,6 +168,8 @@ def parse_family(text: str) -> FamilySpec:
             if kind not in ("num", "var"):
                 raise FamilyParseError("expected a factor after '*'", pos)
         e, tpow = tuple(exps[:3]), exps[3]
+        if tpow > _MAX_T_POWER:
+            raise FamilyParseError(f"T power {tpow} is above {_MAX_T_POWER}", start)
         degrees.add(sum(e))
         bucket = acc.setdefault(e, {})
         bucket[tpow] = bucket.get(tpow, 0) + coef

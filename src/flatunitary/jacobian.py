@@ -7,7 +7,8 @@ by the non-pivot monomials (the cobasis) of the reduced echelon form of
 that span. Building a fibre runs only its exact smoothness certificate:
 dim R_{3d-5} = 0, which holds exactly when the partials share no projective
 zero. On a smooth fibre dim R_{d-3} = dim R_{2d-3} = (d-1)(d-2)/2 and
-dim R_{3d-6} = 1; the one-dimensional top piece carries the socle pairing.
+dim R_{3d-6} = 1; the one-dimensional top piece carries the socle pairing,
+read off its echelon data into one table per fibre.
 Each graded piece R_k is row-reduced the first time anything reads degree
 k (its dimension, cobasis, a normal form, a column solver) and then
 cached, so a fibre pays only for the degrees its caller uses.
@@ -45,7 +46,6 @@ from .exactcore import (
     RATIONAL,
     DomainMismatchError,
     ExactCoreError,
-    Jet,
     JetDomain,
     JetSystemSolver,
     LinearSolver,
@@ -155,6 +155,7 @@ class JacobianFiber:
         self._int_partials = tuple(_integer_terms(P, clear) for P in self.partials)
         self._degree_data = {}
         self._column_solvers = {}
+        self._socle = None
         self._order0 = None
 
     def thicken(self, F: HomPoly) -> "JacobianFiber":
@@ -285,17 +286,11 @@ class JacobianFiber:
         ))
 
     def representative(self, elt: RingElement) -> HomPoly:
-        """The canonical polynomial representative, supported on the cobasis.
-
-        Over jets the representative carries the precision of elt's
-        coordinates, which may be any up to the fibre's."""
+        """The canonical polynomial representative, supported on the cobasis."""
         cob = self.cobasis(elt.degree)
         if len(cob) != len(elt.coords):
             raise ValueError("coordinate length does not match the cobasis")
-        domain = self.domain
-        if self._order0 is not None and elt.coords and isinstance(elt.coords[0], Jet):
-            domain = JetDomain(elt.coords[0].precision)
-        return HomPoly(elt.degree, dict(zip(cob, elt.coords)), domain=domain)
+        return HomPoly(elt.degree, dict(zip(cob, elt.coords)), domain=self.domain)
 
     def column_solver(self, k: int):
         """The one solver of degree k, for writing vectors in the ideal
@@ -353,20 +348,43 @@ class JacobianFiber:
         rows = [tuple(col[r] for col in cols) for r in range(nrows)]
         return Matrix(rows, ncols=len(cols), domain=self.domain)
 
-    def socle_pair(self, p: RingElement, q: RingElement):
-        """Pairing R_{d-3} x R_{2d-3} -> scalars: the coefficient of the
-        last cobasis monomial of degree 3d-6 in the product's normal form.
-        Canonical up to one global nonzero scalar."""
-        if p.degree != self.d - 3 or q.degree != 2 * self.d - 3:
-            raise ValueError(
-                f"socle_pair needs degrees ({self.d - 3}, {2 * self.d - 3}), "
-                f"got ({p.degree}, {q.degree})"
+    def _socle_table(self):
+        """S, with S[a][b] over R_{3d-6}'s pivot value pv the socle
+        coordinate of m_a * m'_b (cobasis monomials of R_{d-3} and
+        R_{2d-3}), built once. It is read off R_{3d-6}'s echelon data: pv
+        at the socle monomial (the last cobasis one), minus the socle
+        column's entry of echelon row k at row k's pivot, 0 elsewhere."""
+        if self._socle is None:
+            ring, top = _ring(self.domain), self._data(3 * self.d - 6)
+            value = {c: ring.sub(ring.zero, x) for c, x in zip(top.pivots, top.cols[-1])}
+            value[top.cobasis_idx[-1]] = top.pivot_value
+            self._socle = tuple(
+                [value.get(monomial_index((a + x, b + y, c + z)), ring.zero)
+                 for x, y, z in self.cobasis(2 * self.d - 3)]
+                for a, b, c in self.cobasis(self.d - 3)
             )
-        prod = poly_mul(self.representative(p), self.representative(q))
-        nf = self.normal_form(prod)
-        if not nf.coords:
-            raise SingularFibreError(3 * self.d - 6, "socle is trivial")
-        return nf.coords[-1]
+        return self._socle
+
+    def socle_pair(self, p: RingElement, q: RingElement):
+        """Pairing R_{d-3} x R_{2d-3} -> Q or Q(t): the coefficient of the
+        last cobasis monomial of degree 3d-6 in the product's normal form,
+        canonical up to one global nonzero scalar. It is bilinear, so it
+        is p^T S q / pv with the socle table S."""
+        return self.socle_pairs((p,), q)[0]
+
+    def socle_pairs(self, ps, q: RingElement) -> tuple:
+        """socle_pair(p, q) for each p in ps, over the fibre's ring: p and
+        q cleared, S q taken once and one division per p."""
+        d, table, scales = self.d, self._socle_table(), []
+        if (q.degree, len(q.coords)) != (2 * d - 3, len(table[0])) or any(
+            (p.degree, len(p.coords)) != (d - 3, len(table)) for p in ps
+        ):
+            raise ValueError(f"socle_pair needs cobasis coordinates in degrees {d - 3}, {2 * d - 3}")
+        ring = self._ring
+        cq, *cps = ring.clear([list(q.coords)] + [list(p.coords) for p in ps], scales)
+        sq = [ring.dot(row, cq) for row in table]
+        den = ring.mul(self._data(3 * d - 6).pivot_value, scales[0])
+        return tuple(ring.frac(ring.dot(cp, sq), ring.mul(den, s)) for cp, s in zip(cps, scales[1:]))
 
 
 def _integer_terms(P: HomPoly, clear):

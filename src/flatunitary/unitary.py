@@ -31,10 +31,11 @@ checked, not certified: `stable` means only that the ranks agree when
 recomputed two orders higher on the same jet fibre and at a second
 basepoint. No basepoint's fibre is certified smooth twice.
 
-The second-order data lives here too: the pairing on the pointwise
-Higgs kernel obtained by differentiating kernel vectors once (eta2), the
-principal part given by the second T-derivative of the family (mu), and
-the report comparing them.
+The second-order data lives here too, on the certified rational fibre
+alone: the pairing on the pointwise Higgs kernel obtained by
+differentiating kernel vectors once (eta2), the principal part given by
+the second T-derivative of the family (mu), both read through the
+fibre's one socle table, and the report comparing them.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ from .family import (
     specialize,
     t_derivative,
 )
-from .gaussmanin import _precision, _truncate_poly, gm_derivative, theta_eval
+from .gaussmanin import _precision, _truncate_poly, gm_derivative, membership_witness, theta_eval
 from .jacobian import JacobianFiber, RingElement, make_fiber
-from .polyring import HomPoly, poly_mul
+from .polyring import HomPoly, poly_mul, poly_partial
 
 
 def default_jet_order(genus: int) -> int:
@@ -485,18 +486,25 @@ def eta2_on_K(
     extension_tweaks=None,
     _pk: PointKernel = None,
 ) -> Eta2Result:
-    """Second-order pairing via first-order extensions of kernel vectors.
+    """Second-order pairing via first-order extensions of kernel vectors,
+    on the certified rational fibre alone.
 
-    Each pointwise kernel vector v is extended to a kernel section
-    v + s x_1 of the Higgs matrix H_0 + s H_1 mod s^2 by one solve on the
-    pointwise Higgs matrix, H_0 x_1 = -H_1 v (free variables 0); the
-    extension can fail exactly on jumping parameter values, and such rows
-    are flagged.
-    The pairing does not depend on the choice of extension; the optional
-    extension_tweaks map {row index: rational kernel vector} adds s times
-    the given pointwise kernel vector to that row's extension, which
-    exercises exactly that freedom. Its entries are Fractions or ints;
-    anything else raises DomainMismatchError.
+    With F(t0 + s) = F + s F_T and F_T(t0 + s) = F_T + s F_TT mod s^2 (F,
+    F_T, F_TT at t0), a kernel vector v with representative p extends to
+    a kernel section v + s x_1 of H_0 + s H_1 by one solve on the
+    pointwise Higgs matrix, H_0 x_1 = -H_1 v (free variables 0), where
+    H_1 v = [F_TT p - Sum_i A_i dF_T/dY_i] and F_T p = Sum_i A_i dF/dY_i
+    (the membership witness A). The solve fails exactly on jumping
+    parameter values, and such rows are flagged. The derivative of the
+    extension at s = 0 is x_1 - div A; row i pairs minus its theta value
+    with every kernel vector by the socle pairing. No free choice changes
+    the result: witnesses differ by Koszul syzygies, whose divergences
+    and products with the dF_T/dY_i lie in the Jacobian ideal, and
+    choices of x_1 differ by ker H_0, which theta kills. The optional
+    extension_tweaks map {row index: rational kernel vector} adds the
+    given kernel vector to that row's x_1, exercising that freedom. Its
+    entries are Fractions or ints; anything else raises
+    DomainMismatchError.
     """
     pk = _pk if _pk is not None else pointwise_kernel(fam, t0, seed)
     k = len(pk.basis)
@@ -517,35 +525,29 @@ def eta2_on_K(
     if k == 0:
         return Eta2Result(t0=pk.t0, basis=(), matrix=(), flags=())
 
-    fib2, Ft2 = _jet_fibre(fam, pk.t0, pk.fiber, 2)
+    fiber, Ft = pk.fiber, pk.Ft
+    Ftt = specialize(t_derivative(fam, 2), pk.t0)
+    dFt = [poly_partial(Ft, i) for i in range(3)]
     solver = LinearSolver(pk.higgs)
     basis_elts = [RingElement(d - 3, v) for v in pk.basis]
     rows = []
     flags = []
-    for i, v in enumerate(pk.basis):
-        # H(s) v = theta(v): the order-1 part of theta at v held constant
-        # is H_1 v, and H_0 x_1 = -H_1 v gives the order-1 part x_1
-        v2 = RingElement(d - 3, tuple(Jet.from_fraction(x, 2) for x in v))
-        h1 = [-c.coeffs[1] for c in theta_eval(fib2, Ft2, v2).coords]
-        x1 = solver.try_solve(h1)
+    for i, v in enumerate(basis_elts):
+        p = fiber.representative(v)
+        w = membership_witness(fiber, poly_mul(Ft, p))
+        h1 = poly_mul(Ftt, p) - sum(map(poly_mul, w.parts, dFt), HomPoly.zero(2 * d - 3))
+        x1 = solver.try_solve([-c for c in fiber.normal_form(h1).coords])
         if x1 is None:
             flags.append(i)
             rows.append(None)
             continue
-        gamma = tweaks.get(i, (0,) * len(v))
-        x = tuple(Jet((v[j], x1[j] + gamma[j])) for j in range(len(v)))
-        ext = fib2.representative(RingElement(d - 3, x))
-        dext = gm_derivative(fib2, Ft2, ext)
-        th = theta_eval(fib2, Ft2, dext)
-        minus_th0 = RingElement(
-            2 * d - 3, tuple(-c.coeffs[0] for c in th.coords)
-        )
-        rows.append(
-            tuple(
-                pk.fiber.socle_pair(alpha_j, minus_th0)
-                for alpha_j in basis_elts
-            )
-        )
+        x1 = tuple(a + b for a, b in zip(x1, tweaks.get(i, (0,) * len(x1))))
+        dext = fiber.representative(RingElement(d - 3, x1)) - w.divergence()
+        th = theta_eval(fiber, Ft, dext)
+        minus_th = RingElement(2 * d - 3, tuple(-c for c in th.coords))
+        rows.append(fiber.socle_pairs(basis_elts, minus_th))
+    # the witness solver serves this call alone; the fibre outlives it in pk
+    fiber._column_solvers.pop(2 * d - 3, None)
     return Eta2Result(
         t0=pk.t0, basis=pk.basis, matrix=tuple(rows), flags=tuple(flags)
     )
@@ -553,7 +555,8 @@ def eta2_on_K(
 
 def mu_principal(fam: FamilySpec, t0=None, seed: int = 0, _pk: PointKernel = None):
     """Pairing of kernel vectors through the second T-derivative of the
-    family: entry (i, j) is the socle coefficient of a_i * F_TT * a_j."""
+    family: entry (i, j) is the socle coefficient of a_i * F_TT * a_j,
+    the socle pairing of a_j with the class of F_TT * a_i."""
     pk = _pk if _pk is not None else pointwise_kernel(fam, t0, seed)
     k = len(pk.basis)
     d = fam.degree
@@ -563,18 +566,12 @@ def mu_principal(fam: FamilySpec, t0=None, seed: int = 0, _pk: PointKernel = Non
     if Ftt.is_zero:
         zero = Fraction(0)
         return pk, tuple(tuple(zero for _ in range(k)) for _ in range(k))
-    reps = [
-        pk.fiber.representative(RingElement(d - 3, tuple(v)))
-        for v in pk.basis
-    ]
+    fiber = pk.fiber
+    elts = [RingElement(d - 3, tuple(v)) for v in pk.basis]
     rows = []
-    for ri in reps:
-        left = poly_mul(ri, Ftt)
-        row = []
-        for rj in reps:
-            nf = pk.fiber.normal_form(poly_mul(left, rj))
-            row.append(nf.coords[-1] if nf.coords else Fraction(0))
-        rows.append(tuple(row))
+    for a in elts:
+        u = fiber.normal_form(poly_mul(Ftt, fiber.representative(a)))
+        rows.append(fiber.socle_pairs(elts, u))
     return pk, tuple(rows)
 
 

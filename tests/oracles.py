@@ -11,8 +11,8 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from flatunitary import _univar as up
-from flatunitary.exactcore import Jet, JetDomain, Matrix, _is_zero, kernel_basis
-from flatunitary.family import FamilyParseError, FamilySpec
+from flatunitary.exactcore import Jet, JetDomain, LinearSolver, Matrix, _is_zero, kernel_basis
+from flatunitary.family import _MAX_T_POWER, FamilyParseError, FamilySpec, specialize, t_derivative
 from flatunitary.gaussmanin import _precision, _truncate_poly, gm_derivative, theta_eval
 from flatunitary.polyring import (
     HomPoly,
@@ -21,7 +21,8 @@ from flatunitary.polyring import (
     poly_mul,
     poly_partial,
 )
-from flatunitary.unitary import _stacked_kernel
+from flatunitary.jacobian import RingElement
+from flatunitary.unitary import _jet_fibre, _stacked_kernel
 
 Y0, Y1, Y2, T = sympy.symbols("Y0 Y1 Y2 T")
 QT = sympy.QQ.frac_field(T)
@@ -469,6 +470,62 @@ def naive_walk_chain(fiber, Ft, order, rmax):
 
 
 # ---------------------------------------------------------------------------
+# second-order pairings through a precision-2 jet fibre
+
+
+def _naive_socle(fiber, p, q):
+    """The socle coordinate of p * q: the last coordinate of the normal
+    form of the product of the representatives in degree 3d-6."""
+    nf = fiber.normal_form(poly_mul(fiber.representative(p), fiber.representative(q)))
+    return nf.coords[-1] if nf.coords else Fraction(0)
+
+
+def naive_eta2_on_K(fam, pk, extension_tweaks=None):
+    """(matrix, flags) of eta2_on_K computed the jet way: the kernel
+    vectors extended on the precision-2 jet fibre over pk's fibre, the
+    extension differentiated there by gm_derivative and its theta value
+    read at order 0; each pairing is a normal form in degree 3d-6."""
+    d = fam.degree
+    tweaks = extension_tweaks or {}
+    fib2, Ft2 = _jet_fibre(fam, pk.t0, pk.fiber, 2)
+    solver = LinearSolver(pk.higgs)
+    basis_elts = [RingElement(d - 3, v) for v in pk.basis]
+    rows, flags = [], []
+    for i, v in enumerate(pk.basis):
+        # H(s) v = theta(v): the order-1 part of theta at v held constant
+        # is H_1 v, and H_0 x_1 = -H_1 v gives the order-1 part x_1
+        v2 = RingElement(d - 3, tuple(Jet.from_fraction(x, 2) for x in v))
+        h1 = [-c.coeffs[1] for c in theta_eval(fib2, Ft2, v2).coords]
+        x1 = solver.try_solve(h1)
+        if x1 is None:
+            flags.append(i)
+            rows.append(None)
+            continue
+        gamma = tweaks.get(i, (0,) * len(v))
+        x = tuple(Jet((v[j], x1[j] + gamma[j])) for j in range(len(v)))
+        ext = fib2.representative(RingElement(d - 3, x))
+        dext = gm_derivative(fib2, Ft2, ext)
+        th = theta_eval(fib2, Ft2, dext)
+        minus_th0 = RingElement(2 * d - 3, tuple(-c.coeffs[0] for c in th.coords))
+        rows.append(tuple(_naive_socle(pk.fiber, a, minus_th0) for a in basis_elts))
+    return tuple(rows), tuple(flags)
+
+
+def naive_mu_principal(fam, pk):
+    """mu_principal's matrix with every entry a normal form in degree
+    3d-6: the socle coordinate of a_i * F_TT * a_j."""
+    Ftt = specialize(t_derivative(fam, 2), pk.t0)
+    reps = [pk.fiber.representative(RingElement(fam.degree - 3, v)) for v in pk.basis]
+    return tuple(
+        tuple(
+            pk.fiber.normal_form(poly_mul(poly_mul(ri, Ftt), rj)).coords[-1]
+            for rj in reps
+        )
+        for ri in reps
+    )
+
+
+# ---------------------------------------------------------------------------
 # the family text form, scanned and printed in two passes
 
 
@@ -582,6 +639,8 @@ def naive_parse_family(text):
                 break
         if not saw_factor:
             raise FamilyParseError("expected a term", term_pos)
+        if tpow > _MAX_T_POWER:
+            raise FamilyParseError(f"T power {tpow} is above {_MAX_T_POWER}", term_pos)
         raw_terms.append((tuple(exps), tpow, coef))
         kind, _, p = advance()
         if kind == "end":

@@ -55,6 +55,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("flatunitary: ") and "Traceback" not in err
 
+    def test_huge_t_power_is_input_error(self, capsys):
+        # refused while parsing, before a dense T-coefficient list is built
+        assert cli.run(["validate", "Y0^3+Y1^3+Y2^3+T^1000000000*Y0^3"]) == 2
+        err = capsys.readouterr().err
+        assert "T power 1000000000 is above 1000" in err and "Traceback" not in err
+
     def test_non_utf8_family_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fam"
         bad.write_bytes(b"\xff\xfeY\x000\x00^\x004\x00")  # UTF-16 with a BOM

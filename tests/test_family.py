@@ -83,6 +83,18 @@ class TestParsing:
             parse_family(text)
         assert exc.value.pos == pos
 
+    def test_t_power_is_capped_at_the_term(self):
+        top = parse_family("Y0^3+Y1^3+Y2^3+T^1000*Y0^3")
+        assert len(top.terms[(3, 0, 0)]) == 1001
+        # the cap is on the term's total T power; the error names the term
+        for text, pos in [
+            ("Y0^3+Y1^3+Y2^3+T^1000000000*Y0^3", 15),
+            ("Y0^3+Y1^3+Y2^3 - 2*T^500*Y0^2*T^501*Y1", 17),
+        ]:
+            with pytest.raises(FamilyParseError, match="T power .* is above 1000") as exc:
+                parse_family(text)
+            assert exc.value.pos == pos
+
 
 @st.composite
 def family_st(draw, degrees=(3,)):
@@ -124,6 +136,7 @@ def _well_formed_text(raw, sep=" + "):
 TOKEN_ALPHABET = [
     "Y0", "Y1", "Y2", "Y3", "Y", "T", "+", "-", "*", "^", "/", "/0", "/3",
     "0", "1", "2", "3", "12", "Y0^3", "Y1^3", "Y2^3", " ", "\t", "@", "x",
+    "T^600",
 ]
 
 
@@ -160,6 +173,20 @@ class TestAgainstTheTwoPassForm:
     @given(family_st(degrees=range(3, 8)), st.sampled_from([" + ", "+", " - "]))
     def test_parse_well_formed_families(self, raw, sep):
         self._check(_well_formed_text(raw, sep))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Y0^3+Y1^3+Y2^3+T^1001*Y0^3",
+            "Y0^3+Y1^3+Y2^3+T^1000*Y0^3",
+            "Y0^3 + T^600*Y1^3*T^401 + Y2^3 @",
+            "Y0^3 + T^9999*Y1^2 + Y2^",
+        ],
+    )
+    def test_parse_capped_t_powers(self, text):
+        assert _parse_outcome(parse_family, text) == _parse_outcome(
+            naive_parse_family, text
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(family_spec_st())

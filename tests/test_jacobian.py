@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from flatunitary import exactcore, jacobian
 from flatunitary.exactcore import RATFUN, Jet, RatFun
@@ -23,6 +23,7 @@ from flatunitary.jacobian import (
     make_fiber,
     standard_degrees,
 )
+from flatunitary.gaussmanin import theta_eval
 from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
 from oracles import (
     jacobian_quotient_dims,
@@ -216,6 +217,13 @@ class TestSoclePairing:
             with pytest.raises(ValueError):
                 fiber.socle_pair(q, p)
 
+    def test_jet_fibre_has_no_socle_table(self, mix):
+        jfiber = make_fiber(jet_expand(mix, Fraction(1), 2))
+        p = RingElement(1, (Jet((1, 0)),) * 3)
+        q = RingElement(5, (Jet((0, 1)),) * 3)
+        with pytest.raises(exactcore.DomainMismatchError):
+            jfiber.socle_pair(p, q)
+
     def test_pairing_is_nondegenerate_on_fermat(self):
         # monomial bases of R_1 and R_5 pair into the socle Y0^2 Y1^2 Y2^2
         fiber = make_fiber(_fermat(4))
@@ -230,6 +238,37 @@ class TestSoclePairing:
         from oracles import naive_kernel_dim
 
         assert naive_kernel_dim(kernel_rows, fiber.dim(5)) == 0
+
+
+@st.composite
+def fermat_deformation_st(draw):
+    """(fibre over Q, F_T) of a Fermat quartic or quintic deformed by one
+    to three non-Fermat monomials, at a small rational t0."""
+    d = draw(st.sampled_from((4, 5)))
+    pool = [e for e in graded_basis(d) if max(e) < d]
+    monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    Ft = HomPoly(d, {e: draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for e in monos})
+    t0 = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    try:
+        fiber = make_fiber(_fermat(d) + Ft.scale(t0))
+    except SingularFibreError:
+        assume(False)
+    return fiber, Ft
+
+
+class TestThetaSelfAdjoint:
+    @settings(max_examples=40, deadline=None)
+    @given(fermat_deformation_st(), st.data())
+    def test_theta_is_self_adjoint_for_the_socle_pairing(self, deformation, data):
+        # lambda(a * theta(b)) = lambda(a * b * F_T) = lambda(theta(a) * b)
+        fiber, Ft = deformation
+        g = fiber.genus
+        coords = st.lists(coef_st, min_size=g, max_size=g).map(tuple)
+        a = RingElement(fiber.d - 3, data.draw(coords))
+        b = RingElement(fiber.d - 3, data.draw(coords))
+        left = fiber.socle_pair(a, theta_eval(fiber, Ft, b))
+        assert left == fiber.socle_pair(b, theta_eval(fiber, Ft, a))
+        event("nonzero" if left else "zero")
 
 
 class TestHiggsField:

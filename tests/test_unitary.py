@@ -42,7 +42,12 @@ from flatunitary.unitary import (
     pointwise_kernel,
     unitary_rank,
 )
-from oracles import naive_stacked_kernel, naive_walk_chain
+from oracles import (
+    naive_eta2_on_K,
+    naive_mu_principal,
+    naive_stacked_kernel,
+    naive_walk_chain,
+)
 
 
 class TestPointwiseKernel:
@@ -700,7 +705,7 @@ class TestEta2:
         with pytest.raises(ValueError, match="not a kernel row"):
             eta2_on_K(mix, _pk=pk, extension_tweaks={key: pk.basis[0]})
 
-    def test_extension_fibre_thickens_the_kernel_fibre(self, mix, monkeypatch):
+    def test_pairing_runs_on_the_certified_kernel_fibre(self, mix, monkeypatch):
         pk = pointwise_kernel(mix, t0=Fraction(1))
         certified = []
         real = JacobianFiber._smoothness_certificate
@@ -714,28 +719,85 @@ class TestEta2:
         assert eta.flags == () and eta.matrix == ((0, 0), (0, 0))
         assert certified == []
 
-    def test_reuses_the_pointwise_higgs_matrix(self, mix, monkeypatch):
-        # each lift is one solve on the pointwise Higgs matrix: no Higgs
-        # matrix over jets and no jet system of its own
-        pk = pointwise_kernel(mix, t0=Fraction(1))
+    def test_reuses_the_pointwise_higgs_matrix(self, mix, path_family, monkeypatch):
+        # each lift is one solve on the pointwise Higgs matrix, and every
+        # step runs on the rational fibre: no Higgs matrix, no jet fibre
+        # and no jet system
+        kernels = [(mix, pointwise_kernel(mix, t0=Fraction(1)))]
+        kernels.append((path_family, pointwise_kernel(path_family, t0=Fraction(0))))
         built = _record_calls(monkeypatch, JacobianFiber, "higgs_matrix")
-        systems = []
-        real = JetSystemSolver.__init__
+        thickened = _record_calls(monkeypatch, JacobianFiber, "thicken")
+        systems = _record_calls(monkeypatch, JetSystemSolver, "__init__")
+        for fam, pk in kernels:
+            eta2_on_K(fam, _pk=pk)
+            mu_principal(fam, _pk=pk)
+        assert built == [] and thickened == [] and systems == []
 
-        def recording(solver, matrix):
-            systems.append(matrix)
-            real(solver, matrix)
-
-        monkeypatch.setattr(JetSystemSolver, "__init__", recording)
-        eta2_on_K(mix, _pk=pk)
-        assert built == []
-        # the one jet solver is the precision-2 fibre's degree-(2d-3)
-        # column solver, which theta_eval and gm_derivative share
-        assert len(systems) == 1 and isinstance(systems[0], _Columns)
+    def test_socle_table_is_built_once_per_fibre(self, path_family, monkeypatch):
+        pk = pointwise_kernel(path_family, t0=Fraction(0))
+        prepared = _record_calls(monkeypatch, JacobianFiber, "_prepare_degree")
+        eta2_on_K(path_family, _pk=pk)
+        table = pk.fiber._socle
+        assert mu_principal(path_family, _pk=pk)[1] == ((0, 0, 0), (0, 0, 0), (0, 0, 2))
+        assert table is not None and pk.fiber._socle is table
+        # R_{3d-6}, the one degree the pointwise kernel left unread
+        assert prepared == [pk.fiber]
 
     def test_empty_kernel_gives_empty_result(self, hesse):
         eta = eta2_on_K(hesse, t0=Fraction(1))
         assert eta.basis == () and eta.matrix == () and eta.flags == ()
+
+
+# seeded pointwise-sweep families (degrees 4 to 6) with nonempty kernels
+# and their basepoints; every row of the first is flagged
+SWEEP_FAMILIES = [
+    ("Y0^4 + 3*T^2*Y0^2*Y1*Y2 - 2*T^2*Y0*Y1*Y2^2 + Y1^4 + Y2^4", 0),
+    ("Y0^4 - T*Y0*Y2^3 + Y1^4 + T^2*Y1*Y2^3 + Y2^4", -57),
+    ("Y0^5 - 3*T^2*Y0^2*Y1^3 + 3*T*Y0*Y1^4 + Y1^5 + Y2^5", 10),
+    ("Y0^6 - 2*T*Y0^5*Y1 + T*Y0^4*Y1^2 + T^2*Y0*Y1^5 + Y1^6 + Y2^6", -7),
+]
+# a quartic whose one kernel row extends only with the witness term of
+# H_1 v: with its sign flipped, that row would be flagged
+WITNESS_TERM_FAMILY = ("Y0^4 + Y1^4 + Y2^4 + 2*T*Y0*Y1^2*Y2 + T^2*Y0^2*Y2^2", 1)
+
+
+def _fixture_or_text(request, source):
+    return parse_family(source) if "Y0" in source else request.getfixturevalue(source)
+
+
+class TestAgainstTheJetPath:
+    """eta2_on_K and mu_principal on the rational fibre against the jet
+    path they replaced and a normal form per pairing (tests/oracles.py)."""
+
+    CASES = [
+        ("mix", 1), ("mix_tt", 0), ("path_family", 0), ("hesse", 1),
+        *SWEEP_FAMILIES, WITNESS_TERM_FAMILY,
+    ]
+
+    @pytest.mark.parametrize("source,t0", CASES)
+    def test_matches_the_jet_path(self, source, t0, request):
+        fam = _fixture_or_text(request, source)
+        pk = pointwise_kernel(fam, t0=Fraction(t0))
+        eta = eta2_on_K(fam, _pk=pk)
+        assert (eta.matrix, eta.flags) == naive_eta2_on_K(fam, pk)
+        assert mu_principal(fam, _pk=pk)[1] == naive_mu_principal(fam, pk)
+
+    @pytest.mark.parametrize("source,t0", CASES)
+    def test_tweaked_extensions_match_the_jet_path(self, source, t0, request):
+        fam = _fixture_or_text(request, source)
+        pk = pointwise_kernel(fam, t0=Fraction(t0))
+        rng = random.Random(5)
+        k = len(pk.basis)
+        for _ in range(3):
+            tweaks = {}
+            for i in range(k):
+                coeffs = [rng.randint(-3, 3) for _ in range(k)]
+                tweaks[i] = tuple(
+                    sum(c * v[j] for c, v in zip(coeffs, pk.basis))
+                    for j in range(len(pk.basis[0]))
+                )
+            eta = eta2_on_K(fam, _pk=pk, extension_tweaks=tweaks)
+            assert (eta.matrix, eta.flags) == naive_eta2_on_K(fam, pk, tweaks)
 
 
 class TestMuPrincipal:
