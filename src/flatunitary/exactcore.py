@@ -939,8 +939,10 @@ class JetSystemSolver:
                 f"right-hand side has precision {n}; solver has {self.precision}"
             )
         el, sols = self.order0, []
+        nonzero = [(r, e.coeffs) for r, e in enumerate(b) if any(e.coeffs)]
         for k in range(n):
-            c, den = self._rhs(k, [e.coeffs[k].as_integer_ratio() for e in b], sols)
+            b_k = [(r, cs[k].as_integer_ratio()) for r, cs in nonzero if cs[k]]
+            c, den = self._rhs(k, b_k, sols)
             nums = el.solve(c)
             if nums is None:
                 return None, k
@@ -955,10 +957,12 @@ class JetSystemSolver:
 
     def _rhs(self, k, b_k, sols):
         """b_k - Sum_{i=1..k} A_i y_{k-i} as integers over one denominator;
-        b_k holds the order-k coefficients of b as integer ratios."""
+        b_k holds (row, integer ratio) for b's nonzero order-k coefficients."""
         terms = [(rows, sols[k - i]) for i, rows in self._higher if i <= k]
-        den = math.lcm(*(q for _, q in b_k), *(d for _, (_, d) in terms))
-        c = [p * (den // q) for p, q in b_k]
+        den = math.lcm(*(q for _, (_, q) in b_k), *(d for _, (_, d) in terms))
+        c = [0] * self.nrows
+        for r, (p, q) in b_k:
+            c[r] = p * (den // q)
         for rows, (y, d) in terms:
             f = den // d
             for r, js, vals in rows:

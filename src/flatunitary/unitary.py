@@ -25,11 +25,12 @@ field the kernels are taken over Q(t) and the answer is the generic
 (bundle) rank directly. In jet mode everything happens at a chosen
 rational basepoint t0 in truncated power series in s = t - t0: each
 level solves the block-triangular rational system coupling all s-orders
-at once, the level rank is the dimension of order-0 values of solutions,
-and one order of s-precision is spent per level. Jet answers are
-checked, not certified: `stable` means only that the ranks agree when
-recomputed two orders higher on the same jet fibre and at a second
-basepoint. No basepoint's fibre is certified smooth twice.
+at once, block by block (one connected block of its columns at a time),
+the level rank is the dimension of order-0 values of solutions, and one
+order of s-precision is spent per level. Jet answers are checked, not
+certified: `stable` means only that the ranks agree when recomputed two
+orders higher on the same jet fibre and at a second basepoint. No
+basepoint's fibre is certified smooth twice.
 
 The second-order data lives here too, on the certified rational fibre
 alone: the pairing on the pointwise Higgs kernel obtained by
@@ -57,6 +58,7 @@ from .exactcore import (
     _is_zero,
     _kernel_vector,
     _ring,
+    full_column_rank_int,
     kernel_basis,
 )
 from .family import (
@@ -120,33 +122,72 @@ def _certified_fibre(fam: FamilySpec, t0, seed: int):
 
 
 def _stacked_kernel(cols, m: int):
-    """Extendable kernel of a jet column system, solved over Q exactly.
+    """Extendable kernel of a jet column system, solved over Q exactly,
+    one connected block at a time.
 
     cols: J coordinate vectors of jets (precision at least m). Couples all
-    jet orders of Sum_j c_j(s) cols_j(s) = 0 (mod s^m) into one
-    block-Toeplitz system of integer rows: each row r of W(s), its
-    entries truncated to order m, is cleared of denominators once by
-    _clear_jet_rows, one lcm over all of its orders, and every stacked row
-    of it keeps that scale, which keeps the RREF. The elimination
-    (ff_gauss_jordan_int) keeps its rows primitive, which divides out
-    what that shared scale leaves over. Returns kernel vectors c (tuples
-    of precision-m jets) whose order-0 parts are independent and span the
-    order-0 values of all solutions, chosen greedily from the canonical
-    kernel basis (one vector per free column f: 1 at f, 0 at the other
-    free columns). Their number is the level rank.
+    jet orders of Sum_j c_j(s) cols_j(s) = 0 (mod s^m). Each row of W(s),
+    truncated to order m, is cleared by _clear_jet_rows, one lcm over all
+    of its orders. Column j and row r are linked when entry (r, j) is a
+    nonzero jet. Of the connected blocks, one with no rows (a zero column)
+    picks its order-0 unit vector; one whose order-0 integers
+    full_column_rank_int certifies of full column rank picks nothing (its
+    stacked system is block lower-triangular with W_0 on the diagonal);
+    any other is eliminated on its own (_block_picks). Returns kernel
+    vectors c (tuples of precision-m jets) whose order-0 parts are
+    independent and span the order-0 values of all solutions, chosen
+    greedily from the canonical kernel basis (one vector per free column
+    f: 1 at f, 0 at the other free columns); their number is the level
+    rank. Merged in increasing free column b*J + j (order b of column j),
+    the picks are those of one elimination of the whole system: its RREF
+    is unique, a canonical vector lies inside its free column's block, and
+    the order-0 pick matrix splits by block.
     """
     J = len(cols)
-    nrows = len(cols[0])
-    width = m * J
-    # cleared[r][j]: the m integer s-coefficients of entry j of row r,
-    # over one scale for the row
-    cleared = _clear_jet_rows([[col[r].truncate(m) for col in cols] for r in range(nrows)], [])
+    W = [[col[r].truncate(m) for col in cols] for r in range(len(cols[0]))]
+    # label[j]: the block of column j; a row joins the blocks it reaches
+    support = [[j for j, e in enumerate(row) if any(e.coeffs)] for row in W]
+    label = list(range(J))
+    for js in support:
+        for j in js[1:]:
+            old, new = label[j], label[js[0]]
+            label = [new if x == old else x for x in label]
+    zero = Jet._of((Fraction(0),) * m)
+    picks = []  # (free column b * J + j, pick)
+    for block in set(label):
+        js = [j for j in range(J) if label[j] == block]
+        n = len(js)
+        # the block's rows, each over one scale for all of its orders
+        rows = [[row[j] for j in js] for row, s in zip(W, support) if s and label[s[0]] == block]
+        rows = _clear_jet_rows(rows, [])
+        if not rows:  # a zero column: its order-0 unit vector
+            found = [(0, [Fraction(1)] + [Fraction(0)] * (m - 1))]
+        elif full_column_rank_int([[e[0] for e in row] for row in rows], n):
+            continue
+        else:
+            found = _block_picks(rows, m)
+        for f, v in found:
+            pick = [zero] * J
+            for i, j in enumerate(js):
+                pick[j] = Jet._of(tuple(v[b * n + i] for b in range(m)))
+            picks.append((f // n * J + js[f % n], tuple(pick)))
+    return [pick for _, pick in sorted(picks, key=lambda p: p[0])]
+
+
+def _block_picks(rows, m: int):
+    """(free column b*n + i, canonical kernel vector) of each greedy pick
+    of one block, rows holding its n cleared entries each: one elimination
+    of the block-Toeplitz system that stacks every order."""
+    n = len(rows[0])
+    width = m * n
     # block column b of row block a holds the order a - b coefficients,
-    # b = 0..a
+    # b = 0..a; each stacked row keeps its row's scale, which keeps the
+    # RREF, and the elimination (ff_gauss_jordan_int) keeps its rows
+    # primitive, which divides out what that shared scale leaves over
     work = [
-        [e[k] for k in range(a, -1, -1) for e in cleared[r]] + [0] * ((m - 1 - a) * J)
+        [e[k] for k in range(a, -1, -1) for e in row] + [0] * ((m - 1 - a) * n)
         for a in range(m)
-        for r in range(nrows)
+        for row in rows
     ]
     z = _ring(RATIONAL)
     pivots = z.eliminate(work, width)
@@ -159,15 +200,10 @@ def _stacked_kernel(cols, m: int):
     # free entries of each echelon row with its pivot in block 0 and a
     # unit row for each free column in block 0. The greedy picks are its
     # pivot columns.
-    order0 = [[row[f] for f in free] for row, c in zip(work, pivots) if c < J]
-    order0 += [[int(f == j) for f in free] for j in range(J) if j not in pivot_set]
-    picks = []
-    for i in z.eliminate(order0, len(free)):
-        v = _kernel_vector(work, pivots, free[i], width, z)
-        picks.append(
-            tuple(Jet._of(tuple(v[b * J + j] for b in range(m))) for j in range(J))
-        )
-    return picks
+    order0 = [[row[f] for f in free] for row, c in zip(work, pivots) if c < n]
+    order0 += [[int(f == j) for f in free] for j in range(n) if j not in pivot_set]
+    return [(f, _kernel_vector(work, pivots, f, width, z)) for f in
+            (free[i] for i in z.eliminate(order0, len(free)))]
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,54 @@ def expansion_column_system_st(draw):
     return cols, m
 
 
+@st.composite
+def block_column_system_st(draw):
+    """(cols, m): two or three blocks of a jet column system, their rows
+    and columns shuffled together, plus zero columns. A block's W_0 is
+    invertible, singular with nonzero higher orders, or random; block i
+    has its order-k coefficients over q_i^k."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    num = st.integers(min_value=-4, max_value=4)
+    blocks = []  # (order-k coefficient matrices W[k][r][i], denominator)
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=3))
+        kind = draw(st.sampled_from(("invertible", "singular", "random")))
+        nrows = n if kind == "invertible" else draw(st.integers(min_value=1, max_value=3))
+        W = [[[draw(num) for _ in range(n)] for _ in range(nrows)] for _ in range(m)]
+        if kind == "invertible":  # unit lower-triangular
+            for r in range(n):
+                W[0][r][r:] = [1] + [0] * (n - 1 - r)
+        elif kind == "singular":  # last column 0 at order 0, not above
+            for r in range(nrows):
+                W[0][r][n - 1] = 0
+            W[draw(st.integers(min_value=1, max_value=m - 1))][0][n - 1] = draw(
+                st.integers(min_value=1, max_value=4)
+            )
+        blocks.append((W, draw(st.integers(min_value=1, max_value=5))))
+    # (block, its column) per global column, None for a zero column
+    col_of = [(b, i) for b, (W, _) in enumerate(blocks) for i in range(len(W[0][0]))]
+    col_of += [None] * draw(st.integers(min_value=0, max_value=2))
+    col_of = draw(st.permutations(col_of))
+    row_of = [(b, r) for b, (W, _) in enumerate(blocks) for r in range(len(W[0]))]
+    row_of = draw(st.permutations(row_of))
+
+    def entry(rb, cb):
+        if cb is None or cb[0] != rb[0]:
+            return Jet([0] * m)
+        W, q = blocks[rb[0]]
+        return Jet([Fraction(W[k][rb[1]][cb[1]], q**k) for k in range(m)])
+
+    return [[entry(rb, cb) for rb in row_of] for cb in col_of], m
+
+
+def _free_column(pick):
+    # a canonical kernel vector is nonzero only at its free column and at
+    # pivot columns to the left of it, so its free column b*J + j is the
+    # last one with a nonzero entry
+    J = len(pick)
+    return max(b * J + j for j, c in enumerate(pick) for b, x in enumerate(c.coeffs) if x)
+
+
 class TestStackedKernel:
     """_stacked_kernel eliminates integer rows and reads the canonical
     kernel vectors off the fraction-free echelon form; the picks must be
@@ -297,9 +345,17 @@ class TestStackedKernel:
         res = filtration_ranks(mix, mode="jet", t0=Fraction(1), order=6)
         assert tuple(seen) == res.ranks
 
-    def test_full_rank_system_runs_one_elimination(self, monkeypatch):
-        # no free column: no kernel vector and no order-0 elimination of
-        # zero-width rows
+    @settings(max_examples=120, deadline=None)
+    @given(block_column_system_st())
+    def test_matches_the_fraction_oracle_on_shuffled_blocks(self, system):
+        cols, m = system
+        got = _stacked_kernel(cols, m)
+        assert _pick_coeffs(got) == naive_stacked_kernel(_coeff_cols(cols), m)
+        frees = [_free_column(pick) for pick in got]
+        assert frees == sorted(frees)
+
+    @staticmethod
+    def _count_eliminations(monkeypatch):
         widths = []
         real = exactcore.ff_gauss_jordan_int
 
@@ -308,9 +364,32 @@ class TestStackedKernel:
             return real(rows, ncols)
 
         monkeypatch.setattr(exactcore, "ff_gauss_jordan_int", counting)
+        return widths
+
+    def test_full_rank_order0_runs_no_elimination(self, monkeypatch):
+        # W_0 = I certifies full column rank: no free column, nothing
+        # eliminated
+        widths = self._count_eliminations(monkeypatch)
         cols = [[Jet((1, 2)), Jet((0, 1))], [Jet((0, 3)), Jet((1, 0))]]
         assert _stacked_kernel(cols, 2) == []
-        assert widths == [4]
+        assert widths == []
+
+    def test_inconclusive_certificate_still_eliminates(self, monkeypatch):
+        # W_0 = (P) has full rank over Q but not modulo the certificate's
+        # prime P: the stacked system is eliminated, has no free column
+        # and needs no order-0 elimination
+        widths = self._count_eliminations(monkeypatch)
+        cols = [[Jet((exactcore._CERT_PRIME, 1, 0))]]
+        assert _stacked_kernel(cols, 3) == []
+        assert widths == [3]
+
+    def test_singular_order0_with_no_extendable_vector(self, monkeypatch):
+        # W(s) = (s): W_0 is singular, so the stacked system keeps a free
+        # column (c = s), but no solution is nonzero at order 0
+        widths = self._count_eliminations(monkeypatch)
+        cols = [[Jet((0, 1))]]
+        assert _stacked_kernel(cols, 2) == []
+        assert widths == [2, 1]
 
     def test_builds_no_fraction_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
