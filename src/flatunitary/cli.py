@@ -7,12 +7,13 @@ inputs and seed produce byte-identical output except for the final
 * 0 success;
 * 2 input error, with a message on stderr and no report; a jet order too
   low for the requested levels (PrecisionExhaustedError) counts as one,
-  and so do --order without --mode jet, on unitary-rank --t0 without
-  --mode jet (ratfun mode has no jet order and no basepoint), and --seed
-  where no basepoint is searched (given --t0 without --mode jet, or on
-  unitary-rank without --mode jet). A flag the subcommand does not take
-  is an argparse usage error, also exit 2: only unitary-rank and
-  mu-report take --mode, --order and --max-level;
+  and so do --max-level or --order above 10000, --order without --mode
+  jet, on unitary-rank --t0 without --mode jet (ratfun mode has no jet
+  order and no basepoint), and --seed where no basepoint is searched
+  (given --t0 without --mode jet, or on unitary-rank without --mode
+  jet). A flag the subcommand does not take is an argparse usage error,
+  also exit 2: only unitary-rank and mu-report take --mode, --order and
+  --max-level;
 * 3 mathematical error, with an "error" block in the report: kind
   "no-smooth-fibre" when no certified-smooth fibre is available, kind
   "exact-arithmetic" for any other ExactCoreError or an ArithmeticError

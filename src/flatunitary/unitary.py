@@ -35,8 +35,11 @@ basepoint's fibre is certified smooth twice.
 The second-order data lives here too, on the certified rational fibre
 alone: the pairing on the pointwise Higgs kernel obtained by
 differentiating kernel vectors once (eta2), the principal part given by
-the second T-derivative of the family (mu), both read through the
-fibre's one socle table, and the report comparing them.
+the second T-derivative of the family (mu), read through the fibre's
+socle table, and the report comparing them. An extendable row of eta2
+is provably 0 (theta of a kernel vector lies in the Jacobian ideal), so
+only which rows extend is computed; the report's fit, residual and eta2
+kernel dimension follow from those flags and the principal part.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ from .family import (
 from .gaussmanin import _precision, _truncate_poly, gm_derivative, membership_witness, theta_eval
 from .jacobian import JacobianFiber, RingElement, make_fiber
 from .polyring import HomPoly, poly_mul, poly_partial
+
+
+_MAX_CHAIN_SETTING = 10_000  # levels and jet orders are walked one by one
 
 
 def default_jet_order(genus: int) -> int:
@@ -236,7 +242,8 @@ class FiltrationResult:
 def _settings(fam: FamilySpec, mode, order, max_level, t0=None):
     """(mode, order, max_level) with the defaults filled in and checked:
     mode "ratfun", order 2*genus + 4 in jet mode (None over Q(t), where a
-    given order or basepoint t0 is an error), max_level the genus."""
+    given order or basepoint t0 is an error), max_level the genus. A
+    max_level or order above _MAX_CHAIN_SETTING is an error."""
     if mode is None:
         mode = "ratfun"
     if mode not in ("ratfun", "jet"):
@@ -244,6 +251,8 @@ def _settings(fam: FamilySpec, mode, order, max_level, t0=None):
     rmax = fam.genus if max_level is None else max_level
     if rmax < 1:
         raise ValueError("max_level must be >= 1")
+    if rmax > _MAX_CHAIN_SETTING:
+        raise ValueError(f"max_level {rmax} is above {_MAX_CHAIN_SETTING}")
     if mode == "ratfun":
         if order is not None:
             raise ValueError("a jet order needs mode 'jet'")
@@ -254,6 +263,8 @@ def _settings(fam: FamilySpec, mode, order, max_level, t0=None):
         order = default_jet_order(fam.genus)
     if order < 1:
         raise ValueError("jet order must be >= 1")
+    if order > _MAX_CHAIN_SETTING:
+        raise ValueError(f"jet order {order} is above {_MAX_CHAIN_SETTING}")
     if order - (rmax - 1) < 1:
         raise PrecisionExhaustedError(
             f"jet order {order} cannot support {rmax} levels; need at least {rmax}"
@@ -506,8 +517,9 @@ class Eta2Result:
 
     matrix[i][j] pairs the order-0 theta-value of the derivative of the
     extended kernel vector i against kernel vector j (sign: minus the
-    theta of the derivative). Rows of non-extendable vectors are None and
-    their indices are listed in flags."""
+    theta of the derivative), which is 0 for every extendable row (see
+    eta2_on_K). Rows of non-extendable vectors are None and their
+    indices are listed in flags."""
 
     t0: Fraction
     basis: tuple
@@ -519,7 +531,6 @@ def eta2_on_K(
     fam: FamilySpec,
     t0=None,
     seed: int = 0,
-    extension_tweaks=None,
     _pk: PointKernel = None,
 ) -> Eta2Result:
     """Second-order pairing via first-order extensions of kernel vectors,
@@ -527,37 +538,20 @@ def eta2_on_K(
 
     With F(t0 + s) = F + s F_T and F_T(t0 + s) = F_T + s F_TT mod s^2 (F,
     F_T, F_TT at t0), a kernel vector v with representative p extends to
-    a kernel section v + s x_1 of H_0 + s H_1 by one solve on the
-    pointwise Higgs matrix, H_0 x_1 = -H_1 v (free variables 0), where
-    H_1 v = [F_TT p - Sum_i A_i dF_T/dY_i] and F_T p = Sum_i A_i dF/dY_i
-    (the membership witness A). The solve fails exactly on jumping
-    parameter values, and such rows are flagged. The derivative of the
-    extension at s = 0 is x_1 - div A; row i pairs minus its theta value
-    with every kernel vector by the socle pairing. No free choice changes
-    the result: witnesses differ by Koszul syzygies, whose divergences
-    and products with the dF_T/dY_i lie in the Jacobian ideal, and
-    choices of x_1 differ by ker H_0, which theta kills. The optional
-    extension_tweaks map {row index: rational kernel vector} adds the
-    given kernel vector to that row's x_1, exercising that freedom. Its
-    entries are Fractions or ints; anything else raises
-    DomainMismatchError.
+    a kernel section v + s x_1 of H_0 + s H_1 exactly when H_0 x_1 = -H_1 v
+    is solvable on the pointwise Higgs matrix, where H_1 v = [F_TT p -
+    Sum_i A_i dF_T/dY_i] and F_T p = Sum_i A_i dF/dY_i (the membership
+    witness A). The solve fails exactly on jumping parameter values, and
+    such rows are flagged. Row i pairs minus the theta value of the
+    extension's derivative e_i with every kernel vector p_j by the socle
+    pairing, and that row is 0 whatever e_i is: the entry is
+    -lambda(p_j F_T e_i), F_T p_j lies in the Jacobian ideal J because
+    v_j is in ker theta, so the product lies in J_{3d-6}, where lambda
+    is 0. An extendable row is therefore built as zeros.
     """
     pk = _pk if _pk is not None else pointwise_kernel(fam, t0, seed)
     k = len(pk.basis)
     d = fam.degree
-    tweaks = {
-        i: tuple(map(_as_fraction, gamma))
-        for i, gamma in (extension_tweaks or {}).items()
-    }
-    for i, gamma in tweaks.items():
-        if i not in range(k):
-            raise ValueError(
-                f"extension tweak key {i!r} is not a kernel row (there are {k})"
-            )
-        if any(x != 0 for x in pk.higgs.mul_vec(gamma)):
-            raise ValueError(
-                f"extension tweak {i} is not a pointwise kernel vector"
-            )
     if k == 0:
         return Eta2Result(t0=pk.t0, basis=(), matrix=(), flags=())
 
@@ -565,23 +559,18 @@ def eta2_on_K(
     Ftt = specialize(t_derivative(fam, 2), pk.t0)
     dFt = [poly_partial(Ft, i) for i in range(3)]
     solver = LinearSolver(pk.higgs)
-    basis_elts = [RingElement(d - 3, v) for v in pk.basis]
+    zero_row = (Fraction(0),) * k
     rows = []
     flags = []
-    for i, v in enumerate(basis_elts):
-        p = fiber.representative(v)
+    for i, v in enumerate(pk.basis):
+        p = fiber.representative(RingElement(d - 3, v))
         w = membership_witness(fiber, poly_mul(Ft, p))
         h1 = poly_mul(Ftt, p) - sum(map(poly_mul, w.parts, dFt), HomPoly.zero(2 * d - 3))
-        x1 = solver.try_solve([-c for c in fiber.normal_form(h1).coords])
-        if x1 is None:
+        if solver.try_solve([-c for c in fiber.normal_form(h1).coords]) is None:
             flags.append(i)
             rows.append(None)
-            continue
-        x1 = tuple(a + b for a, b in zip(x1, tweaks.get(i, (0,) * len(x1))))
-        dext = fiber.representative(RingElement(d - 3, x1)) - w.divergence()
-        th = theta_eval(fiber, Ft, dext)
-        minus_th = RingElement(2 * d - 3, tuple(-c for c in th.coords))
-        rows.append(fiber.socle_pairs(basis_elts, minus_th))
+        else:
+            rows.append(zero_row)
     # the witness solver serves this call alone; the fibre outlives it in pk
     fiber._column_solvers.pop(2 * d - 3, None)
     return Eta2Result(
@@ -621,9 +610,14 @@ class MuReport:
 
     c is the least-squares multiple of the principal pairing closest to
     the derivative pairing over the usable (extendable) rows; residual
-    is what remains. inclusion_ok records that the computed flat unitary
-    rank does not exceed the kernel dimension of the derivative pairing
-    restricted to extendable rows and columns."""
+    is what remains. Those rows of the derivative pairing are 0 (see
+    eta2_on_K), so both follow from the flags and the principal pairing:
+    c is 0 when the principal pairing is nonzero on a usable row and None
+    otherwise, residual is the usable rows (None when there are none) and
+    residual_zero holds. eta2_kernel_dim, the kernel dimension of the
+    derivative pairing restricted to extendable rows and columns, is
+    their number; inclusion_ok records that the computed flat unitary
+    rank does not exceed it."""
 
     t0: Fraction
     degree: int
@@ -661,40 +655,15 @@ def mu_report(
     k = len(pk.basis)
 
     usable = [i for i in range(k) if i not in eta.flags]
-    # best rational multiple of the principal pairing, Frobenius sense
-    num = Fraction(0)
-    den = Fraction(0)
-    for i in usable:
-        for j in range(k):
-            pij = principal[i][j]
-            num += eta.matrix[i][j] * pij
-            den += pij * pij
-    c = num / den if den != 0 else None
-    residual = None
-    residual_zero = True
-    if k and usable:
-        cc = c if c is not None else Fraction(0)
-        residual = tuple(
-            tuple(eta.matrix[i][j] - cc * principal[i][j] for j in range(k))
-            for i in usable
-        )
-        residual_zero = all(all(x == 0 for x in row) for row in residual)
-
-    # kernel of the derivative pairing on the extendable part
-    if usable:
-        sub = Matrix(
-            [[eta.matrix[i][j] for j in usable] for i in usable],
-            ncols=len(usable),
-            domain=RATIONAL,
-        )
-        eta2_kernel_dim = len(kernel_basis(sub))
-    else:
-        eta2_kernel_dim = 0
-
+    # every usable row of eta2 is 0 (eta2_on_K): the closest multiple of
+    # the principal pairing is 0 when that pairing is nonzero there, no
+    # residual is left, and every usable direction is in eta2's kernel
+    fitted = any(principal[i][j] != 0 for i in usable for j in range(k))
+    c = Fraction(0) if fitted else None
+    residual = tuple(eta.matrix[i] for i in usable) if usable else None
     rk = unitary_rank(
         fam, mode=mode, order=order, max_level=max_level, seed=seed, _pk=pk
     )
-    inclusion_ok = rk.rank_u <= eta2_kernel_dim
 
     return MuReport(
         t0=pk.t0,
@@ -707,10 +676,10 @@ def mu_report(
         principal=principal,
         c=c,
         residual=residual,
-        residual_zero=residual_zero,
-        eta2_kernel_dim=eta2_kernel_dim,
+        residual_zero=True,
+        eta2_kernel_dim=len(usable),
         rank_u=rk.rank_u,
         ranks=rk.ranks,
         rank_stable=rk.stable,
-        inclusion_ok=inclusion_ok,
+        inclusion_ok=rk.rank_u <= len(usable),
     )

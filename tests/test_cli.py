@@ -61,6 +61,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "T power 1000000000 is above 1000" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fermat_mix.fam", "--max-level", "1000000"], "max_level 1000000 is above 10000"),
+            (
+                ["Y0^4+Y1^4+Y2^4", "--mode", "jet", "--order", "1000000000"],
+                "jet order 1000000000 is above 10000",
+            ),
+        ],
+    )
+    def test_huge_chain_settings_are_input_errors(self, argv, message, tmp_path, capsys):
+        # refused before any fibre is built: every level would be walked
+        # and every jet order expanded
+        family, *rest = argv
+        if family.endswith(".fam"):
+            family = flatunitary.fixture_path(family)
+        out = tmp_path / "r.json"
+        assert cli.run(["unitary-rank", family, *rest, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_utf8_family_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fam"
         bad.write_bytes(b"\xff\xfeY\x000\x00^\x004\x00")  # UTF-16 with a BOM

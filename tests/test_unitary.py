@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import flatunitary._univar as up
 from flatunitary import exactcore, unitary
 from flatunitary.exactcore import (
     RATFUN,
-    DomainMismatchError,
     ExactCoreError,
     Jet,
     JetSystemSolver,
@@ -29,7 +28,7 @@ from flatunitary.family import (
     t_derivative,
 )
 from flatunitary.gaussmanin import gm_derivative, theta_eval
-from flatunitary.jacobian import JacobianFiber, make_fiber
+from flatunitary.jacobian import JacobianFiber, RingElement, SingularFibreError, make_fiber
 from flatunitary.polyring import HomPoly, graded_basis
 from flatunitary.unitary import (
     _inert_sections,
@@ -116,6 +115,28 @@ class TestFiltrationRanks:
     def test_max_level_validation(self, mix):
         with pytest.raises(ValueError):
             filtration_ranks(mix, mode="ratfun", max_level=0)
+
+    @pytest.mark.parametrize("call", [filtration_ranks, unitary_rank, mu_report])
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"max_level": 10**6}, "max_level 1000000 is above 10000"),
+            ({"mode": "jet", "order": 10**9}, "jet order 1000000000 is above 10000"),
+        ],
+    )
+    def test_huge_chain_settings_refused_before_any_fibre(
+        self, mix, monkeypatch, call, kwargs, message
+    ):
+        # every level is walked and every jet order expanded, so an
+        # unbounded setting would run until memory ran out
+        built = _record_calls(monkeypatch, JacobianFiber, "__init__")
+        with pytest.raises(ValueError, match=message):
+            call(mix, **kwargs)
+        assert built == []
+
+    def test_chain_settings_at_the_bound_accepted(self, mix):
+        assert unitary._settings(mix, None, None, 10_000) == ("ratfun", None, 10_000)
+        assert unitary._settings(mix, "jet", 10_000, 2) == ("jet", 10_000, 2)
 
     def test_order_must_cover_levels(self, mix):
         with pytest.raises(PrecisionExhaustedError):
@@ -741,6 +762,8 @@ class TestEta2:
         assert eta.matrix[2] is None
 
     def test_extension_choice_does_not_matter(self, path_family):
+        # the jet-path oracle differentiates each extension, tweaked by a
+        # kernel vector; eta2_on_K builds the rows that choice cannot move
         base = eta2_on_K(path_family, t0=Fraction(0))
         rng = random.Random(17)
         pk = pointwise_kernel(path_family, t0=Fraction(0))
@@ -750,39 +773,13 @@ class TestEta2:
             for i in range(k):
                 if rng.random() < 0.5:
                     continue
-                gamma = [Fraction(0)] * k
                 coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
                 vec = [
                     sum(c * v[j] for c, v in zip(coeffs, pk.basis))
                     for j in range(len(pk.basis[0]))
                 ]
                 tweaks[i] = tuple(vec)
-            got = eta2_on_K(path_family, t0=Fraction(0), extension_tweaks=tweaks)
-            assert got.matrix == base.matrix
-            assert got.flags == base.flags
-
-    def test_non_kernel_tweak_rejected(self, mix):
-        pk = pointwise_kernel(mix, t0=Fraction(1))
-        bad = tuple(
-            Fraction(1) if e == (0, 0, 1) else Fraction(0)
-            for e in pk.fiber.cobasis(1)
-        )
-        with pytest.raises(ValueError):
-            eta2_on_K(mix, t0=Fraction(1), extension_tweaks={0: bad})
-
-    @pytest.mark.parametrize("bad", [0.1, "1/2"])
-    def test_inexact_tweak_rejected(self, path_family, bad):
-        # refused before the kernel check, which would read 0.1 as
-        # 3602879701896397/36028797018963968
-        with pytest.raises(DomainMismatchError):
-            eta2_on_K(path_family, t0=Fraction(0), extension_tweaks={0: (bad, 0, 0)})
-
-    @pytest.mark.parametrize("key", [7, -1, 2])
-    def test_tweak_key_must_be_a_kernel_row(self, mix, key):
-        # the kernel at t0 = 1 has two rows, so only keys 0 and 1 name one
-        pk = pointwise_kernel(mix, t0=Fraction(1))
-        with pytest.raises(ValueError, match="not a kernel row"):
-            eta2_on_K(mix, _pk=pk, extension_tweaks={key: pk.basis[0]})
+            assert naive_eta2_on_K(path_family, pk, tweaks) == (base.matrix, base.flags)
 
     def test_pairing_runs_on_the_certified_kernel_fibre(self, mix, monkeypatch):
         pk = pointwise_kernel(mix, t0=Fraction(1))
@@ -815,7 +812,10 @@ class TestEta2:
     def test_socle_table_is_built_once_per_fibre(self, path_family, monkeypatch):
         pk = pointwise_kernel(path_family, t0=Fraction(0))
         prepared = _record_calls(monkeypatch, JacobianFiber, "_prepare_degree")
+        # eta2 reads no pairing: its extendable rows are 0 by proof
         eta2_on_K(path_family, _pk=pk)
+        assert pk.fiber._socle is None and prepared == []
+        assert mu_principal(path_family, _pk=pk)[1] == ((0, 0, 0), (0, 0, 0), (0, 0, 2))
         table = pk.fiber._socle
         assert mu_principal(path_family, _pk=pk)[1] == ((0, 0, 0), (0, 0, 0), (0, 0, 2))
         assert table is not None and pk.fiber._socle is table
@@ -863,8 +863,11 @@ class TestAgainstTheJetPath:
 
     @pytest.mark.parametrize("source,t0", CASES)
     def test_tweaked_extensions_match_the_jet_path(self, source, t0, request):
+        # the oracle differentiates each extension, x_1 tweaked by a kernel
+        # vector; eta2_on_K's rows cannot depend on that choice
         fam = _fixture_or_text(request, source)
         pk = pointwise_kernel(fam, t0=Fraction(t0))
+        eta = eta2_on_K(fam, _pk=pk)
         rng = random.Random(5)
         k = len(pk.basis)
         for _ in range(3):
@@ -875,8 +878,71 @@ class TestAgainstTheJetPath:
                     sum(c * v[j] for c, v in zip(coeffs, pk.basis))
                     for j in range(len(pk.basis[0]))
                 )
-            eta = eta2_on_K(fam, _pk=pk, extension_tweaks=tweaks)
             assert (eta.matrix, eta.flags) == naive_eta2_on_K(fam, pk, tweaks)
+
+
+@st.composite
+def fermat_family_st(draw):
+    """(family, t0): the Fermat quartic or quintic plus one to three T- or
+    T^2-monomials, with a small rational t0. Half the draws take their
+    monomials in Y0 and Y1 alone, which keeps the Higgs kernel nonempty."""
+    d = draw(st.sampled_from((4, 5)))
+    if draw(st.booleans()):
+        pool = [(a, d - a, 0) for a in range(1, d)]
+    else:
+        pool = [e for e in graded_basis(d) if max(e) < d]
+    text = f"Y0^{d} + Y1^{d} + Y2^{d}"
+    for a, b, c in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)):
+        coef = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        tpow = draw(st.sampled_from(("T", "T^2")))
+        text += f" {'-' if coef < 0 else '+'} {abs(coef)}*{tpow}*Y0^{a}*Y1^{b}*Y2^{c}"
+    t0 = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    return parse_family(text), t0
+
+
+def _nonempty_kernel(fam, t0):
+    try:
+        pk = pointwise_kernel(fam, t0=t0)
+    except SingularFibreError:
+        assume(False)
+    assume(pk.basis)
+    return pk
+
+
+def _assert_theta_image_pairs_to_zero(pk):
+    """lambda(p_j * F_T * m) = 0 for every kernel vector p_j and cobasis
+    monomial m of R_{d-3}: F_T p_j lies in the Jacobian ideal."""
+    fiber, d = pk.fiber, pk.fiber.d
+    images = [
+        theta_eval(fiber, pk.Ft, HomPoly.monomial(m, Fraction(1)))
+        for m in fiber.cobasis(d - 3)
+    ]
+    for v in pk.basis:
+        p = RingElement(d - 3, v)
+        assert all(fiber.socle_pair(p, q) == 0 for q in images)
+
+
+class TestZeroRows:
+    """The identity an extendable eta2 row rests on, and eta2_on_K's zero
+    rows against the jet path that differentiates every extension."""
+
+    @pytest.mark.parametrize("source,t0", TestAgainstTheJetPath.CASES)
+    def test_theta_image_pairs_to_zero_on_fixtures(self, source, t0, request):
+        fam = _fixture_or_text(request, source)
+        _assert_theta_image_pairs_to_zero(pointwise_kernel(fam, t0=Fraction(t0)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(fermat_family_st())
+    def test_theta_image_pairs_to_zero_on_random_deformations(self, family):
+        _assert_theta_image_pairs_to_zero(_nonempty_kernel(*family))
+
+    @settings(max_examples=30, deadline=None)
+    @given(fermat_family_st())
+    def test_matches_the_jet_path_on_random_families(self, family):
+        fam, t0 = family
+        pk = _nonempty_kernel(fam, t0)
+        eta = eta2_on_K(fam, _pk=pk)
+        assert (eta.matrix, eta.flags) == naive_eta2_on_K(fam, pk)
 
 
 class TestMuPrincipal:
