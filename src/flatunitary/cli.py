@@ -10,8 +10,8 @@ inputs and seed produce byte-identical output except for the final
   and so do --max-level or --order above 10000, --order without --mode
   jet, on unitary-rank --t0 without --mode jet (ratfun mode has no jet
   order and no basepoint), and --seed where no basepoint is searched
-  (given --t0 without --mode jet, or on unitary-rank without --mode
-  jet). A flag the subcommand does not take is an argparse usage error,
+  (given --t0, or on unitary-rank without --mode jet). A flag the
+  subcommand does not take is an argparse usage error,
   also exit 2: only unitary-rank and mu-report take --mode, --order and
   --max-level;
 * 3 mathematical error, with an "error" block in the report: kind
@@ -19,7 +19,8 @@ inputs and seed produce byte-identical output except for the final
   "exact-arithmetic" for any other ExactCoreError or an ArithmeticError
   (for instance a violated filtration invariant or a form outside the
   partials ideal);
-* 4 result flagged unstable.
+* 4 jet ranks not certified: they differ from the generic ranks over
+  Q(t), which unitary-rank lists as its one check.
 """
 
 import argparse
@@ -309,7 +310,7 @@ def _cmd_unitary_rank(fam, args):
     primary = rk.primary
     checks = [
         {
-            "t0": _frac(chk.t0),
+            "t0": None if chk.t0 is None else _frac(chk.t0),
             "order": chk.order,
             "ranks": list(chk.ranks),
         }
@@ -376,12 +377,11 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a basepoint is searched, and the seed read, without --t0 and for jet
-    # mode's second basepoint; unitary-rank over Q(t) has no basepoint
-    jet = getattr(args, "mode", None) == "jet"
+    # a basepoint is searched, and the seed read, only without --t0;
+    # unitary-rank over Q(t) has no basepoint
     if args.seed is None:
         args.seed = 0
-    elif not (jet if args.command == "unitary-rank" else jet or args.t0 is None):
+    elif args.t0 is not None or (args.command == "unitary-rank" and args.mode != "jet"):
         print("flatunitary: --seed given where no basepoint is searched", file=sys.stderr)
         return 2
     started = time.monotonic()

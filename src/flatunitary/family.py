@@ -291,20 +291,17 @@ def candidate_basepoints(seed: int):
     return values
 
 
-def iter_basepoints(fam: FamilySpec, seed: int = 0, _rejected=None, _skip=()):
+def iter_basepoints(fam: FamilySpec, seed: int = 0, _rejected=None):
     """Yield certified-smooth basepoints in seeded candidate order.
 
     Each yielded Basepoint carries the rejections seen so far; pass a list
-    as _rejected to also observe them after exhaustion. Candidates in
-    _skip are passed over before they are certified. A certificate and
+    as _rejected to also observe them after exhaustion. A certificate and
     its failure text depend on the fibre alone, so a fibre already
     rejected in this search (every t0 of a T-free family, -t0 after t0
     of one even in T) is rejected again with the stored reason."""
     rejected = _rejected if _rejected is not None else []
     reasons = {}  # fibre terms -> rejection reason
     for t0 in candidate_basepoints(seed):
-        if t0 in _skip:
-            continue
         F = specialize(fam, t0)
         key = frozenset(F.terms.items())
         if key not in reasons:

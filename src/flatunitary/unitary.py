@@ -27,10 +27,9 @@ rational basepoint t0 in truncated power series in s = t - t0: each
 level solves the block-triangular rational system coupling all s-orders
 at once, block by block (one connected block of its columns at a time),
 the level rank is the dimension of order-0 values of solutions, and one
-order of s-precision is spent per level. Jet answers are checked, not
-certified: `stable` means only that the ranks agree when recomputed two
-orders higher on the same jet fibre and at a second basepoint. No
-basepoint's fibre is certified smooth twice.
+order of s-precision is spent per level. A jet answer is certified by
+the generic chain: `stable` means that its rank sequence equals the one
+over Q(t), which is exact (see _walk_chain for how the two compare).
 
 The second-order data lives here too, on the certified rational fibre
 alone: the pairing on the pointwise Higgs kernel obtained by
@@ -67,7 +66,6 @@ from .exactcore import (
 from .family import (
     FamilySpec,
     generic_fibre,
-    iter_basepoints,
     jet_expand,
     pick_basepoint,
     specialize,
@@ -300,17 +298,15 @@ def filtration_ranks(
     return _walk_chain(*_jet_fibre(fam, t0, base, order), t0, order, rmax)
 
 
-def _jet_fibre(fam: FamilySpec, t0: Fraction, base: JacobianFiber, prec: int):
-    """The precision-prec jet fibre over the certified rational fibre at
-    t0, and F_T there; it serves every precision up to prec."""
-    fiber = base.thicken(jet_expand(fam, t0, prec))
-    return fiber, jet_expand(t_derivative(fam), t0, prec)
+def _jet_fibre(fam: FamilySpec, t0: Fraction, base: JacobianFiber, order: int):
+    """The jet fibre of that order over base, the certified fibre at t0, and F_T there."""
+    fiber = base.thicken(jet_expand(fam, t0, order))
+    return fiber, jet_expand(t_derivative(fam), t0, order)
 
 
 def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
     """One pass down the kernel chain on one fibre: over Q(t) when order
-    is None, else over jets of that order at t0 (the fibre's precision
-    may be higher).
+    is None, else over jets of that order at t0.
 
     Level r+1 extends the held trajectory of each active basis section p
     of V_r (cobasis unit sections at level 1) to D^r p by one
@@ -318,6 +314,22 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
     order - r over jets) and builds the new trajectories by the Leibniz
     rule. An inert section (_inert_sections) holds only [p] and gives a
     zero theta column; it is never differentiated.
+
+    Jet against generic ranks, at a smooth t0 and any order N. R_{d-3}
+    has one frame, every monomial, in both modes. Clear a Q(t) basis of
+    V_r to a saturated Q[t] lattice L_r, a direct summand of Q[t]^g, so
+    its values at t0 stay independent. The witness of F_T p in degree
+    2d-3 is unique over Q(t) and at t0 (only Koszul syzygies, of higher
+    degree), so Cramer's rule on a minor nonzero at t0 makes it regular
+    there: D and theta commute with Taylor expansion in s = t - t0, and
+    the expansions of L_r meet every condition of levels 1..r to every
+    order. Level 1 solves over the whole frame, so there the jet rank is
+    at least the generic rank. A deeper level solves over combinations of
+    the held picks, and a pick may differ from an expansion by s^e u with
+    theta(u) of order N - e at t0 (a jump of the pointwise kernel), which
+    the next condition need not kill: there the bound is not proved.
+    unitary_rank needs none of it: it calls jet ranks stable only when
+    they equal the exact generic ranks.
     """
     d = fiber.d
     dom = fiber.domain if order is None else JetDomain(order)
@@ -447,12 +459,11 @@ def _verify_chain(fiber: JacobianFiber, Ft: HomPoly, trajectories):
 
 @dataclass(frozen=True)
 class UnitaryRank:
-    """A filtration run plus the agreement checks behind it.
+    """A filtration run plus the check that certifies it.
 
-    In jet mode checks holds the primary run recomputed with two extra
-    orders on the primary's jet fibre, then at the primary's order at a
-    second basepoint; `stable` records whether all rank sequences agree.
-    Over Q(t) the computation is generic and stable by fiat.
+    In jet mode checks holds one run, the generic chain over Q(t) to the
+    same depth, and `stable` records whether its ranks equal the jet
+    ranks. Over Q(t) the computation is generic and stable by fiat.
     """
 
     primary: FiltrationResult
@@ -477,34 +488,25 @@ def unitary_rank(
     seed: int = 0,
     _pk: PointKernel = None,
 ) -> UnitaryRank:
-    """Rank of the flat unitary subbundle, with stability diagnostics.
+    """Rank of the flat unitary subbundle, certified.
 
-    In jet mode each basepoint is certified once: the primary is t0
-    (seeded when None; _pk's when the caller holds its pointwise kernel),
-    and the second resumes the seeded walk past every candidate certified
-    so far. One jet fibre at the primary, of precision order + 2, serves
-    the primary run and the higher check. Over Q(t) there is no basepoint:
-    a t0 or an order given there raises ValueError.
+    In jet mode the chain runs once at t0 (seeded when None; _pk's when
+    the caller holds its pointwise kernel) and once over Q(t), and the
+    jet ranks are stable when they equal the generic ones. Over Q(t)
+    there is no basepoint: a t0 or an order given there raises
+    ValueError.
     """
     mode, order, rmax = _settings(fam, mode, order, max_level, t0)
     if mode == "ratfun":
         primary = filtration_ranks(fam, mode, max_level=rmax)
         return UnitaryRank(primary=primary, checks=(), stable=True)
     if _pk is not None:
-        t0, base, rejected = _pk.t0, _pk.fiber, _pk.rejected
+        t0, base = _pk.t0, _pk.fiber
     else:
-        t0, base, rejected = _certified_fibre(fam, t0, seed)
-    fiber, Ft = _jet_fibre(fam, t0, base, order + 2)
-    primary = _walk_chain(fiber, Ft, t0, order, rmax)
-    higher = _walk_chain(fiber, Ft, t0, order + 2, rmax)
-    seen = {t0, *(t for t, _ in rejected)}
-    bp = next(iter_basepoints(fam, seed, _skip=seen), None)
-    if bp is None:
-        raise ExactCoreError("no second basepoint available")
-    fiber, Ft = _jet_fibre(fam, bp.t0, bp.fiber, order)
-    other = _walk_chain(fiber, Ft, bp.t0, order, rmax)
-    stable = primary.ranks == higher.ranks == other.ranks
-    return UnitaryRank(primary=primary, checks=(higher, other), stable=stable)
+        t0, base, _ = _certified_fibre(fam, t0, seed)
+    primary = _walk_chain(*_jet_fibre(fam, t0, base, order), t0, order, rmax)
+    generic = filtration_ranks(fam, "ratfun", max_level=rmax)
+    return UnitaryRank(primary, checks=(generic,), stable=primary.ranks == generic.ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,9 @@ class TestExitCodes:
             ["validate", "fermat_mix.fam", "--t0", "1"],
             ["unitary-rank", "fermat_mix.fam"],  # ratfun: no basepoint at all
             ["mu-report", "fermat_mix_tt.fam", "--t0", "0"],
+            # a given basepoint is the only one, in jet mode too
+            ["unitary-rank", "fermat_mix.fam", "--mode", "jet", "--t0", "1"],
+            ["mu-report", "fermat_mix_tt.fam", "--mode", "jet", "--t0", "0"],
         ],
     )
     def test_seed_refused_where_no_basepoint_is_searched(self, argv, tmp_path, capsys):
@@ -158,9 +161,8 @@ class TestExitCodes:
         "argv",
         [
             ["higgs", "fermat_mix.fam", "--seed", "9"],
-            # jet mode searches its second basepoint even given --t0
-            ["unitary-rank", "fermat_mix.fam", "--mode", "jet", "--t0", "1", "--seed", "5"],
-            ["mu-report", "fermat_mix_tt.fam", "--mode", "jet", "--t0", "0", "--seed", "5"],
+            ["unitary-rank", "fermat_mix.fam", "--mode", "jet", "--seed", "5"],
+            ["mu-report", "fermat_mix_tt.fam", "--mode", "jet", "--seed", "5"],
         ],
     )
     def test_seed_accepted_where_a_basepoint_is_searched(self, argv, tmp_path):
@@ -225,6 +227,26 @@ class TestExitCodes:
         )
         assert code == 4
         assert report["result"]["stable"] is False
+
+    def test_best_fit_zero_when_principal_is_nonzero(self, tmp_path):
+        family = "Y0^6+Y1^6+Y2^6+3*T*Y0^4*Y1^2+3*T^2*Y0^2*Y1^4"
+        report, code = run_to_dict(["mu-report", family, "--t0", "-85"], tmp_path)
+        assert code == 0
+        assert report["result"]["kernel_dim"] == 7
+        assert report["result"]["best_fit"] == "0"
+
+    def test_uncertified_jet_ranks_exit_four(self, tmp_path):
+        # at t = 0 the jet chain keeps a level-1 section the generic chain
+        # over Q(t) does not have, so the ranks are not certified
+        family = "Y0^5 + Y1^5 + Y2^5 + 2*T^3*Y0^3*Y1*Y2 + 2*T^2*Y0*Y2^4"
+        report, code = run_to_dict(
+            ["unitary-rank", family, "--mode", "jet", "--t0", "0", "--max-level", "2"],
+            tmp_path,
+        )
+        assert code == 4
+        result = report["result"]
+        assert result["ranks"] == [1, 0] and result["stable"] is False
+        assert result["checks"] == [{"t0": None, "order": None, "ranks": [0, 0]}]
 
 
 class TestExactCoreFailures:

@@ -324,13 +324,6 @@ class TestBasepoints:
         assert reasons == {"singular fibre: certificate failed in degree 7 (dim R_7 = 6)"}
         assert len(certified) == 300
 
-    def test_skipped_candidates_are_never_certified(self, certified):
-        cusp = parse_family("Y1^2*Y2 - Y0^3")
-        rejected = []
-        skip = set(candidate_basepoints(0))
-        assert list(iter_basepoints(cusp, 0, _rejected=rejected, _skip=skip)) == []
-        assert rejected == [] and certified == []
-
     def test_iter_skips_singular_values(self, mix):
         seen = []
         for bp in iter_basepoints(mix, seed=0):
