@@ -20,7 +20,7 @@ inputs and seed produce byte-identical output except for the final
   (for instance a violated filtration invariant or a form outside the
   partials ideal);
 * 4 jet ranks not certified: they differ from the generic ranks over
-  Q(t), which unitary-rank lists as its one check.
+  Q(t), which unitary-rank lists as generic_ranks.
 """
 
 import argparse
@@ -48,7 +48,7 @@ from .jacobian import (
 from .polyring import graded_basis, monomial_sort_key
 from .unitary import _certified_fibre, mu_report, pointwise_kernel, unitary_rank
 
-SCHEMA = "flatunitary-report/1"
+SCHEMA = "flatunitary-report/2"
 
 # Canonical fixture invocations: (expected-report stem, argv, exit code).
 # Family paths are relative to the bundled fixtures directory; runners are
@@ -308,14 +308,6 @@ def _cmd_unitary_rank(fam, args):
         seed=args.seed,
     )
     primary = rk.primary
-    checks = [
-        {
-            "t0": None if chk.t0 is None else _frac(chk.t0),
-            "order": chk.order,
-            "ranks": list(chk.ranks),
-        }
-        for chk in rk.checks
-    ]
     result = {
         "mode": primary.mode,
         "t0": None if primary.t0 is None else _frac(primary.t0),
@@ -325,8 +317,9 @@ def _cmd_unitary_rank(fam, args):
         "rank_u": primary.rank_u,
         "sections": [_poly_terms(p) for p in primary.sections],
         "stable": rk.stable,
-        "checks": checks,
     }
+    if rk.checks:  # jet mode: the generic ranks over Q(t) that certify it
+        result["generic_ranks"] = list(rk.checks[0].ranks)
     return result, 0 if rk.stable else 4
 
 
@@ -345,15 +338,9 @@ def _cmd_mu_report(fam, args):
         "t0": _frac(rep.t0),
         "kernel_dim": rep.kernel_dim,
         "kernel_basis": [_vector_terms(exps, v) for v in rep.basis],
-        "eta2": {
-            "matrix": _matrix_json(rep.eta2),
-            "flags": list(rep.eta2_flags),
-            "kernel_dim": rep.eta2_kernel_dim,
-        },
+        "unextendable": list(rep.eta2_flags),
         "principal": _matrix_json(rep.principal),
         "best_fit": None if rep.c is None else _frac(rep.c),
-        "residual": None if rep.residual is None else _matrix_json(rep.residual),
-        "residual_zero": rep.residual_zero,
         "rank_u": rep.rank_u,
         "ranks": list(rep.ranks),
         "rank_stable": rep.rank_stable,

@@ -924,9 +924,7 @@ class JetSystemSolver:
         failure; raises DomainMismatchError when b mixes precisions and
         PrecisionExhaustedError when m exceeds the solver's precision.
         _columns, a range of coordinates, is private: only those are
-        returned, so only they are made into Fractions. Lifting a pointwise
-        kernel vector to first order is one LinearSolver solve on the
-        order-0 matrix (see unitary.eta2_on_K), not a solve here.
+        returned, so only they are made into Fractions.
         """
         if len(b) != self.nrows:
             raise ValueError("rhs length does not match nrows")

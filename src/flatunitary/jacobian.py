@@ -365,21 +365,18 @@ class JacobianFiber:
             )
         return self._socle
 
-    def socle_pair(self, p: RingElement, q: RingElement):
-        """Pairing R_{d-3} x R_{2d-3} -> Q or Q(t): the coefficient of the
-        last cobasis monomial of degree 3d-6 in the product's normal form,
-        canonical up to one global nonzero scalar. It is bilinear, so it
-        is p^T S q / pv with the socle table S."""
-        return self.socle_pairs((p,), q)[0]
-
     def socle_pairs(self, ps, q: RingElement) -> tuple:
-        """socle_pair(p, q) for each p in ps, over the fibre's ring: p and
-        q cleared, S q taken once and one division per p."""
+        """The pairing R_{d-3} x R_{2d-3} -> Q or Q(t) of each p in ps with
+        q: the coefficient of the last cobasis monomial of degree 3d-6 in
+        the product's normal form, canonical up to one global nonzero
+        scalar. It is bilinear, so it is p^T S q / pv with the socle table
+        S; over the fibre's ring p and q are cleared, S q is taken once and
+        there is one division per p."""
         d, table, scales = self.d, self._socle_table(), []
         if (q.degree, len(q.coords)) != (2 * d - 3, len(table[0])) or any(
             (p.degree, len(p.coords)) != (d - 3, len(table)) for p in ps
         ):
-            raise ValueError(f"socle_pair needs cobasis coordinates in degrees {d - 3}, {2 * d - 3}")
+            raise ValueError(f"socle_pairs needs cobasis coordinates in degrees {d - 3}, {2 * d - 3}")
         ring = self._ring
         cq, *cps = ring.clear([list(q.coords)] + [list(p.coords) for p in ps], scales)
         sq = [ring.dot(row, cq) for row in table]

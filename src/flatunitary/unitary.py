@@ -21,24 +21,22 @@ whose class theta maps to an empty block of R_{2d-3} is inert: it lies
 in every V_r, holds only [p] and is never differentiated.
 
 Two computation modes share the level logic. Over the rational-function
-field the kernels are taken over Q(t) and the answer is the generic
-(bundle) rank directly. In jet mode everything happens at a chosen
-rational basepoint t0 in truncated power series in s = t - t0: each
-level solves the block-triangular rational system coupling all s-orders
-at once, block by block (one connected block of its columns at a time),
-the level rank is the dimension of order-0 values of solutions, and one
-order of s-precision is spent per level. A jet answer is certified by
-the generic chain: `stable` means that its rank sequence equals the one
-over Q(t), which is exact (see _walk_chain for how the two compare).
+field (filtration_ranks) the kernels are taken over Q(t) and the answer
+is the generic (bundle) rank directly. In jet mode, which unitary_rank
+alone runs, everything happens at a chosen rational basepoint t0 in
+truncated power series in s = t - t0: each level solves the
+block-triangular rational system coupling all s-orders at once, block by
+block (one connected block of its columns at a time), the level rank is
+the dimension of order-0 values of solutions, and one order of
+s-precision is spent per level. A jet answer is certified by the generic
+chain: `stable` means that its rank sequence equals the one over Q(t),
+which is exact (see _walk_chain for how the two compare).
 
 The second-order data lives here too, on the certified rational fibre
-alone: the pairing on the pointwise Higgs kernel obtained by
-differentiating kernel vectors once (eta2), the principal part given by
-the second T-derivative of the family (mu), read through the fibre's
-socle table, and the report comparing them. An extendable row of eta2
-is provably 0 (theta of a kernel vector lies in the Jacobian ideal), so
-only which rows extend is computed; the report's fit, residual and eta2
-kernel dimension follow from those flags and the principal part.
+alone: which kernel vectors of the pointwise Higgs kernel extend to
+first order (eta2_on_K), the principal part given by the second
+T-derivative of the family (mu), read through the fibre's socle table,
+and the report comparing them.
 """
 
 from __future__ import annotations
@@ -270,32 +268,19 @@ def _settings(fam: FamilySpec, mode, order, max_level, t0=None):
     return mode, order, rmax
 
 
-def filtration_ranks(
-    fam: FamilySpec,
-    mode: str = None,
-    t0=None,
-    order: int = None,
-    max_level: int = None,
-    seed: int = 0,
-) -> FiltrationResult:
-    """Compute the kernel chain ranks down to max_level (default: genus).
+def filtration_ranks(fam: FamilySpec, max_level: int = None) -> FiltrationResult:
+    """Compute the generic kernel chain ranks over Q(t) down to max_level
+    (default: genus); the jet chain at a basepoint is unitary_rank's.
 
-    mode "ratfun" (the default) works over Q(t) and gives generic ranks;
-    mode "jet" works at the basepoint t0 (picked by seed when not given)
-    with jets of the given order (default 2*genus + 4; an order or a t0
-    given in ratfun mode raises ValueError). The chain never stops
-    early except on hitting rank zero, so stabilization is observed
-    rather than assumed. Inert sections, those theta cannot see on any
-    derivative (_inert_sections), are carried as they are; the active
-    sections the pass ends with are checked against the last
-    theta-condition.
+    The chain never stops early except on hitting rank zero, so
+    stabilization is observed rather than assumed. Inert sections, those
+    theta cannot see on any derivative (_inert_sections), are carried as
+    they are; the active sections the pass ends with are checked against
+    the last theta-condition.
     """
-    mode, order, rmax = _settings(fam, mode, order, max_level, t0)
-    if mode == "ratfun":
-        fiber = make_fiber(generic_fibre(fam))
-        return _walk_chain(fiber, generic_fibre(t_derivative(fam)), None, None, rmax)
-    t0, base, _ = _certified_fibre(fam, t0, seed)
-    return _walk_chain(*_jet_fibre(fam, t0, base, order), t0, order, rmax)
+    _, _, rmax = _settings(fam, "ratfun", None, max_level)
+    fiber = make_fiber(generic_fibre(fam))
+    return _walk_chain(fiber, generic_fibre(t_derivative(fam)), None, None, rmax)
 
 
 def _jet_fibre(fam: FamilySpec, t0: Fraction, base: JacobianFiber, order: int):
@@ -498,14 +483,13 @@ def unitary_rank(
     """
     mode, order, rmax = _settings(fam, mode, order, max_level, t0)
     if mode == "ratfun":
-        primary = filtration_ranks(fam, mode, max_level=rmax)
-        return UnitaryRank(primary=primary, checks=(), stable=True)
+        return UnitaryRank(primary=filtration_ranks(fam, rmax), checks=(), stable=True)
     if _pk is not None:
         t0, base = _pk.t0, _pk.fiber
     else:
         t0, base, _ = _certified_fibre(fam, t0, seed)
     primary = _walk_chain(*_jet_fibre(fam, t0, base, order), t0, order, rmax)
-    generic = filtration_ranks(fam, "ratfun", max_level=rmax)
+    generic = filtration_ranks(fam, rmax)
     return UnitaryRank(primary, checks=(generic,), stable=primary.ranks == generic.ranks)
 
 
@@ -521,7 +505,9 @@ class Eta2Result:
     extended kernel vector i against kernel vector j (sign: minus the
     theta of the derivative), which is 0 for every extendable row (see
     eta2_on_K). Rows of non-extendable vectors are None and their
-    indices are listed in flags."""
+    indices are listed in flags. The zero rows are kept only because the
+    benchmark's pointwise-sweep workload checks the matrix's shape, until
+    ROADMAP item 1 frees perfbench/ to change."""
 
     t0: Fraction
     basis: tuple
@@ -610,29 +596,21 @@ def mu_principal(fam: FamilySpec, t0=None, seed: int = 0, _pk: PointKernel = Non
 class MuReport:
     """Second-order pairings at one basepoint, compared.
 
-    c is the least-squares multiple of the principal pairing closest to
-    the derivative pairing over the usable (extendable) rows; residual
-    is what remains. Those rows of the derivative pairing are 0 (see
-    eta2_on_K), so both follow from the flags and the principal pairing:
-    c is 0 when the principal pairing is nonzero on a usable row and None
-    otherwise, residual is the usable rows (None when there are none) and
-    residual_zero holds. eta2_kernel_dim, the kernel dimension of the
-    derivative pairing restricted to extendable rows and columns, is
-    their number; inclusion_ok records that the computed flat unitary
-    rank does not exceed it."""
+    eta2_flags lists the kernel vectors that do not extend to first
+    order; the derivative pairing is 0 on every other row (eta2_on_K).
+    c, the least-squares multiple of the principal pairing closest to it
+    on those rows, is 0 when the principal pairing is nonzero there and
+    None otherwise. inclusion_ok records that the computed flat unitary
+    rank does not exceed the number of extendable kernel vectors."""
 
     t0: Fraction
     degree: int
     genus: int
     kernel_dim: int
     basis: tuple
-    eta2: tuple
     eta2_flags: tuple
     principal: tuple
     c: Fraction | None
-    residual: tuple | None
-    residual_zero: bool
-    eta2_kernel_dim: int
     rank_u: int
     ranks: tuple
     rank_stable: bool
@@ -652,17 +630,12 @@ def mu_report(
     unitary_rank's, checked before any fibre is built."""
     _settings(fam, mode, order, max_level)
     pk = pointwise_kernel(fam, t0, seed)
-    eta = eta2_on_K(fam, _pk=pk)
+    flags = eta2_on_K(fam, _pk=pk).flags
     _, principal = mu_principal(fam, _pk=pk)
     k = len(pk.basis)
 
-    usable = [i for i in range(k) if i not in eta.flags]
-    # every usable row of eta2 is 0 (eta2_on_K): the closest multiple of
-    # the principal pairing is 0 when that pairing is nonzero there, no
-    # residual is left, and every usable direction is in eta2's kernel
+    usable = [i for i in range(k) if i not in flags]
     fitted = any(principal[i][j] != 0 for i in usable for j in range(k))
-    c = Fraction(0) if fitted else None
-    residual = tuple(eta.matrix[i] for i in usable) if usable else None
     rk = unitary_rank(
         fam, mode=mode, order=order, max_level=max_level, seed=seed, _pk=pk
     )
@@ -673,13 +646,9 @@ def mu_report(
         genus=fam.genus,
         kernel_dim=k,
         basis=pk.basis,
-        eta2=eta.matrix,
-        eta2_flags=eta.flags,
+        eta2_flags=flags,
         principal=principal,
-        c=c,
-        residual=residual,
-        residual_zero=True,
-        eta2_kernel_dim=len(usable),
+        c=Fraction(0) if fitted else None,
         rank_u=rk.rank_u,
         ranks=rk.ranks,
         rank_stable=rk.stable,

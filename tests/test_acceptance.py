@@ -107,7 +107,7 @@ def criterion_3_mode_agreement():
         order = 2 * fam.genus + 4
         for seed in (0, 1):
             for n in (order, order + 2):
-                res = filtration_ranks(fam, mode="jet", order=n, seed=seed)
+                res = unitary_rank(fam, mode="jet", order=n, seed=seed).primary
                 _assert(
                     res.ranks == want,
                     f"{text} seed {seed} order {n}: jet ranks {res.ranks} != {want}",
@@ -209,14 +209,14 @@ def criterion_5_filtration_invariants():
 
     for text, _ in RANK_FIXTURES:
         fam = parse_family(text)
-        check_chain(filtration_ranks(fam, mode="ratfun").ranks, text)
-        check_chain(filtration_ranks(fam, mode="jet", seed=0).ranks, text + " (jet)")
+        check_chain(filtration_ranks(fam).ranks, text)
+        check_chain(unitary_rank(fam, mode="jet", seed=0).ranks, text + " (jet)")
     check_chain(
-        filtration_ranks(parse_family(MIX_TT), mode="jet", t0=Fraction(0)).ranks,
+        unitary_rank(parse_family(MIX_TT), mode="jet", t0=Fraction(0)).ranks,
         "second-order fixture",
     )
     check_chain(
-        filtration_ranks(parse_family(PATH), mode="jet", t0=Fraction(0)).ranks,
+        unitary_rank(parse_family(PATH), mode="jet", t0=Fraction(0)).ranks,
         "partial-jump fixture",
     )
 
@@ -242,7 +242,7 @@ def criterion_5_filtration_invariants():
         pieces.append(mono_str(rng.randint(1, 2), e, with_t=True))
         try:
             fam = parse_family(" + ".join(pieces))
-            ranks = filtration_ranks(fam, mode="ratfun").ranks
+            ranks = filtration_ranks(fam).ranks
         except (SingularFibreError, ValueError):
             continue
         built += 1
@@ -257,7 +257,7 @@ def criterion_6_second_order_inclusion():
 
     for text, seed, t0 in ((MIX, 0, None), (TFREE, 0, None), (PATH, 0, Fraction(0))):
         fam = parse_family(text)
-        res = filtration_ranks(fam, mode="jet", seed=seed, t0=t0)
+        res = unitary_rank(fam, mode="jet", seed=seed, t0=t0).primary
         if res.rank_u == 0:
             continue
         eta = eta2_on_K(fam, t0=res.t0)

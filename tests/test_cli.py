@@ -20,6 +20,34 @@ SEPTIC = "Y0^7+Y1^7+Y2^7+T*Y0^3*Y1^4"
 RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
+_RATFUN_RANK_KEYS = [
+    "mode", "t0", "order", "max_level", "ranks", "rank_u", "sections", "stable"
+]
+_HIGGS_KEYS = ["t0", "rank_theta", "kernel_dim", "kernel_basis", "rejected"]
+_VALIDATE_KEYS = ["ok", "terms", "basepoint", "rejected"]
+
+# (report block, its keys in order) of each bundled fixture report under
+# the flatunitary-report/2 schema
+FIXTURE_KEYS = {
+    "tfree_quartic.unitary-rank": ("result", _RATFUN_RANK_KEYS),
+    "fermat_mix.validate": ("result", _VALIDATE_KEYS),
+    "fermat_mix.hodge": ("result", ["t0", "dimensions", "rejected"]),
+    "fermat_mix.higgs": ("result", _HIGGS_KEYS),
+    "fermat_mix.unitary-rank": ("result", _RATFUN_RANK_KEYS),
+    "fermat_mix.unitary-rank-jet": ("result", _RATFUN_RANK_KEYS + ["generic_ranks"]),
+    "hesse.higgs": ("result", _HIGGS_KEYS),
+    "hesse.unitary-rank": ("result", _RATFUN_RANK_KEYS),
+    "cusp.validate": ("error", ["kind", "detail", "rejected"]),
+    "fermat_mix_tt.mu-report": (
+        "result",
+        [
+            "t0", "kernel_dim", "kernel_basis", "unextendable", "principal",
+            "best_fit", "rank_u", "ranks", "rank_stable", "inclusion_ok",
+        ],
+    ),
+}
+
+
 def run_to_dict(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = cli.run([*args, "--output", str(out)])
@@ -246,7 +274,7 @@ class TestExitCodes:
         assert code == 4
         result = report["result"]
         assert result["ranks"] == [1, 0] and result["stable"] is False
-        assert result["checks"] == [{"t0": None, "order": None, "ranks": [0, 0]}]
+        assert result["generic_ranks"] == [0, 0]
 
 
 class TestExactCoreFailures:
@@ -319,11 +347,22 @@ class TestReportShape:
             "result",
             "timings",
         ]
-        assert report["schema"] == "flatunitary-report/1"
+        assert report["schema"] == "flatunitary-report/2"
         assert report["tool"] == {
             "name": "flatunitary",
             "version": flatunitary.__version__,
         }
+
+    @pytest.mark.parametrize("stem", [r[0] for r in cli.FIXTURE_RUNS])
+    def test_fixture_result_keys_are_pinned(self, stem):
+        # a key added, dropped or moved changes the report schema, so it
+        # must come with an edit of FIXTURE_KEYS, never by accident
+        fixdir = os.path.dirname(flatunitary.fixture_path("fermat_mix.fam"))
+        with open(os.path.join(fixdir, "expected", f"{stem}.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        block, keys = FIXTURE_KEYS[stem]
+        assert report["schema"] == cli.SCHEMA == "flatunitary-report/2"
+        assert list(report[block]) == keys
 
     def test_rationals_are_strings(self, tmp_path):
         report, _ = run_to_dict(["higgs", MIX, "--t0", "1"], tmp_path)

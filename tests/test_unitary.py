@@ -61,7 +61,7 @@ class TestPointwiseKernel:
         # directions, so the pointwise kernel exceeds the generic one
         pk = pointwise_kernel(mix_tt, t0=Fraction(0))
         assert len(pk.basis) == 2
-        generic = filtration_ranks(mix_tt, mode="ratfun")
+        generic = filtration_ranks(mix_tt)
         assert generic.ranks[0] == 0
 
     def test_seeded_search(self, mix):
@@ -71,7 +71,7 @@ class TestPointwiseKernel:
 
 class TestFiltrationRanks:
     def test_mix_over_function_field(self, mix):
-        res = filtration_ranks(mix, mode="ratfun")
+        res = filtration_ranks(mix)
         assert res.ranks == (2, 2, 2)
         assert res.rank_u == 2
         assert res.mode == "ratfun"
@@ -81,41 +81,46 @@ class TestFiltrationRanks:
         assert spans == [(((0, 1, 0)),), (((1, 0, 0)),)]
 
     def test_mix_in_jets_agrees(self, mix):
-        res = filtration_ranks(mix, mode="jet", seed=0)
+        res = unitary_rank(mix, mode="jet", seed=0).primary
         assert res.ranks == (2, 2, 2)
         assert res.order == default_jet_order(3) == 10
         assert res.t0 == Fraction(52)
 
     def test_t_free_family_is_fully_flat(self, tfree):
-        res = filtration_ranks(tfree, mode="ratfun")
+        res = filtration_ranks(tfree)
         assert res.ranks == (3, 3, 3)
-        jet = filtration_ranks(tfree, mode="jet", seed=0)
+        jet = unitary_rank(tfree, mode="jet", seed=0).primary
         assert jet.ranks == (3, 3, 3)
 
     def test_cubic_pencil_has_empty_kernel(self, hesse):
-        res = filtration_ranks(hesse, mode="ratfun")
+        res = filtration_ranks(hesse)
         assert res.ranks == (0,)
         assert res.sections == ()
 
     def test_rank_zero_short_circuits(self, hesse):
-        res = filtration_ranks(hesse, mode="jet", seed=0, max_level=1)
+        res = unitary_rank(hesse, mode="jet", seed=0, max_level=1).primary
         assert res.ranks == (0,)
 
     def test_jumping_point_ranks_stay_generic(self, mix_tt):
         # pointwise kernel is two-dimensional at t0 = 0, yet no direction
         # extends to a flat section: the chain collapses to zero
-        res = filtration_ranks(mix_tt, mode="jet", t0=Fraction(0))
+        res = unitary_rank(mix_tt, mode="jet", t0=Fraction(0)).primary
         assert res.ranks == (0, 0, 0)
 
     def test_chain_through_jumping_point(self, path_family):
-        res = filtration_ranks(path_family, mode="jet", t0=Fraction(0))
+        res = unitary_rank(path_family, mode="jet", t0=Fraction(0)).primary
         assert res.ranks == (2, 2, 2)
 
-    def test_max_level_validation(self, mix):
+    def test_max_level_validation(self, mix, monkeypatch):
         with pytest.raises(ValueError):
-            filtration_ranks(mix, mode="ratfun", max_level=0)
+            filtration_ranks(mix, max_level=0)
+        # refused before any fibre is built, as in the test below
+        built = _record_calls(monkeypatch, JacobianFiber, "__init__")
+        with pytest.raises(ValueError, match="max_level 1000000 is above 10000"):
+            filtration_ranks(mix, max_level=10**6)
+        assert built == []
 
-    @pytest.mark.parametrize("call", [filtration_ranks, unitary_rank, mu_report])
+    @pytest.mark.parametrize("call", [unitary_rank, mu_report])
     @pytest.mark.parametrize(
         "kwargs,message",
         [
@@ -139,11 +144,11 @@ class TestFiltrationRanks:
 
     def test_order_must_cover_levels(self, mix):
         with pytest.raises(PrecisionExhaustedError):
-            filtration_ranks(mix, mode="jet", t0=Fraction(1), order=2, max_level=3)
+            unitary_rank(mix, mode="jet", t0=Fraction(1), order=2, max_level=3)
 
     def test_unknown_mode_rejected(self, mix):
         with pytest.raises(ValueError):
-            filtration_ranks(mix, mode="symbolic")
+            unitary_rank(mix, mode="symbolic")
 
 
 def _chain_trajectory(fiber, Ft, p, depth):
@@ -152,6 +157,16 @@ def _chain_trajectory(fiber, Ft, p, depth):
     for _ in range(depth):
         out.append(gm_derivative(fiber, Ft, out[-1]))
     return out
+
+
+def _walk(fam, mode, t0=None, order=None, max_level=None, seed=0):
+    """One chain walk: filtration_ranks over Q(t), or in jet mode the walk
+    at t0 alone, without the generic chain unitary_rank certifies it by."""
+    if mode == "ratfun":
+        return filtration_ranks(fam, max_level)
+    _, order, rmax = unitary._settings(fam, mode, order, max_level)
+    t0, base, _ = unitary._certified_fibre(fam, t0, seed)
+    return unitary._walk_chain(*unitary._jet_fibre(fam, t0, base, order), t0, order, rmax)
 
 
 def _walk_fibre(fam, res):
@@ -202,7 +217,7 @@ class TestHeldTrajectories:
             real(fiber, Ft, trajectories)
 
         monkeypatch.setattr(unitary, "_verify_chain", capture)
-        res = filtration_ranks(fam, mode=mode, t0=t0, max_level=max_level)
+        res = _walk(fam, mode, t0=t0, max_level=max_level)
         fiber, Ft = _walk_fibre(fam, res)
         # _verify_chain runs once, on the active final trajectories, if any
         assert [len(t) for t in held] == ([n_active] if n_active else [])
@@ -362,7 +377,7 @@ class TestStackedKernel:
             return got
 
         monkeypatch.setattr(unitary, "_stacked_kernel", checked)
-        res = filtration_ranks(mix, mode="jet", t0=Fraction(1), order=6)
+        res = unitary_rank(mix, mode="jet", t0=Fraction(1), order=6).primary
         assert tuple(seen) == res.ranks
 
     @settings(max_examples=120, deadline=None)
@@ -440,7 +455,7 @@ class TestInertSplit:
     )
     def test_matches_the_plain_walk(self, request, name, mode):
         fam = parse_family(name) if "^" in name else request.getfixturevalue(name)
-        res = filtration_ranks(fam, mode=mode)
+        res = unitary_rank(fam, mode=mode).primary
         fiber, Ft = _walk_fibre(fam, res)
         assert naive_walk_chain(fiber, Ft, res.order, res.max_level) == (
             res.ranks,
@@ -603,10 +618,8 @@ class TestUnitaryRank:
         # check the generic chain to the same depth
         for seed, t0, max_level in ((0, None, None), (3, Fraction(1), 2)):
             rk = unitary_rank(mix, mode="jet", t0=t0, seed=seed, max_level=max_level)
-            assert rk.primary == filtration_ranks(
-                mix, mode="jet", t0=t0, seed=seed, max_level=max_level
-            )
-            assert rk.checks == (filtration_ranks(mix, "ratfun", max_level=max_level),)
+            assert rk.primary == _walk(mix, "jet", t0=t0, seed=seed, max_level=max_level)
+            assert rk.checks == (filtration_ranks(mix, max_level),)
 
     def test_sextic_over_the_function_field(self):
         # degree 6 over Q(t): genus 10, every level keeps the six sections
@@ -622,14 +635,14 @@ class TestUnitaryRank:
         assert rk.primary.mode == "ratfun" and rk.primary.order is None
         assert rk.ranks == (6,) * 10
 
-    @pytest.mark.parametrize("call", [filtration_ranks, unitary_rank])
+    @pytest.mark.parametrize("call", [unitary_rank, mu_report])
     def test_order_in_ratfun_mode_raises(self, mix, call):
         with pytest.raises(ValueError, match="mode 'jet'"):
             call(mix, order=8)
         with pytest.raises(ValueError, match="mode 'jet'"):
             call(mix, mode="ratfun", order=8)
 
-    @pytest.mark.parametrize("call", [filtration_ranks, unitary_rank])
+    @pytest.mark.parametrize("call", [unitary_rank])
     def test_basepoint_in_ratfun_mode_raises(self, mix, call):
         # Q(t) has no basepoint to honour: t = 1 would otherwise be dropped
         with pytest.raises(ValueError, match="a basepoint needs mode 'jet'"):
@@ -656,7 +669,7 @@ class TestUnitaryRank:
             return real(fiber, k)
 
         monkeypatch.setattr(JacobianFiber, "_prepare_degree", spy)
-        res = filtration_ranks(fam, mode="ratfun")
+        res = filtration_ranks(fam)
         assert res.ranks[0] > 0
         d = fam.degree
         assert prepared == {d - 3, 2 * d - 3}
@@ -718,7 +731,7 @@ class TestOneFibrePerBasepoint:
     def test_seeded_jet_rank(self, mix, record):
         rk = unitary_rank(mix, mode="jet", seed=0)
         assert rk.stable
-        assert rk.checks == (filtration_ranks(mix, "ratfun", max_level=mix.genus),)
+        assert rk.checks == (filtration_ranks(mix, mix.genus),)
         assert self.certified_t0s(record, mix) == [Fraction(52)]
         assert len(record["thickened"]) == 1
         assert len(record["solvers"]) == 1
@@ -914,7 +927,7 @@ def _assert_theta_image_pairs_to_zero(pk):
     ]
     for v in pk.basis:
         p = RingElement(d - 3, v)
-        assert all(fiber.socle_pair(p, q) == 0 for q in images)
+        assert all(fiber.socle_pairs((p,), q)[0] == 0 for q in images)
 
 
 class TestZeroRows:
@@ -955,7 +968,7 @@ class TestCertifiedJetRanks:
         except SingularFibreError:
             assume(False)
         (generic,) = rk.checks
-        assert generic == filtration_ranks(fam, "ratfun")
+        assert generic == filtration_ranks(fam)
         assert all(j >= q for j, q in zip(rk.ranks, generic.ranks))
         assert rk.stable == (rk.ranks == generic.ranks)
 
@@ -980,8 +993,9 @@ class TestMuReport:
         assert rep.kernel_dim == 2
         assert rep.eta2_flags == (0, 1)
         assert rep.principal == ((0, 2), (2, 0))
-        assert rep.c is None and rep.residual is None
-        assert rep.eta2_kernel_dim == 0
+        # no extendable row: nothing to fit, nothing in the derivative
+        # pairing's kernel
+        assert rep.c is None and rep.kernel_dim - len(rep.eta2_flags) == 0
         assert rep.rank_u == 0 and rep.ranks == (0, 0, 0)
         assert rep.rank_stable and rep.inclusion_ok
 
@@ -990,9 +1004,12 @@ class TestMuReport:
         assert rep.kernel_dim == 3
         assert rep.eta2_flags == (2,)
         # the principal form vanishes on the usable rows, leaving no
-        # scale to fit, and the residual is exactly zero
-        assert rep.c is None and rep.residual_zero
-        assert rep.eta2_kernel_dim == 2
+        # scale to fit, and the derivative pairing is exactly zero there
+        assert rep.c is None
+        eta = eta2_on_K(path_family, t0=Fraction(0))
+        assert eta.flags == rep.eta2_flags
+        assert all(row == (0, 0, 0) for i, row in enumerate(eta.matrix) if i not in eta.flags)
+        assert rep.kernel_dim - len(rep.eta2_flags) == 2
         assert rep.rank_u == 2
         assert rep.inclusion_ok
 
@@ -1000,11 +1017,10 @@ class TestMuReport:
         rep = mu_report(mix, t0=Fraction(1))
         assert rep.kernel_dim == 2
         assert rep.eta2_flags == ()
-        assert rep.eta2 == ((0, 0), (0, 0))
+        assert eta2_on_K(mix, t0=Fraction(1)).matrix == ((0, 0), (0, 0))
         assert rep.principal == ((0, 0), (0, 0))
         assert rep.c is None  # zero principal pairing leaves no scale to fit
-        assert rep.residual_zero
-        assert rep.eta2_kernel_dim == 2
+        assert rep.kernel_dim - len(rep.eta2_flags) == 2
         assert rep.rank_u == 2 and rep.inclusion_ok
 
     def test_principal_pairing_nonzero_on_an_extendable_row(self):
@@ -1028,7 +1044,6 @@ def _entry_points(fam):
         "specialize": lambda t0: specialize(fam, t0),
         "jet_expand": lambda t0: jet_expand(fam, t0, 2),
         "pointwise_kernel": lambda t0: pointwise_kernel(fam, t0=t0),
-        "filtration_ranks": lambda t0: filtration_ranks(fam, mode="jet", t0=t0),
         "unitary_rank": lambda t0: unitary_rank(fam, mode="jet", t0=t0),
         "eta2_on_K": lambda t0: eta2_on_K(fam, t0=t0),
         "mu_principal": lambda t0: mu_principal(fam, t0=t0),
