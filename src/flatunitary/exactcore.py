@@ -917,27 +917,31 @@ class JetSystemSolver:
         )
         self.order0 = _Elimination(rows0, self.ncols, _ring(RATIONAL))
 
-    def try_solve(self, b: Sequence, *, _columns=None):
+    def try_solve(self, b: Sequence, *, _columns=None, _terms=None):
         """Solve to the precision of b: jets of one precision m <= N.
 
         Returns (solution, None) on success, (None, failing_order) on
         failure; raises DomainMismatchError when b mixes precisions and
         PrecisionExhaustedError when m exceeds the solver's precision.
         _columns, a range of coordinates, is private: only those are
-        returned, so only they are made into Fractions.
+        returned, so only they are made into Fractions. _terms, private,
+        stands for b as (m, pairs), pairs holding (row, jet) for b's
+        nonzero entries, so its zero entries are never read.
         """
-        if len(b) != self.nrows:
-            raise ValueError("rhs length does not match nrows")
-        precisions = {e.precision for e in b}
-        if len(precisions) > 1:
-            raise DomainMismatchError(f"rhs mixes jet precisions {sorted(precisions)}")
-        n = precisions.pop() if precisions else self.precision
+        if _terms is None:
+            if len(b) != self.nrows:
+                raise ValueError("rhs length does not match nrows")
+            precisions = {e.precision for e in b}
+            if len(precisions) > 1:
+                raise DomainMismatchError(f"rhs mixes jet precisions {sorted(precisions)}")
+            _terms = precisions.pop() if precisions else self.precision, enumerate(b)
+        n, pairs = _terms
         if n > self.precision:
             raise PrecisionExhaustedError(
                 f"right-hand side has precision {n}; solver has {self.precision}"
             )
         el, sols = self.order0, []
-        nonzero = [(r, e.coeffs) for r, e in enumerate(b) if any(e.coeffs)]
+        nonzero = [(r, e.coeffs) for r, e in pairs if any(e.coeffs)]
         for k in range(n):
             b_k = [(r, cs[k].as_integer_ratio()) for r, cs in nonzero if cs[k]]
             c, den = self._rhs(k, b_k, sols)

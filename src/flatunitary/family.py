@@ -278,15 +278,14 @@ class Basepoint:
     rejected: tuple
 
 
+# 0, 1, -1, .., 100, -100, 1/2, -1/2, .., -99/2: the list a seed's shuffle starts from
+_CANDIDATES = (Fraction(0), *(
+    Fraction(s * n, q) for q in (1, 2) for n in range(1, 101, q) for s in (1, -1)))
+
+
 def candidate_basepoints(seed: int):
     """Integers and half-integers of height <= 100 in a seeded shuffle."""
-    values = [Fraction(0)]
-    for n in range(1, 101):
-        values.append(Fraction(n))
-        values.append(Fraction(-n))
-    for k in range(1, 100, 2):
-        values.append(Fraction(k, 2))
-        values.append(Fraction(-k, 2))
+    values = list(_CANDIDATES)
     random.Random(seed).shuffle(values)
     return values
 

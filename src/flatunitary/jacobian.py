@@ -20,26 +20,28 @@ degree eliminates its own order-0 block over Z, so only integer
 elimination ever runs.
 
 Over the rationals, over Q(t) and over jets no scalar matrix is built for
-a fibre, its normal forms or its column solvers. A fibre over Q or Q(t)
-holds the field's fraction-free ring from exactcore's table (Z or Z[t])
-and runs one code path on it. Each partial F_i is cleared into the ring once, and every
-generator row Y^m * F_i is F_i's cleared coefficients placed at the
-monomial indices of Y^m times its terms: the rows a Matrix of generator
-vectors would get by scaling each row by the lcm of its denominators. The
-certificate and the echelon data come from fraction-free elimination of
-these rows (rref_rows); over Q(t) the certificate tests the rows at
-integer points of the t-line, by ranks modulo one prime at a few and, when
-those fall short, by exact integer ranks at enough points that a nonzero
-minor cannot vanish at all of them. A normal form clears p into the ring once
-and takes dot products there. Over jets each partial is cleared once over
-all its s-coefficients. The column solver of a degree, over every domain,
-takes its generator columns from the cleared partials in the same way,
-one scale per partial: both solvers take a matrix cleared by columns.
+a fibre, its normal forms or its column solvers. Each partial F_i is
+cleared once into the fibre's ring (Z or Z[t] from exactcore's table;
+over jets, over all its s-coefficients), and every generator row
+Y^m * F_i is F_i's cleared coefficients at the monomial indices of Y^m
+times its terms. That row lies in one torus class: the class of m plus
+an exponent of F_i modulo the lattice of differences of F's exponents
+(class_key). Every Macaulay matrix of a fibre is thus block diagonal, and
+over a field the certificate, the echelon data and the column solver (a
+LinearSolver per class) run fraction-free elimination (rref_rows) on
+each class alone; eliminated together, each block's entries would carry
+the pivots of the blocks before it. Over Q(t) the certificate tests a
+block at integer points of the t-line, by ranks modulo one prime at a
+few and, when those fall short, by exact integer ranks at enough points
+that a nonzero minor cannot vanish at all of them. Over jets a degree's
+column solver is one JetSystemSolver; every solver takes its matrix
+cleared by columns, one scale per partial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import _univar as up
 from .exactcore import (
@@ -106,28 +108,20 @@ def standard_degrees(d: int):
 
 
 class _DegreeData:
-    """Echelon data of one graded piece over a field domain.
+    """Echelon data of one graded piece over a field domain, row-reduced
+    one torus class at a time (rref_rows over the fibre's ring). RREF row
+    k of a class is its echelon row k over the class's pivot value: over Z
+    the least common denominator of the class's RREF, over Z[t] its last
+    Bareiss pivot, 1 for a class without generators. cols[i] = (j, heads,
+    entries, pv) for the i-th cobasis monomial j: its class's pivot
+    columns, the entries of those echelon rows in column j and that pivot
+    value."""
 
-    cols[i] lists the entries of the echelon rows in the column of the
-    i-th cobasis monomial; the pivot columns are implied. The rows are the
-    fraction-free Gauss-Jordan rows (rref_rows) of the generator rows over
-    the fibre's ring, and RREF row k is echelon row k over the one
-    pivot_value, a ring element: over Z the least common denominator of
-    the RREF, so the echelon rows are its numerators over one denominator;
-    over Z[t] the last Bareiss pivot; the ring's 1 when there are no
-    generators.
-    """
+    __slots__ = ("cobasis_idx", "cols")
 
-    __slots__ = ("degree", "pivots", "cobasis_idx", "dim", "cols", "pivot_value")
-
-    def __init__(self, degree, rows, pivots, ncols, pivot_value):
-        self.degree = degree
-        self.pivots = tuple(pivots)
-        pivot_set = set(pivots)
-        self.cobasis_idx = tuple(c for c in range(ncols) if c not in pivot_set)
-        self.dim = len(self.cobasis_idx)
-        self.cols = tuple([row[j] for row in rows] for j in self.cobasis_idx)
-        self.pivot_value = pivot_value
+    def __init__(self, cols):
+        self.cols = tuple(sorted(cols))  # by monomial index, each one once
+        self.cobasis_idx = tuple(c[0] for c in self.cols)
 
 
 class JacobianFiber:
@@ -152,6 +146,7 @@ class JacobianFiber:
         else:
             self._ring = _ring(F.domain)
             clear = self._ring.clear
+            self._key = class_key(F.terms)
         self._int_partials = tuple(_integer_terms(P, clear) for P in self.partials)
         self._degree_data = {}
         self._column_solvers = {}
@@ -171,55 +166,60 @@ class JacobianFiber:
 
     # -- construction internals ------------------------------------------
 
-    def _generators(self, k: int):
-        """Ideal generators of degree k as (i, m) pairs, F0 block first,
-        multiplier monomials in graded order inside each block."""
-        mult_deg = k - (self.d - 1)
-        if mult_deg < 0:
-            return ()
-        return tuple(
-            (i, m) for i in range(3) for m in graded_basis(mult_deg)
-        )
+    def _blocks(self, k: int, at=None, only=None):
+        """Degree k's generator rows by torus class (only that class when
+        given): {class: (gens, cols, rows)}, cols the class's monomial
+        indices in increasing order, gens the (i, m)-order positions of the
+        generators Y^m * F_i in it (the class of m plus an exponent of F_i)
+        and rows their rows over cols, made of the partials' cleared terms,
+        over Q(t) evaluated at t = at when given."""
+        key, zero, blocks, where = self._key, self._ring.zero, {}, {}
+        partials = [terms for _, terms in self._int_partials]
+        if at is not None:
+            partials, zero = [[(e, up.zeval(x, at)) for e, x in terms] for terms in partials], 0
+        for j, (x, y, _) in enumerate(graded_basis(k)):
+            if only in (None, c := key(x, y)):
+                cols = blocks.setdefault(c, ([], [], []))[1]
+                where[j] = len(cols)
+                cols.append(j)
+        mults = graded_basis(k - (self.d - 1))
+        for i, terms in enumerate(partials):
+            for n, (m0, m1, m2) in enumerate(mults if terms else (), i * len(mults)):
+                (a, b, _), _ = terms[0]
+                if block := blocks.get(key(m0 + a, m1 + b)):
+                    row = [zero] * len(block[1])
+                    for (a, b, c), x in terms:
+                        row[where[monomial_index((m0 + a, m1 + b, m2 + c))]] = x
+                    block[0].append(n)
+                    block[2].append(row)
+        return blocks
 
-    def _int_generator_rows(self, k: int):
-        """The generator vectors, each scaled into the fibre's ring by the
-        lcm of its denominators, which are its partial's."""
-        mult_deg = k - (self.d - 1)
-        ncols = monomial_count(k)
-        zero = self._ring.zero
-        rows = []
-        for _, terms in self._int_partials:
-            for m0, m1, m2 in graded_basis(mult_deg):
-                row = [zero] * ncols
-                for (a, b, c), x in terms:
-                    row[monomial_index((m0 + a, m1 + b, m2 + c))] = x
-                rows.append(row)
-        return rows
-
-    def _smoothness_certificate(self, cert_degree: int):
-        ncols = monomial_count(cert_degree)
-        rows = self._int_generator_rows(cert_degree)
-        if isinstance(self.domain, RationalDomain):
-            tests = exact = (rows,)
-        else:
-            # a specialization t = a never has larger rank than the rows over
-            # Q(t), so full rank at one point certifies it; and a nonzero
-            # minor, of t-degree at most D, is nonzero at one of any D + 1
-            # points, so the largest rank there is the rank over Q(t)
-            def at(a):
-                return [[up.zeval(x, a) for x in row] for row in rows]
-
-            D = ncols * max((len(x) - 1 for row in rows for x in row), default=0)
-            tests = map(at, _CERT_POINTS)
-            exact = map(at, range(D + 1))
-        if any(full_column_rank_int(m, ncols) for m in tests):
-            return {"degree": cert_degree, "dim": 0, "method": "reduction"}
-        rank = 0
-        for m in exact:
-            rank = max(rank, len(rref_rows(m, ncols, _ring(RATIONAL))[0]))
-            if rank == ncols:
-                return {"degree": cert_degree, "dim": 0, "method": "exact"}
-        raise SingularFibreError(cert_degree, f"dim R_{cert_degree} = {ncols - rank}")
+    def _smoothness_certificate(self, k: int):
+        """dim R_k = 0, certified one torus class at a time."""
+        ratfun, todo = not isinstance(self.domain, RationalDomain), None
+        # over Q(t) a specialization t = a never has larger rank than the
+        # rows, so full rank at one point certifies a class's block
+        for a in _CERT_POINTS if ratfun else (None,):
+            blocks = self._blocks(k, a)
+            todo = [c for c in todo or blocks
+                    if not full_column_rank_int(blocks[c][2], len(blocks[c][1]))]
+            if not todo:
+                return {"degree": k, "dim": 0, "method": "reduction"}
+        # a nonzero minor of a block of width w, of t-degree at most w D
+        # for the partials' t-degree D, is nonzero at one of any w D + 1
+        # points, so the largest rank there is the rank over Q(t)
+        D = ratfun and max((len(x) - 1 for _, t in self._int_partials for _, x in t), default=0)
+        corank = 0
+        for c in todo:
+            w, rank = len(blocks[c][1]), 0
+            for a in range(w * D + 1) if ratfun else (None,):
+                rank = max(rank, len(rref_rows(self._blocks(k, a, c)[c][2], w, _ring(RATIONAL))[0]))
+                if rank == w:
+                    break
+            corank += w - rank
+        if corank:
+            raise SingularFibreError(k, f"dim R_{k} = {corank}")
+        return {"degree": k, "dim": 0, "method": "exact"}
 
     def _data(self, k: int) -> _DegreeData:
         """The echelon data of degree k, prepared the first time anything
@@ -231,18 +231,19 @@ class JacobianFiber:
             self._degree_data[k] = self._prepare_degree(k)
         return self._degree_data[k]
 
-    def _prepare_degree(self, k: int) -> _DegreeData:
-        ncols = monomial_count(k)
-        if k < self.d - 1:  # no generators
-            return _DegreeData(k, (), (), ncols, self._ring.one)
-        rows = self._int_generator_rows(k)
-        pivots, pivot_value = rref_rows(rows, ncols, self._ring)
-        return _DegreeData(k, rows[: len(pivots)], pivots, ncols, pivot_value)
+    def _prepare_degree(self, k: int, only=None) -> _DegreeData:
+        """Degree k's echelon data (only one class's when given)."""
+        cols = []
+        for _, idx, rows in self._blocks(k, only=only).values():
+            pivots, pv = rref_rows(rows, len(idx), self._ring)
+            heads, free = tuple(idx[c] for c in pivots), set(range(len(idx))) - set(pivots)
+            cols += [(idx[c], heads, [row[c] for row in rows[: len(pivots)]], pv) for c in free]
+        return _DegreeData(cols)
 
     # -- public queries ---------------------------------------------------
 
     def dim(self, k: int) -> int:
-        return self._data(k).dim
+        return len(self._data(k).cols)
 
     def cobasis(self, k: int):
         """Exponent triples of the representing monomials of R_k."""
@@ -269,21 +270,23 @@ class JacobianFiber:
         if self._order0 is not None:
             solver = self.column_solver(p.degree)
             n = solver.ncols
-            x, _ = solver.try_solve(p.to_vector(), _columns=range(n - data.dim, n))
+            terms = (p.domain.precision, [(monomial_index(e), c) for e, c in p.terms.items()])
+            x, _ = solver.try_solve(None, _columns=range(n - len(data.cols), n), _terms=terms)
             return RingElement(p.degree, x)
-        # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j, with p
-        # cleared to b / scale and RREF row k the echelon row over pv
-        ring, pv, scales = self._ring, data.pivot_value, []
+        # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j over
+        # j's class, with p cleared to b / scale and RREF row k the echelon
+        # row over the class's pivot value pv
+        ring, zero, scales = self._ring, self.domain.zero(), []
         (cleared,) = ring.clear([list(p.terms.values())], scales)
         b = [ring.zero] * monomial_count(p.degree)
         for e, x in zip(p.terms, cleared):
             b[monomial_index(e)] = x
-        head = [b[c] for c in data.pivots]
-        den = ring.mul(pv, scales[0])
-        return RingElement(p.degree, tuple(
-            ring.frac(ring.sub(ring.mul(b[j], pv), ring.dot(col, head)), den)
-            for j, col in zip(data.cobasis_idx, data.cols)
-        ))
+
+        def coord(j, heads, col, pv):
+            num = ring.sub(ring.mul(b[j], pv), ring.dot(col, [b[c] for c in heads]))
+            return ring.frac(num, ring.mul(pv, scales[0])) if num else zero
+
+        return RingElement(p.degree, tuple(coord(*c) for c in data.cols))
 
     def representative(self, elt: RingElement) -> HomPoly:
         """The canonical polynomial representative, supported on the cobasis."""
@@ -298,26 +301,27 @@ class JacobianFiber:
 
         Generator column (i, m) is F_i's cleared terms, over their one
         scale, at the monomial indices of Y^m times those terms. Over field
-        domains the solver is a LinearSolver on the generators alone.
-        Over jets it is a JetSystemSolver on the generators followed by the
-        unit columns of the degree-k cobasis, so every right-hand side
-        solves: normal_form reads the cobasis part and membership_witness
-        the generator part, and a form leaves the ideal at the first
-        s-order where the cobasis part is nonzero; that cobasis is the
-        order-0 fibre's, prepared on first use like every degree.
-        """
+        domains the solver is a _ClassSolver. Over jets it is one
+        JetSystemSolver on the generators followed by the unit columns of
+        the degree-k cobasis, so every right-hand side solves: normal_form
+        reads the cobasis part and membership_witness the generator part,
+        and a form leaves the ideal at the first s-order where the cobasis
+        part is nonzero; that cobasis is the order-0 fibre's."""
         if k in self._column_solvers:
             return self._column_solvers[k]
-        scales, entries = [], []
-        for i, (m0, m1, m2) in self._generators(k):
-            scale, terms = self._int_partials[i]
-            scales.append(scale)
-            entries.append(tuple(
-                (monomial_index((m0 + a, m1 + b, m2 + c)), x) for (a, b, c), x in terms
-            ))
+        mults, scales, entries = graded_basis(k - (self.d - 1)), [], []
         if self._order0 is None:
-            solver = LinearSolver(_Columns(monomial_count(k), self.domain, scales, entries))
+            solver = _ClassSolver(3 * len(mults), self.domain, [(cols, gens, LinearSolver(_Columns(
+                len(cols), self.domain, [self._int_partials[g // len(mults)][0] for g in gens],
+                [tuple((r, x) for r, x in enumerate(row) if x) for row in rows],
+            ))) for gens, cols, rows in self._blocks(k).values()])
         else:
+            for scale, terms in self._int_partials:
+                for m0, m1, m2 in mults:
+                    scales.append(scale)
+                    entries.append(tuple(
+                        (monomial_index((m0 + a, m1 + b, m2 + c)), x) for (a, b, c), x in terms
+                    ))
             for r in self._data(k).cobasis_idx:
                 scales.append(1)
                 entries.append(((r, (1,)),))
@@ -349,16 +353,18 @@ class JacobianFiber:
         return Matrix(rows, ncols=len(cols), domain=self.domain)
 
     def _socle_table(self):
-        """S, with S[a][b] over R_{3d-6}'s pivot value pv the socle
-        coordinate of m_a * m'_b (cobasis monomials of R_{d-3} and
-        R_{2d-3}), built once. It is read off R_{3d-6}'s echelon data: pv
-        at the socle monomial (the last cobasis one), minus the socle
+        """(pv, S), S[a][b] over pv the socle coordinate of m_a * m'_b
+        (cobasis monomials of R_{d-3} and R_{2d-3}), built once from the
+        class of R_{3d-6} holding its one cobasis monomial, the Hessian's
+        3 e_F - (2, 2, 2), alone: pv at the socle monomial, minus the socle
         column's entry of echelon row k at row k's pivot, 0 elsewhere."""
         if self._socle is None:
-            ring, top = _ring(self.domain), self._data(3 * self.d - 6)
-            value = {c: ring.sub(ring.zero, x) for c, x in zip(top.pivots, top.cols[-1])}
-            value[top.cobasis_idx[-1]] = top.pivot_value
-            self._socle = tuple(
+            ring, (x0, y0, _) = _ring(self.domain), next(iter(self.F.terms))
+            top = self._prepare_degree(3 * self.d - 6, self._key(3 * x0 - 2, 3 * y0 - 2))
+            ((j, heads, col, pv),) = top.cols
+            value = {c: ring.sub(ring.zero, e) for c, e in zip(heads, col)}
+            value[j] = pv
+            self._socle = pv, tuple(
                 [value.get(monomial_index((a + x, b + y, c + z)), ring.zero)
                  for x, y, z in self.cobasis(2 * self.d - 3)]
                 for a, b, c in self.cobasis(self.d - 3)
@@ -372,7 +378,7 @@ class JacobianFiber:
         scalar. It is bilinear, so it is p^T S q / pv with the socle table
         S; over the fibre's ring p and q are cleared, S q is taken once and
         there is one division per p."""
-        d, table, scales = self.d, self._socle_table(), []
+        d, scales, (pv, table) = self.d, [], self._socle_table()
         if (q.degree, len(q.coords)) != (2 * d - 3, len(table[0])) or any(
             (p.degree, len(p.coords)) != (d - 3, len(table)) for p in ps
         ):
@@ -380,8 +386,52 @@ class JacobianFiber:
         ring = self._ring
         cq, *cps = ring.clear([list(q.coords)] + [list(p.coords) for p in ps], scales)
         sq = [ring.dot(row, cq) for row in table]
-        den = ring.mul(self._data(3 * d - 6).pivot_value, scales[0])
+        den = ring.mul(pv, scales[0])
         return tuple(ring.frac(ring.dot(cp, sq), ring.mul(den, s)) for cp, s in zip(cps, scales[1:]))
+
+
+class _ClassSolver:
+    """A degree's column solver over a field: a LinearSolver per torus
+    class. The system is block diagonal, so b (domain elements) solves when
+    each class's part does, and the solution with free variables 0 is the
+    classes' side by side; a class whose part of b is zero is not solved."""
+
+    def __init__(self, ncols, domain, blocks):
+        self.ncols, self._zero, self._blocks = ncols, domain.zero(), blocks
+
+    def try_solve(self, b):
+        """Particular solution of M x = b with free variables 0, or None."""
+        x = [self._zero] * self.ncols
+        for rows, cols, solver in self._blocks:
+            if not all(_is_zero(b[r]) for r in rows):
+                y = solver.try_solve([b[r] for r in rows])
+                if y is None:
+                    return None
+                for j, v in zip(cols, y):
+                    x[j] = v
+        return tuple(x)
+
+
+def class_key(exponents):
+    """key(x, y), the class of a monomial with first exponents x, y modulo
+    the lattice L of differences of the given exponents: differences have
+    coordinate sum 0, so in one degree the Hermite form Z(a, b) + Z(0, c)
+    of L on the first two coordinates gives each class a canonical key."""
+    (x0, y0, _), a, b, c = next(iter(exponents), (0, 0, 0)), 0, 0, 0
+    for e in exponents:
+        x, y = e[0] - x0, e[1] - y0
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        c = gcd(c, y)
+    a, b = (-a, -b) if a < 0 else (a, b)
+
+    def key(x, y):
+        if a:
+            x, y = x % a, y - x // a * b
+        return x, y % c if c else y
+
+    return key
 
 
 def _integer_terms(P: HomPoly, clear):

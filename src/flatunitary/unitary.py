@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .exactcore import (
     ExactCoreError,
@@ -70,7 +70,7 @@ from .family import (
     t_derivative,
 )
 from .gaussmanin import _precision, _truncate_poly, gm_derivative, membership_witness, theta_eval
-from .jacobian import JacobianFiber, RingElement, make_fiber
+from .jacobian import JacobianFiber, RingElement, class_key, make_fiber
 from .polyring import HomPoly, poly_mul, poly_partial
 
 
@@ -381,25 +381,11 @@ def _inert_sections(fiber: JacobianFiber, Ft: HomPoly, cobasis):
     their class modulo L, and theta adds the class [F] of F's monomials.
     A section is inert when no cobasis monomial of R_{2d-3} lies in its
     class plus [F]: theta vanishes on every derivative of it, so it lies
-    in every level of the chain. Differences have coordinate sum 0, so
-    the Hermite form Z(a, b) + Z(0, c) of L on the first two coordinates
-    gives each class of one degree a canonical key.
+    in every level of the chain. The classes are taken modulo L rather
+    than the fibre's own lattice, because F at a basepoint can drop a
+    monomial that F_T keeps.
     """
-    x0, y0, _ = next(iter(fiber.F.terms))
-    a = b = c = 0
-    for e in (*fiber.F.terms, *Ft.terms):
-        x, y = e[0] - x0, e[1] - y0
-        while x:
-            q = a // x
-            a, b, x, y = x, y, a - q * x, b - q * y
-        c = gcd(c, y)
-    a, b = (-a, -b) if a < 0 else (a, b)
-
-    def key(x, y):
-        if a:
-            x, y = x % a, y - x // a * b
-        return x, y % c if c else y
-
+    key, (x0, y0, _) = class_key((*fiber.F.terms, *Ft.terms)), next(iter(fiber.F.terms))
     targets = {key(f[0], f[1]) for f in fiber.cobasis(2 * fiber.d - 3)}
     return [key(e[0] + x0, e[1] + y0) not in targets for e in cobasis]
 

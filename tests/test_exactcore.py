@@ -642,9 +642,10 @@ def _sparse_rows(rng, n, width, entry, zero, density):
 
 
 def _curve_rows(rng, domain):
-    """_int_generator_rows of a random plane curve over Q (ints) or Q(t)
+    """The generator rows of a random plane curve over Q (ints) or Q(t)
     (Z[t]), in a degree from d - 1 up to the certificate degree 3d - 5
-    (up to 7 for quintics, which keeps the dense oracle quick)."""
+    (up to 7 for quintics, which keeps the dense oracle quick): the
+    fibre's torus-class blocks put back side by side into full rows."""
     d = rng.randint(3, 5)
     terms = {e: 1 for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
     for e in rng.sample(graded_basis(d), 3):
@@ -657,7 +658,13 @@ def _curve_rows(rng, domain):
     fiber = JacobianFiber.__new__(JacobianFiber)
     fiber._setup(HomPoly(d, terms, domain=domain))
     k = rng.randint(d - 1, 3 * d - 5 if d < 5 else 7)
-    return fiber._int_generator_rows(k), monomial_count(k)
+    rows = []
+    for _, cols, block in fiber._blocks(k).values():
+        for row in block:
+            rows.append([fiber._ring.zero] * monomial_count(k))
+            for c, x in zip(cols, row):
+                rows[-1][c] = x
+    return rows, monomial_count(k)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Family parsing, printing, specialization, and basepoint search."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,18 @@ class TestBasepoints:
         assert all(abs(x) <= 100 for x in a)
         halves = [x for x in a if x.denominator == 2]
         assert len(halves) == 100
+
+    def test_candidate_order_matches_the_appended_list(self):
+        # the order of the list a seed's shuffle starts from, built one
+        # value at a time
+        for seed in range(51):
+            values = [Fraction(0)]
+            for n in range(1, 101):
+                values += [Fraction(n), Fraction(-n)]
+            for k in range(1, 100, 2):
+                values += [Fraction(k, 2), Fraction(-k, 2)]
+            random.Random(seed).shuffle(values)
+            assert candidate_basepoints(seed) == values
 
     def test_pick_first_smooth_candidate(self, mix):
         assert pick_basepoint(mix, 0).t0 == Fraction(52)

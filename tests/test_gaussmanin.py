@@ -367,7 +367,6 @@ class TestIntegerJetColumns:
             "ratfun": lambda: generic_fibre(mix),
             "jet": lambda: jet_expand(mix, Fraction(1, 2), 3),
         }[mode]())
-        solver_type = JetSystemSolver if mode == "jet" else LinearSolver
         built = []
         real_init = exactcore.Matrix.__init__
 
@@ -382,7 +381,13 @@ class TestIntegerJetColumns:
         monkeypatch.setattr(jacobian, "poly_mul", no_poly_mul)
         monkeypatch.setattr(polyring, "poly_mul", no_poly_mul)
         for k in (1, 3, 4, 5, 9):  # below, at and past the generator degree 3
-            assert isinstance(fiber.column_solver(k), solver_type)
+            solver = fiber.column_solver(k)
+            if mode == "jet":
+                assert isinstance(solver, JetSystemSolver)
+            else:  # one LinearSolver per torus class, every monomial in one class
+                assert all(isinstance(s, LinearSolver) for _, _, s in solver._blocks)
+                rows = sorted(r for rows, _, _ in solver._blocks for r in rows)
+                assert rows == list(range(monomial_count(k)))
         assert built == []
 
 

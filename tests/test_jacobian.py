@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from flatunitary import exactcore, jacobian
-from flatunitary.exactcore import RATFUN, Jet, RatFun
+from flatunitary.exactcore import RATFUN, Jet, LinearSolver, Matrix, RatFun
 from flatunitary.family import (
     FamilySpec,
     generic_fibre,
@@ -24,7 +24,7 @@ from flatunitary.jacobian import (
     standard_degrees,
 )
 from flatunitary.gaussmanin import theta_eval
-from flatunitary.polyring import HomPoly, graded_basis, poly_mul, poly_partial
+from flatunitary.polyring import HomPoly, graded_basis, monomial_count, poly_mul, poly_partial
 from oracles import (
     jacobian_quotient_dims,
     naive_kernel_dim,
@@ -354,7 +354,7 @@ class TestIntegralRationalFibre:
             gens = reference_generators(F, k)
             rows, pivots = naive_rref(gens) if gens else ([], ())
             cobasis = tuple(j for j in range(len(graded_basis(k))) if j not in pivots)
-            assert fiber._data(k).pivots == pivots
+            assert fiber._data(k).cobasis_idx == cobasis
             assert fiber.cobasis(k) == tuple(graded_basis(k)[j] for j in cobasis)
             reference[k] = (rows[: len(pivots)], pivots, cobasis)
             for _ in range(2):
@@ -434,7 +434,7 @@ class TestGenericFibreOverZt:
             gens = reference_generators(F, k)
             rows, pivots = naive_ratfun_rref([_pairs(g) for g in gens]) if gens else ([], ())
             cobasis = tuple(j for j in range(len(graded_basis(k))) if j not in pivots)
-            assert fiber._data(k).pivots == pivots
+            assert fiber._data(k).cobasis_idx == cobasis
             assert fiber.cobasis(k) == tuple(graded_basis(k)[j] for j in cobasis)
             reference[k] = (rows[: len(pivots)], pivots, cobasis)
             p = _random_ratfun_form(data.draw, k)
@@ -470,3 +470,124 @@ class TestGenericFibreOverZt:
         q = RingElement(7, (RatFun((0, 1), (1,)),) * fiber.dim(7))
         fiber.socle_pairs((p,), q)
         assert built == []
+
+
+# ---------------------------------------------------------------------------
+# torus classes against the whole generator matrix
+
+
+@st.composite
+def class_case_st(draw):
+    """(kind, family, F): a Fermat curve of degree 3-5 with T in one to
+    three more monomials, and its fibre over Q(t) ("ratfun"), at a drawn
+    t0 ("rational"), or at the root t0 of one monomial's T-coefficient
+    c (T - t0) ("vanishing"): that fibre drops the monomial, so its lattice
+    of exponent differences can be finer than the family's. Over Q(t) a
+    quartic gets at most two more monomials and a quintic one, which keeps
+    the whole-matrix reference to about a second."""
+    kind = draw(st.sampled_from(("ratfun", "rational", "vanishing")))
+    d = draw(st.integers(min_value=3, max_value=5))
+    unit = st.sampled_from((1, -1, 2, -2, 3, -3))
+    terms = {e: (Fraction(draw(unit)),) for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
+    pool = [e for e in graded_basis(d) if max(e) < d]
+    most = {4: 2, 5: 1}.get(d, 3) if kind == "ratfun" else 3
+    monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique=True))
+    for e in monos:
+        terms[e] = (draw(coef_st), draw(coef_st))
+    t0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    if kind == "vanishing":
+        c = draw(coef_st)
+        terms[monos[0]] = (-c * t0, c)
+    fam = FamilySpec(d, terms)
+    return kind, fam, generic_fibre(fam) if kind == "ratfun" else specialize(fam, t0)
+
+
+# the CI's generically singular quintic: no fibre is smooth
+SINGULAR_QUINTIC = (
+    "3/4*Y0^5 + T*Y0^4*Y1 - 3/5*T^2*Y0^4*Y1 + 1/4*T*Y0^2*Y1^2*Y2"
+    " + 2/5*T^2*Y0^2*Y1^2*Y2 + 2/3*Y1^5 - T*Y1^5 + 4/3*T*Y1^2*Y2^3 + 1/2*T^2*Y1^2*Y2^3"
+)
+
+
+class TestClassesAgainstTheWholeMatrix:
+    """A fibre row-reduces and solves one torus class at a time; the
+    cobasis, normal forms, socle pairing and witnesses equal those of one
+    exactcore.rref and one LinearSolver on the whole generator matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(class_case_st(), st.data())
+    def test_classes_match_the_whole_matrix(self, case, data):
+        kind, fam, F = case
+        try:
+            fiber = make_fiber(F)
+        except SingularFibreError:
+            event("singular")
+            return
+        d, dom = fiber.d, fiber.domain
+        if kind == "vanishing":
+            assert len(F.terms) < len(fam.terms)
+        count = lambda key: len({key(x, y) for x, y, _ in graded_basis(2 * d - 3)})  # noqa: E731
+        event(f"{kind}: finer lattice {count(fiber._key) > count(jacobian.class_key(fam.terms))}")
+        coeff = _ratfun_st() if dom == RATFUN else coef_st
+
+        def form(k):
+            monos = data.draw(st.lists(st.sampled_from(graded_basis(k)), min_size=1, max_size=4))
+            return HomPoly(k, {e: data.draw(coeff) for e in monos}, domain=dom)
+
+        whole = {}
+        for k in (d - 3, d - 1, d, 2 * d - 3, 3 * d - 6):
+            n, gens = monomial_count(k), reference_generators(F, k)
+            red = exactcore.rref(Matrix(gens, ncols=n, domain=dom)) if gens else None
+            pivots = red.pivots if gens else ()
+            cobasis = tuple(j for j in range(n) if j not in pivots)
+            assert fiber._data(k).cobasis_idx == cobasis
+            rows = red.matrix.rows if gens else ()
+
+            def normal_form(v):
+                return tuple(
+                    v[j] - sum((v[c] * row[j] for c, row in zip(pivots, rows)), dom.zero())
+                    for j in cobasis
+                )
+
+            whole[k] = normal_form
+            p = form(k)
+            assert fiber.normal_form(p).coords == normal_form(p.to_vector())
+            if not gens or k == 3 * d - 6:
+                continue
+            b = [dom.zero()] * n
+            for g in data.draw(st.lists(st.sampled_from(range(len(gens))), min_size=1, max_size=4)):
+                c = data.draw(coeff)
+                b = [x + c * y for x, y in zip(b, gens[g])]
+            if cobasis and data.draw(st.booleans()):
+                b[cobasis[-1]] += dom.one()  # out of the ideal
+            solver = LinearSolver(Matrix(list(zip(*gens)), ncols=len(gens), domain=dom))
+            assert fiber.column_solver(k).try_solve(tuple(b)) == solver.try_solve(b)
+        p = fiber.normal_form(form(d - 3))
+        q = fiber.normal_form(form(2 * d - 3))
+        product = poly_mul(fiber.representative(p), fiber.representative(q))
+        assert fiber.socle_pairs((p,), q) == (whole[3 * d - 6](product.to_vector())[-1],)
+
+    @pytest.mark.parametrize(
+        "text,t0,detail",
+        [
+            ("Y1^2*Y2 - Y0^3", Fraction(3), "dim R_4 = 2"),  # the cusp fixture
+            ("Y1^2*Y2 - Y0^3", None, "dim R_4 = 2"),
+            (SINGULAR_QUINTIC, None, "dim R_10 = 4"),
+            (SINGULAR_QUINTIC, Fraction(1, 2), "dim R_10 = 4"),
+            # smooth over Q(t) and at t = 1, singular at t = 2
+            ("Y0^4 + Y1^4 + Y2^4 + T*Y0^2*Y1^2", Fraction(2), "dim R_7 = 6"),
+        ],
+        ids=["cusp", "cusp-generic", "quintic-generic", "quintic", "special-t0"],
+    )
+    def test_refusal_text_is_the_whole_matrix_corank(self, text, t0, detail):
+        # over Q(t) the whole matrix is taken at t = 1/3: no specialization
+        # has larger rank, and this one has the generic rank
+        fam = parse_family(text)
+        F = generic_fibre(fam) if t0 is None else specialize(fam, t0)
+        top = 3 * fam.degree - 5
+        n, G = monomial_count(top), specialize(fam, Fraction(1, 3) if t0 is None else t0)
+        whole = exactcore.rref(Matrix(reference_generators(G, top), ncols=n))
+        assert detail == f"dim R_{top} = {n - whole.rank}"
+        with pytest.raises(SingularFibreError) as err:
+            make_fiber(F)
+        assert err.value.degree == top and str(err.value).endswith(f"({detail})")

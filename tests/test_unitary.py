@@ -819,7 +819,14 @@ class TestEta2:
 
     def test_socle_table_is_built_once_per_fibre(self, path_family, monkeypatch):
         pk = pointwise_kernel(path_family, t0=Fraction(0))
-        prepared = _record_calls(monkeypatch, JacobianFiber, "_prepare_degree")
+        prepared = []
+        real = JacobianFiber._prepare_degree
+
+        def spy(fiber, *args):
+            prepared.append(args)
+            return real(fiber, *args)
+
+        monkeypatch.setattr(JacobianFiber, "_prepare_degree", spy)
         # eta2 reads no pairing: its extendable rows are 0 by proof
         eta2_on_K(path_family, _pk=pk)
         assert pk.fiber._socle is None and prepared == []
@@ -827,8 +834,11 @@ class TestEta2:
         table = pk.fiber._socle
         assert mu_principal(path_family, _pk=pk)[1] == ((0, 0, 0), (0, 0, 0), (0, 0, 2))
         assert table is not None and pk.fiber._socle is table
-        # R_{3d-6}, the one degree the pointwise kernel left unread
-        assert prepared == [pk.fiber]
+        # R_{3d-6}, the one degree the pointwise kernel left unread, and in
+        # it only the class of the Hessian, 3 e_F - (2, 2, 2)
+        d, (x, y, _) = path_family.degree, next(iter(pk.fiber.F.terms))
+        assert prepared == [(3 * d - 6, pk.fiber._key(3 * x - 2, 3 * y - 2))]
+        assert 3 * d - 6 not in pk.fiber._degree_data
 
     def test_empty_kernel_gives_empty_result(self, hesse):
         eta = eta2_on_K(hesse, t0=Fraction(1))
