@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .exactcore import ExactCoreError, JetDomain, RATFUN, RATIONAL
 from .jacobian import JacobianFiber, RingElement
-from .polyring import HomPoly, monomial_count, poly_mul, poly_partial
+from .polyring import HomPoly, monomial_count, monomial_index, poly_mul, poly_partial
 
 
 class NotKernelSectionError(ExactCoreError, ValueError):
@@ -77,7 +77,8 @@ def membership_witness(fiber: JacobianFiber, q: HomPoly) -> Witness:
     solver = fiber.column_solver(k)
     fail = None
     if isinstance(fiber.domain, JetDomain):
-        x, _ = solver.try_solve(q.to_vector())
+        terms = [(monomial_index(e), c) for e, c in q.terms.items()]
+        x, _ = solver.try_solve(None, _terms=(q.domain.precision, terms))
         fail = min(
             (o for c in x[3 * block :] for o, a in enumerate(c.coeffs) if a),
             default=None,

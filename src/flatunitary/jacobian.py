@@ -28,9 +28,12 @@ times its terms. That row lies in one torus class: the class of m plus
 an exponent of F_i modulo the lattice of differences of F's exponents
 (class_key). Every Macaulay matrix of a fibre is thus block diagonal, and
 over a field the certificate, the echelon data and the column solver (a
-LinearSolver per class) run fraction-free elimination (rref_rows) on
-each class alone; eliminated together, each block's entries would carry
-the pivots of the blocks before it. Over Q(t) the certificate tests a
+LinearSolver per class, built when a right-hand side first touches it)
+run fraction-free elimination (rref_rows) on each class alone;
+eliminated together, each block's entries would carry the pivots of the
+blocks before it. From degree 2d-4 up socle duality makes a class's
+dimension a monomial count (socle_dual_dims), so only the classes with a
+cobasis monomial are row-reduced. Over Q(t) the certificate tests a
 block at integer points of the t-line, by ranks modulo one prime at a
 few and, when those fall short, by exact integer ranks at enough points
 that a nonzero minor cannot vanish at all of them. Over jets a degree's
@@ -40,6 +43,7 @@ cleared by columns, one scale per partial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -109,13 +113,13 @@ def standard_degrees(d: int):
 
 class _DegreeData:
     """Echelon data of one graded piece over a field domain, row-reduced
-    one torus class at a time (rref_rows over the fibre's ring). RREF row
-    k of a class is its echelon row k over the class's pivot value: over Z
-    the least common denominator of the class's RREF, over Z[t] its last
+    one torus class at a time (rref_rows over the fibre's ring), from
+    degree 2d-4 up only those socle_dual_dims counts. RREF row k of a
+    class is its echelon row k over the class's pivot value: over Z the
+    least common denominator of the class's RREF, over Z[t] its last
     Bareiss pivot, 1 for a class without generators. cols[i] = (j, heads,
     entries, pv) for the i-th cobasis monomial j: its class's pivot
-    columns, the entries of those echelon rows in column j and that pivot
-    value."""
+    columns, those echelon rows' entries in column j and the pivot value."""
 
     __slots__ = ("cobasis_idx", "cols")
 
@@ -167,7 +171,7 @@ class JacobianFiber:
     # -- construction internals ------------------------------------------
 
     def _blocks(self, k: int, at=None, only=None):
-        """Degree k's generator rows by torus class (only that class when
+        """Degree k's generator rows by torus class (only those in only when
         given): {class: (gens, cols, rows)}, cols the class's monomial
         indices in increasing order, gens the (i, m)-order positions of the
         generators Y^m * F_i in it (the class of m plus an exponent of F_i)
@@ -177,8 +181,8 @@ class JacobianFiber:
         partials = [terms for _, terms in self._int_partials]
         if at is not None:
             partials, zero = [[(e, up.zeval(x, at)) for e, x in terms] for terms in partials], 0
-        for j, (x, y, _) in enumerate(graded_basis(k)):
-            if only in (None, c := key(x, y)):
+        for j, c in enumerate(key(x, y) for x, y, _ in graded_basis(k)):
+            if only is None or c in only:
                 cols = blocks.setdefault(c, ([], [], []))[1]
                 where[j] = len(cols)
                 cols.append(j)
@@ -213,7 +217,7 @@ class JacobianFiber:
         for c in todo:
             w, rank = len(blocks[c][1]), 0
             for a in range(w * D + 1) if ratfun else (None,):
-                rank = max(rank, len(rref_rows(self._blocks(k, a, c)[c][2], w, _ring(RATIONAL))[0]))
+                rank = max(rank, len(rref_rows(self._blocks(k, a, (c,))[c][2], w, _ring(RATIONAL))[0]))
                 if rank == w:
                     break
             corank += w - rank
@@ -231,9 +235,10 @@ class JacobianFiber:
             self._degree_data[k] = self._prepare_degree(k)
         return self._degree_data[k]
 
-    def _prepare_degree(self, k: int, only=None) -> _DegreeData:
-        """Degree k's echelon data (only one class's when given)."""
-        cols = []
+    def _prepare_degree(self, k: int) -> _DegreeData:
+        """Degree k's echelon data; from 2d-4 up only the classes that
+        socle_dual_dims says hold a cobasis monomial are row-reduced."""
+        cols, only = [], socle_dual_dims(self._key, next(iter(self.F.terms)), k)
         for _, idx, rows in self._blocks(k, only=only).values():
             pivots, pv = rref_rows(rows, len(idx), self._ring)
             heads, free = tuple(idx[c] for c in pivots), set(range(len(idx))) - set(pivots)
@@ -311,10 +316,8 @@ class JacobianFiber:
             return self._column_solvers[k]
         mults, scales, entries = graded_basis(k - (self.d - 1)), [], []
         if self._order0 is None:
-            solver = _ClassSolver(3 * len(mults), self.domain, [(cols, gens, LinearSolver(_Columns(
-                len(cols), self.domain, [self._int_partials[g // len(mults)][0] for g in gens],
-                [tuple((r, x) for r, x in enumerate(row) if x) for row in rows],
-            ))) for gens, cols, rows in self._blocks(k).values()])
+            scales = [scale for scale, _ in self._int_partials for _ in mults]
+            solver = _ClassSolver(self.domain, scales, list(self._blocks(k).values()))
         else:
             for scale, terms in self._int_partials:
                 for m0, m1, m2 in mults:
@@ -355,13 +358,11 @@ class JacobianFiber:
     def _socle_table(self):
         """(pv, S), S[a][b] over pv the socle coordinate of m_a * m'_b
         (cobasis monomials of R_{d-3} and R_{2d-3}), built once from the
-        class of R_{3d-6} holding its one cobasis monomial, the Hessian's
-        3 e_F - (2, 2, 2), alone: pv at the socle monomial, minus the socle
-        column's entry of echelon row k at row k's pivot, 0 elsewhere."""
+        echelon data of R_{3d-6}, whose one row-reduced class is the
+        Hessian's: pv at the socle monomial, minus the socle column's entry
+        of echelon row k at row k's pivot, 0 elsewhere."""
         if self._socle is None:
-            ring, (x0, y0, _) = _ring(self.domain), next(iter(self.F.terms))
-            top = self._prepare_degree(3 * self.d - 6, self._key(3 * x0 - 2, 3 * y0 - 2))
-            ((j, heads, col, pv),) = top.cols
+            ring, ((j, heads, col, pv),) = _ring(self.domain), self._data(3 * self.d - 6).cols
             value = {c: ring.sub(ring.zero, e) for c, e in zip(heads, col)}
             value[j] = pv
             self._socle = pv, tuple(
@@ -394,20 +395,26 @@ class _ClassSolver:
     """A degree's column solver over a field: a LinearSolver per torus
     class. The system is block diagonal, so b (domain elements) solves when
     each class's part does, and the solution with free variables 0 is the
-    classes' side by side; a class whose part of b is zero is not solved."""
+    classes' side by side; a class whose part of b is zero is not solved,
+    and its LinearSolver (on the fibre's (gens, cols, rows) block, with the
+    generators' scales) is built when b is first nonzero on it."""
 
-    def __init__(self, ncols, domain, blocks):
-        self.ncols, self._zero, self._blocks = ncols, domain.zero(), blocks
+    def __init__(self, domain, scales, blocks):
+        self._domain, self._scales, self._blocks, self._solvers = domain, scales, blocks, {}
 
     def try_solve(self, b):
         """Particular solution of M x = b with free variables 0, or None."""
-        x = [self._zero] * self.ncols
-        for rows, cols, solver in self._blocks:
-            if not all(_is_zero(b[r]) for r in rows):
-                y = solver.try_solve([b[r] for r in rows])
+        x = [self._domain.zero()] * len(self._scales)
+        for i, (gens, cols, rows) in enumerate(self._blocks):
+            if not all(_is_zero(b[c]) for c in cols):
+                if i not in self._solvers:
+                    scales = [self._scales[g] for g in gens]
+                    sparse = [tuple((c, a) for c, a in enumerate(row) if a) for row in rows]
+                    self._solvers[i] = LinearSolver(_Columns(len(cols), self._domain, scales, sparse))
+                y = self._solvers[i].try_solve([b[c] for c in cols])
                 if y is None:
                     return None
-                for j, v in zip(cols, y):
+                for j, v in zip(gens, y):
                     x[j] = v
         return tuple(x)
 
@@ -432,6 +439,18 @@ def class_key(exponents):
         return x, y % c if c else y
 
     return key
+
+
+def socle_dual_dims(key, e, k: int):
+    """{class: dim} of R_k of a smooth curve from k = 2d-4 up (None below);
+    e is an exponent of F, key a class key whose lattice holds F's exponent
+    differences. The socle pairing into R_{3d-6}, of the Hessian's class
+    sigma = 3 e - (2, 2, 2), is perfect and graded (Carlson-Griffiths) and
+    R_j = S_j below d-1, so dim c = #monomials of S_{3d-6-k} in sigma - c."""
+    d, (a, b, _) = sum(e), e
+    if k >= 2 * d - 4:
+        return Counter(key(3 * a - 2 - x, 3 * b - 2 - y) for x, y, _ in graded_basis(3 * d - 6 - k))
+    return None
 
 
 def _integer_terms(P: HomPoly, clear):

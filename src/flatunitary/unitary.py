@@ -70,7 +70,7 @@ from .family import (
     t_derivative,
 )
 from .gaussmanin import _precision, _truncate_poly, gm_derivative, membership_witness, theta_eval
-from .jacobian import JacobianFiber, RingElement, class_key, make_fiber
+from .jacobian import JacobianFiber, RingElement, class_key, make_fiber, socle_dual_dims
 from .polyring import HomPoly, poly_mul, poly_partial
 
 
@@ -379,15 +379,15 @@ def _inert_sections(fiber: JacobianFiber, Ft: HomPoly, cobasis):
     Let L be the lattice of differences of the exponents of F and F_T.
     The Jacobian ideal, theta and D respect the grading of monomials by
     their class modulo L, and theta adds the class [F] of F's monomials.
-    A section is inert when no cobasis monomial of R_{2d-3} lies in its
-    class plus [F]: theta vanishes on every derivative of it, so it lies
-    in every level of the chain. The classes are taken modulo L rather
-    than the fibre's own lattice, because F at a basepoint can drop a
-    monomial that F_T keeps.
+    A section is inert when R_{2d-3} has dimension 0 in its class plus
+    [F], counted by socle duality (socle_dual_dims): theta vanishes on
+    every derivative of it, so it lies in every level of the chain. The
+    classes are taken modulo L rather than the fibre's own lattice,
+    because F at a basepoint can drop a monomial that F_T keeps.
     """
-    key, (x0, y0, _) = class_key((*fiber.F.terms, *Ft.terms)), next(iter(fiber.F.terms))
-    targets = {key(f[0], f[1]) for f in fiber.cobasis(2 * fiber.d - 3)}
-    return [key(e[0] + x0, e[1] + y0) not in targets for e in cobasis]
+    key, e = class_key((*fiber.F.terms, *Ft.terms)), next(iter(fiber.F.terms))
+    targets = socle_dual_dims(key, e, 2 * fiber.d - 3)
+    return [key(m[0] + e[0], m[1] + e[1]) not in targets for m in cobasis]
 
 
 def _leibniz(trajs, coeffs):

@@ -11,7 +11,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from flatunitary import _univar as up
-from flatunitary.exactcore import Jet, JetDomain, LinearSolver, Matrix, _is_zero, kernel_basis
+from flatunitary.exactcore import RATFUN, Jet, JetDomain, LinearSolver, Matrix, _is_zero, kernel_basis
 from flatunitary.family import _MAX_T_POWER, FamilyParseError, FamilySpec, specialize, t_derivative
 from flatunitary.gaussmanin import _precision, _truncate_poly, gm_derivative, theta_eval
 from flatunitary.polyring import (
@@ -21,7 +21,7 @@ from flatunitary.polyring import (
     poly_mul,
     poly_partial,
 )
-from flatunitary.jacobian import RingElement
+from flatunitary.jacobian import RingElement, class_key
 from flatunitary.unitary import _jet_fibre, _stacked_kernel
 
 Y0, Y1, Y2, T = sympy.symbols("Y0 Y1 Y2 T")
@@ -467,6 +467,25 @@ def naive_walk_chain(fiber, Ft, order, rmax):
     for traj in trajs:
         assert theta_eval(fiber, Ft, traj[-1]).is_zero, "final theta-condition nonzero"
     return tuple(ranks), tuple(traj[0] for traj in trajs)
+
+
+def naive_inert_sections(fiber, Ft, cobasis):
+    """unitary._inert_sections read off a cobasis: a section is inert when
+    no cobasis monomial of R_{2d-3} lies in its class plus [F], classes
+    taken modulo the differences of F's and F_T's exponents. The cobasis
+    is the non-pivot columns of the whole generator matrix of the fibre
+    (of its order-0 fibre over jets), row-reduced over Fraction or by
+    sympy over QQ(t)."""
+    F = fiber.F if fiber._order0 is None else fiber._order0.F
+    k = 2 * F.degree - 3
+    gens = reference_generators(F, k)
+    if F.domain == RATFUN:
+        pivots = naive_ratfun_rref([[(e.num, e.den) for e in g] for g in gens])[1]
+    else:
+        pivots = naive_rref(gens)[1]
+    key, (x0, y0, _) = class_key((*fiber.F.terms, *Ft.terms)), next(iter(fiber.F.terms))
+    targets = {key(f[0], f[1]) for j, f in enumerate(graded_basis(k)) if j not in pivots}
+    return [key(e[0] + x0, e[1] + y0) not in targets for e in cobasis]
 
 
 # ---------------------------------------------------------------------------

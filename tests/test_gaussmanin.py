@@ -377,17 +377,37 @@ class TestIntegerJetColumns:
         def no_poly_mul(*args):
             raise AssertionError("poly_mul called while building a column solver")
 
+        solvers = []
+
+        def counting_solver(columns):
+            solvers.append(LinearSolver(columns))
+            return solvers[-1]
+
         monkeypatch.setattr(exactcore.Matrix, "__init__", counting_init)
         monkeypatch.setattr(jacobian, "poly_mul", no_poly_mul)
         monkeypatch.setattr(polyring, "poly_mul", no_poly_mul)
+        monkeypatch.setattr(jacobian, "LinearSolver", counting_solver)
         for k in (1, 3, 4, 5, 9):  # below, at and past the generator degree 3
             solver = fiber.column_solver(k)
             if mode == "jet":
                 assert isinstance(solver, JetSystemSolver)
-            else:  # one LinearSolver per torus class, every monomial in one class
-                assert all(isinstance(s, LinearSolver) for _, _, s in solver._blocks)
-                rows = sorted(r for rows, _, _ in solver._blocks for r in rows)
-                assert rows == list(range(monomial_count(k)))
+                continue
+            # one block per torus class, every monomial in one class, and a
+            # class's LinearSolver built on the first right-hand side that
+            # is nonzero on it, exactly once, never for an untouched class
+            rows = sorted(c for _, cols, _ in solver._blocks for c in cols)
+            assert rows == list(range(monomial_count(k)))
+            zero = (fiber.domain.zero(),) * monomial_count(k)
+            solver.try_solve(zero)
+            assert solver._solvers == {} and solvers == []
+            touched = [0, len(solver._blocks) - 1]
+            for i in touched + touched:
+                b = list(zero)
+                b[solver._blocks[i][1][0]] = fiber.domain.one()
+                solver.try_solve(b)
+            assert sorted(solver._solvers) == sorted(set(touched))
+            assert sorted(map(id, solvers)) == sorted(map(id, solver._solvers.values()))
+            solvers.clear()
         assert built == []
 
 

@@ -10,9 +10,11 @@ from flatunitary import exactcore, jacobian
 from flatunitary.exactcore import RATFUN, Jet, LinearSolver, Matrix, RatFun
 from flatunitary.family import (
     FamilySpec,
+    NoSmoothFibreError,
     generic_fibre,
     jet_expand,
     parse_family,
+    pick_basepoint,
     specialize,
     t_derivative,
 )
@@ -24,9 +26,11 @@ from flatunitary.jacobian import (
     standard_degrees,
 )
 from flatunitary.gaussmanin import theta_eval
+from flatunitary.unitary import _inert_sections, _jet_fibre
 from flatunitary.polyring import HomPoly, graded_basis, monomial_count, poly_mul, poly_partial
 from oracles import (
     jacobian_quotient_dims,
+    naive_inert_sections,
     naive_kernel_dim,
     naive_ratfun_corank,
     naive_ratfun_normal_form,
@@ -591,3 +595,69 @@ class TestClassesAgainstTheWholeMatrix:
         with pytest.raises(SingularFibreError) as err:
             make_fiber(F)
         assert err.value.degree == top and str(err.value).endswith(f"({detail})")
+
+
+# ---------------------------------------------------------------------------
+# class dimensions from degree 2d-4 up by socle duality
+
+
+@st.composite
+def socle_case_st(draw, kinds):
+    """(kind, family, seed): a Fermat curve of degree 3-6 plus c T^j
+    (j = 1, 2 or 3) on one to three more monomials, a fibre kind of kinds
+    and a basepoint-search seed. Over Q(t) and jets the degree stays at
+    most 5 and a quintic over Q(t) gets at most two more monomials, which
+    keeps a class-by-class Z[t] elimination of degrees 6-9 to about a
+    second."""
+    kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(min_value=3, max_value=6 if kind == "rational" else 5))
+    unit = st.sampled_from((1, -1, 2, -2, 3, -3))
+    terms = {e: (Fraction(draw(unit)),) for e in ((d, 0, 0), (0, d, 0), (0, 0, d))}
+    pool = [e for e in graded_basis(d) if max(e) < d]
+    most = 2 if (kind, d) == ("ratfun", 5) else 3
+    for e in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique=True)):
+        terms[e] = (Fraction(0),) * draw(st.integers(min_value=1, max_value=3)) + (draw(coef_st),)
+    return kind, FamilySpec(d, terms), draw(st.integers(min_value=0, max_value=20))
+
+
+class TestSocleDuality:
+    """From degree 2d-4 up a class's dimension is a monomial count
+    (socle_dual_dims); fibres row-reduce only the classes it counts, and
+    _inert_sections decides by the same count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(socle_case_st(("rational", "ratfun")))
+    def test_counts_are_the_class_coranks(self, case):
+        kind, fam, seed = case
+        try:
+            fiber = pick_basepoint(fam, seed).fiber if kind == "rational" else make_fiber(generic_fibre(fam))
+        except (SingularFibreError, NoSmoothFibreError):
+            event("singular")
+            return
+        d, e = fiber.d, next(iter(fiber.F.terms))
+        assert jacobian.socle_dual_dims(fiber._key, e, 2 * d - 5) is None
+        for k in range(2 * d - 4, 3 * d - 5):
+            dims = jacobian.socle_dual_dims(fiber._key, e, k)
+            blocks = fiber._blocks(k)
+            assert set(dims) <= set(blocks)
+            for c, (_, cols, rows) in blocks.items():
+                assert dims[c] == len(cols) - len(exactcore.rref_rows(rows, len(cols), fiber._ring)[0])
+            assert fiber.dim(k) == sum(dims.values())
+
+    @settings(max_examples=25, deadline=None)
+    @given(socle_case_st(("ratfun", "jet")))
+    def test_inert_sections_match_the_cobasis_rule(self, case):
+        kind, fam, seed = case
+        Ft = t_derivative(fam)
+        try:
+            if kind == "ratfun":
+                fiber, Ft = make_fiber(generic_fibre(fam)), generic_fibre(Ft)
+            else:
+                fiber, Ft = _jet_fibre(fam, (bp := pick_basepoint(fam, seed)).t0, bp.fiber, 2)
+        except (SingularFibreError, NoSmoothFibreError):
+            event("singular")
+            return
+        cobasis = fiber.cobasis(fam.degree - 3)
+        inert = _inert_sections(fiber, Ft, cobasis)
+        event(f"{kind}: {sum(inert)} inert")
+        assert inert == naive_inert_sections(fiber, Ft, cobasis)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import flatunitary._univar as up
-from flatunitary import exactcore, unitary
+from flatunitary import exactcore, jacobian, unitary
 from flatunitary.exactcore import (
     RATFUN,
     ExactCoreError,
@@ -826,7 +826,9 @@ class TestEta2:
             prepared.append(args)
             return real(fiber, *args)
 
+        reduced, real_rref = [], jacobian.rref_rows
         monkeypatch.setattr(JacobianFiber, "_prepare_degree", spy)
+        monkeypatch.setattr(jacobian, "rref_rows", lambda *a: reduced.append(1) or real_rref(*a))
         # eta2 reads no pairing: its extendable rows are 0 by proof
         eta2_on_K(path_family, _pk=pk)
         assert pk.fiber._socle is None and prepared == []
@@ -837,8 +839,10 @@ class TestEta2:
         # R_{3d-6}, the one degree the pointwise kernel left unread, and in
         # it only the class of the Hessian, 3 e_F - (2, 2, 2)
         d, (x, y, _) = path_family.degree, next(iter(pk.fiber.F.terms))
-        assert prepared == [(3 * d - 6, pk.fiber._key(3 * x - 2, 3 * y - 2))]
-        assert 3 * d - 6 not in pk.fiber._degree_data
+        assert prepared == [(3 * d - 6,)] and len(reduced) == 1
+        ((j, *_),) = pk.fiber._data(3 * d - 6).cols
+        socle = graded_basis(3 * d - 6)[j]
+        assert pk.fiber._key(socle[0], socle[1]) == pk.fiber._key(3 * x - 2, 3 * y - 2)
 
     def test_empty_kernel_gives_empty_result(self, hesse):
         eta = eta2_on_K(hesse, t0=Fraction(1))
