@@ -38,7 +38,6 @@ from .family import (
     NoSmoothFibreError,
     candidate_basepoints,
     generic_fibre,
-    iter_basepoints,
     jet_expand,
     parse_family,
     pick_basepoint,
@@ -107,7 +106,6 @@ __all__ = [
     "genus_of_degree",
     "gm_derivative",
     "graded_basis",
-    "iter_basepoints",
     "jet_expand",
     "kernel_basis",
     "make_fiber",

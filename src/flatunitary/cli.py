@@ -38,6 +38,7 @@ from .family import (
     FamilySpec,
     NoSmoothFibreError,
     parse_family,
+    pick_basepoint,
     print_family,
 )
 from .jacobian import (
@@ -46,7 +47,7 @@ from .jacobian import (
     standard_degrees,
 )
 from .polyring import graded_basis, monomial_sort_key
-from .unitary import _certified_fibre, mu_report, pointwise_kernel, unitary_rank
+from .unitary import mu_report, pointwise_kernel, unitary_rank
 
 SCHEMA = "flatunitary-report/2"
 
@@ -262,25 +263,25 @@ def _load_family(arg: str):
 
 
 def _cmd_validate(fam, args):
-    t0, _, rejected = _certified_fibre(fam, args.t0, args.seed)
+    bp = pick_basepoint(fam, args.seed, args.t0)
     result = {
         "ok": True,
         "terms": _family_terms(fam),
-        "basepoint": _frac(t0),
-        "rejected": _rejected_json(rejected),
+        "basepoint": _frac(bp.t0),
+        "rejected": _rejected_json(bp.rejected),
     }
     return result, 0
 
 
 def _cmd_hodge(fam, args):
-    t0, fiber, rejected = _certified_fibre(fam, args.t0, args.seed)
+    bp = pick_basepoint(fam, args.seed, args.t0)
     dims = []
     for k in sorted(set(standard_degrees(fam.degree))):
-        dims.append({"degree": k, "dim": fiber.dim(k)})
+        dims.append({"degree": k, "dim": bp.fiber.dim(k)})
     result = {
-        "t0": _frac(t0),
+        "t0": _frac(bp.t0),
         "dimensions": dims,
-        "rejected": _rejected_json(rejected),
+        "rejected": _rejected_json(bp.rejected),
     }
     return result, 0
 

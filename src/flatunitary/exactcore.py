@@ -329,7 +329,7 @@ class Jet:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _match(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -885,9 +885,8 @@ class JetSystemSolver:
     order k solves A_0 y_k = b_k - Sum_i A_i y_{k-i} with that right-hand
     side as sparse integer products over one common denominator, and
     Fractions are made only for the coordinates returned. A solve runs to
-    the precision m of its right-hand side, up to N: the precision-m
-    system is the prefix A_0..A_{m-1}, so one solver serves every lower
-    precision.
+    the precision m it is given, up to N: the precision-m system is the
+    prefix A_0..A_{m-1}, so one solver serves every lower precision.
 
     The constructor takes a jet Matrix, or its _Columns built directly
     (as Jacobian fibres do from their integer jet partials).
@@ -917,32 +916,23 @@ class JetSystemSolver:
         )
         self.order0 = _Elimination(rows0, self.ncols, _ring(RATIONAL))
 
-    def try_solve(self, b: Sequence, *, _columns=None, _terms=None):
-        """Solve to the precision of b: jets of one precision m <= N.
+    def try_solve(self, precision, pairs, columns=None):
+        """Solve to the given precision m <= N: b is the jet vector of
+        precision m whose nonzero entries are the (row, jet) pairs, so its
+        zero entries are never read.
 
         Returns (solution, None) on success, (None, failing_order) on
-        failure; raises DomainMismatchError when b mixes precisions and
-        PrecisionExhaustedError when m exceeds the solver's precision.
-        _columns, a range of coordinates, is private: only those are
-        returned, so only they are made into Fractions. _terms, private,
-        stands for b as (m, pairs), pairs holding (row, jet) for b's
-        nonzero entries, so its zero entries are never read.
+        failure; raises PrecisionExhaustedError when m exceeds the
+        solver's precision. Only the coordinates in columns (a range,
+        default all) are returned, so only they are made into Fractions.
         """
-        if _terms is None:
-            if len(b) != self.nrows:
-                raise ValueError("rhs length does not match nrows")
-            precisions = {e.precision for e in b}
-            if len(precisions) > 1:
-                raise DomainMismatchError(f"rhs mixes jet precisions {sorted(precisions)}")
-            _terms = precisions.pop() if precisions else self.precision, enumerate(b)
-        n, pairs = _terms
-        if n > self.precision:
+        if precision > self.precision:
             raise PrecisionExhaustedError(
-                f"right-hand side has precision {n}; solver has {self.precision}"
+                f"right-hand side has precision {precision}; solver has {self.precision}"
             )
         el, sols = self.order0, []
         nonzero = [(r, e.coeffs) for r, e in pairs if any(e.coeffs)]
-        for k in range(n):
+        for k in range(precision):
             b_k = [(r, cs[k].as_integer_ratio()) for r, cs in nonzero if cs[k]]
             c, den = self._rhs(k, b_k, sols)
             nums = el.solve(c)
@@ -954,7 +944,7 @@ class JetSystemSolver:
             for j, num in zip(el.pivots, nums):
                 y[j] = num // g
             sols.append((y, den // g))
-        cols = range(self.ncols) if _columns is None else _columns
+        cols = range(self.ncols) if columns is None else columns
         return tuple(self._jet(sols, j) for j in cols), None
 
     def _rhs(self, k, b_k, sols):

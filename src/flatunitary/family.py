@@ -13,7 +13,8 @@ field, jet expansion T = t0 + s truncated at a chosen order, and T-
 derivatives all live here. pick_basepoint draws candidate rational t0
 values (integers and half-integers of height at most 100) in a seeded
 deterministic shuffle and returns the first one whose fibre passes the
-exact smoothness certificate, together with the rejection log.
+exact smoothness certificate, together with the rejection log; given a
+t0, it certifies that fibre alone.
 """
 
 from __future__ import annotations
@@ -290,16 +291,18 @@ def candidate_basepoints(seed: int):
     return values
 
 
-def iter_basepoints(fam: FamilySpec, seed: int = 0, _rejected=None):
-    """Yield certified-smooth basepoints in seeded candidate order.
-
-    Each yielded Basepoint carries the rejections seen so far; pass a list
-    as _rejected to also observe them after exhaustion. A certificate and
-    its failure text depend on the fibre alone, so a fibre already
-    rejected in this search (every t0 of a T-free family, -t0 after t0
-    of one even in T) is rejected again with the stored reason."""
-    rejected = _rejected if _rejected is not None else []
-    reasons = {}  # fibre terms -> rejection reason
+def pick_basepoint(fam: FamilySpec, seed: int = 0, t0=None) -> Basepoint:
+    """The certified fibre at t0, rejected = () (SingularFibreError when it
+    is singular); when t0 is None, the first certified-smooth candidate in
+    seeded order with the rejections before it, or NoSmoothFibreError
+    after all candidates. A certificate and its failure text depend on the
+    fibre alone, so a fibre already rejected in the search (every t0 of a
+    T-free family, -t0 after t0 of one even in T) is rejected again with
+    the stored reason: each distinct fibre is certified once."""
+    if t0 is not None:
+        t0 = _as_fraction(t0)
+        return Basepoint(t0, make_fiber(specialize(fam, t0)), ())
+    rejected, reasons = [], {}  # fibre terms -> rejection reason
     for t0 in candidate_basepoints(seed):
         F = specialize(fam, t0)
         key = frozenset(F.terms.items())
@@ -308,20 +311,8 @@ def iter_basepoints(fam: FamilySpec, seed: int = 0, _rejected=None):
                 reasons[key] = "fibre is the zero polynomial"
             else:
                 try:
-                    fiber = make_fiber(F)
+                    return Basepoint(t0, make_fiber(F), tuple(rejected))
                 except SingularFibreError as exc:
                     reasons[key] = str(exc)
-                else:
-                    yield Basepoint(t0=t0, fiber=fiber, rejected=tuple(rejected))
-                    continue
         rejected.append((t0, reasons[key]))
-
-
-def pick_basepoint(fam: FamilySpec, seed: int = 0) -> Basepoint:
-    """First certified-smooth candidate; raises NoSmoothFibreError after
-    exhausting all candidates, each distinct fibre certified once (a
-    T-free singular family is refused after one certificate)."""
-    rejected = []
-    for bp in iter_basepoints(fam, seed, _rejected=rejected):
-        return bp
     raise NoSmoothFibreError(rejected)

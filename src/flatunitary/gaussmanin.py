@@ -77,8 +77,8 @@ def membership_witness(fiber: JacobianFiber, q: HomPoly) -> Witness:
     solver = fiber.column_solver(k)
     fail = None
     if isinstance(fiber.domain, JetDomain):
-        terms = [(monomial_index(e), c) for e, c in q.terms.items()]
-        x, _ = solver.try_solve(None, _terms=(q.domain.precision, terms))
+        pairs = [(monomial_index(e), c) for e, c in q.terms.items()]
+        x, _ = solver.try_solve(q.domain.precision, pairs)
         fail = min(
             (o for c in x[3 * block :] for o, a in enumerate(c.coeffs) if a),
             default=None,

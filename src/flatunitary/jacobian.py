@@ -111,23 +111,6 @@ def standard_degrees(d: int):
     return (d - 3, d, 2 * d - 3, 3 * d - 6)
 
 
-class _DegreeData:
-    """Echelon data of one graded piece over a field domain, row-reduced
-    one torus class at a time (rref_rows over the fibre's ring), from
-    degree 2d-4 up only those socle_dual_dims counts. RREF row k of a
-    class is its echelon row k over the class's pivot value: over Z the
-    least common denominator of the class's RREF, over Z[t] its last
-    Bareiss pivot, 1 for a class without generators. cols[i] = (j, heads,
-    entries, pv) for the i-th cobasis monomial j: its class's pivot
-    columns, those echelon rows' entries in column j and the pivot value."""
-
-    __slots__ = ("cobasis_idx", "cols")
-
-    def __init__(self, cols):
-        self.cols = tuple(sorted(cols))  # by monomial index, each one once
-        self.cobasis_idx = tuple(c[0] for c in self.cols)
-
-
 class JacobianFiber:
     """One fibre (or jet/generic-fibre thickening) of a Jacobian ring."""
 
@@ -225,7 +208,7 @@ class JacobianFiber:
             raise SingularFibreError(k, f"dim R_{k} = {corank}")
         return {"degree": k, "dim": 0, "method": "exact"}
 
-    def _data(self, k: int) -> _DegreeData:
+    def _data(self, k: int) -> tuple:
         """The echelon data of degree k, prepared the first time anything
         reads degree k and then cached; a jet fibre reads its order-0
         fibre's."""
@@ -235,26 +218,32 @@ class JacobianFiber:
             self._degree_data[k] = self._prepare_degree(k)
         return self._degree_data[k]
 
-    def _prepare_degree(self, k: int) -> _DegreeData:
-        """Degree k's echelon data; from 2d-4 up only the classes that
-        socle_dual_dims says hold a cobasis monomial are row-reduced."""
+    def _prepare_degree(self, k: int) -> tuple:
+        """Degree k's echelon data, row-reduced one torus class at a time
+        (rref_rows over the fibre's ring); from 2d-4 up only the classes
+        that socle_dual_dims says hold a cobasis monomial are row-reduced.
+        RREF row k of a class is its echelon row k over the class's pivot
+        value: over Z the least common denominator of the class's RREF,
+        over Z[t] its last Bareiss pivot, 1 for a class without
+        generators. The data is one (j, heads, entries, pv) per cobasis
+        monomial j, sorted by monomial index: its class's pivot columns,
+        those echelon rows' entries in column j and the pivot value."""
         cols, only = [], socle_dual_dims(self._key, next(iter(self.F.terms)), k)
         for _, idx, rows in self._blocks(k, only=only).values():
             pivots, pv = rref_rows(rows, len(idx), self._ring)
             heads, free = tuple(idx[c] for c in pivots), set(range(len(idx))) - set(pivots)
             cols += [(idx[c], heads, [row[c] for row in rows[: len(pivots)]], pv) for c in free]
-        return _DegreeData(cols)
+        return tuple(sorted(cols))
 
     # -- public queries ---------------------------------------------------
 
     def dim(self, k: int) -> int:
-        return len(self._data(k).cols)
+        return len(self._data(k))
 
     def cobasis(self, k: int):
         """Exponent triples of the representing monomials of R_k."""
-        data = self._data(k)
         basis = graded_basis(k)
-        return tuple(basis[i] for i in data.cobasis_idx)
+        return tuple(basis[c[0]] for c in self._data(k))
 
     def normal_form(self, p: HomPoly) -> RingElement:
         """Canonical cobasis coordinates of p's residue class.
@@ -275,8 +264,8 @@ class JacobianFiber:
         if self._order0 is not None:
             solver = self.column_solver(p.degree)
             n = solver.ncols
-            terms = (p.domain.precision, [(monomial_index(e), c) for e, c in p.terms.items()])
-            x, _ = solver.try_solve(None, _columns=range(n - len(data.cols), n), _terms=terms)
+            pairs = [(monomial_index(e), c) for e, c in p.terms.items()]
+            x, _ = solver.try_solve(p.domain.precision, pairs, range(n - len(data), n))
             return RingElement(p.degree, x)
         # coordinate j is p_j - sum_k p_{pivot k} * (RREF row k)_j over
         # j's class, with p cleared to b / scale and RREF row k the echelon
@@ -291,7 +280,7 @@ class JacobianFiber:
             num = ring.sub(ring.mul(b[j], pv), ring.dot(col, [b[c] for c in heads]))
             return ring.frac(num, ring.mul(pv, scales[0])) if num else zero
 
-        return RingElement(p.degree, tuple(coord(*c) for c in data.cols))
+        return RingElement(p.degree, tuple(coord(*c) for c in data))
 
     def representative(self, elt: RingElement) -> HomPoly:
         """The canonical polynomial representative, supported on the cobasis."""
@@ -325,7 +314,7 @@ class JacobianFiber:
                     entries.append(tuple(
                         (monomial_index((m0 + a, m1 + b, m2 + c)), x) for (a, b, c), x in terms
                     ))
-            for r in self._data(k).cobasis_idx:
+            for r, *_ in self._data(k):
                 scales.append(1)
                 entries.append(((r, (1,)),))
             solver = JetSystemSolver(_Columns(monomial_count(k), self.domain, scales, entries))
@@ -362,7 +351,7 @@ class JacobianFiber:
         Hessian's: pv at the socle monomial, minus the socle column's entry
         of echelon row k at row k's pivot, 0 elsewhere."""
         if self._socle is None:
-            ring, ((j, heads, col, pv),) = _ring(self.domain), self._data(3 * self.d - 6).cols
+            ring, ((j, heads, col, pv),) = _ring(self.domain), self._data(3 * self.d - 6)
             value = {c: ring.sub(ring.zero, e) for c, e in zip(heads, col)}
             value[j] = pv
             self._socle = pv, tuple(
@@ -468,10 +457,9 @@ def _order0_part(F: HomPoly) -> HomPoly:
 
 
 def make_fiber(F: HomPoly) -> JacobianFiber:
-    """Build a fibre: run its smoothness certificate in degree 3d-5 and
-    raise SingularFibreError when it fails. No graded degree is prepared
-    until it is read. A jet polynomial gets its order-0 fibre built, then
-    thickened."""
-    if isinstance(F.domain, JetDomain):
-        return JacobianFiber(_order0_part(F)).thicken(F)
+    """Build a fibre over Q or Q(t): run its smoothness certificate in
+    degree 3d-5 and raise SingularFibreError when it fails. No graded
+    degree is prepared until it is read. A jet polynomial raises
+    ValueError: JacobianFiber.thicken builds a jet fibre over its
+    certified order-0 fibre."""
     return JacobianFiber(F)

@@ -53,7 +53,6 @@ from .exactcore import (
     Matrix,
     PrecisionExhaustedError,
     RATIONAL,
-    _as_fraction,
     _clear_jet_rows,
     _is_zero,
     _kernel_vector,
@@ -104,19 +103,10 @@ def pointwise_kernel(fam: FamilySpec, t0=None, seed: int = 0) -> PointKernel:
     This is the pointwise kernel K(t0); on a jumping parameter value it
     can be strictly larger than the rank of the kernel bundle nearby.
     """
-    t0, fiber, rejected = _certified_fibre(fam, t0, seed)
-    Ft = specialize(t_derivative(fam), t0)
-    H = fiber.higgs_matrix(fiber.delta_class(Ft))
-    return PointKernel(t0, fiber, Ft, H, kernel_basis(H), rejected)
-
-
-def _certified_fibre(fam: FamilySpec, t0, seed: int):
-    """(t0, its certified rational fibre, rejected candidates); seeded if t0 is None."""
-    if t0 is None:
-        bp = pick_basepoint(fam, seed)
-        return bp.t0, bp.fiber, bp.rejected
-    t0 = _as_fraction(t0)
-    return t0, make_fiber(specialize(fam, t0)), ()
+    bp = pick_basepoint(fam, seed, t0)
+    Ft = specialize(t_derivative(fam), bp.t0)
+    H = bp.fiber.higgs_matrix(bp.fiber.delta_class(Ft))
+    return PointKernel(bp.t0, bp.fiber, Ft, H, kernel_basis(H), bp.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +212,6 @@ class FiltrationResult:
     """
 
     mode: str
-    degree: int
-    genus: int
     t0: Fraction | None
     order: int | None
     max_level: int
@@ -359,8 +347,6 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
 
     result = FiltrationResult(
         mode="ratfun" if order is None else "jet",
-        degree=d,
-        genus=fiber.genus,
         t0=t0,
         order=order,
         max_level=rmax,
@@ -470,11 +456,8 @@ def unitary_rank(
     mode, order, rmax = _settings(fam, mode, order, max_level, t0)
     if mode == "ratfun":
         return UnitaryRank(primary=filtration_ranks(fam, rmax), checks=(), stable=True)
-    if _pk is not None:
-        t0, base = _pk.t0, _pk.fiber
-    else:
-        t0, base, _ = _certified_fibre(fam, t0, seed)
-    primary = _walk_chain(*_jet_fibre(fam, t0, base, order), t0, order, rmax)
+    bp = _pk if _pk is not None else pick_basepoint(fam, seed, t0)
+    primary = _walk_chain(*_jet_fibre(fam, bp.t0, bp.fiber, order), bp.t0, order, rmax)
     generic = filtration_ranks(fam, rmax)
     return UnitaryRank(primary, checks=(generic,), stable=primary.ranks == generic.ranks)
 
@@ -590,8 +573,6 @@ class MuReport:
     rank does not exceed the number of extendable kernel vectors."""
 
     t0: Fraction
-    degree: int
-    genus: int
     kernel_dim: int
     basis: tuple
     eta2_flags: tuple
@@ -628,8 +609,6 @@ def mu_report(
 
     return MuReport(
         t0=pk.t0,
-        degree=fam.degree,
-        genus=fam.genus,
         kernel_dim=k,
         basis=pk.basis,
         eta2_flags=flags,

@@ -429,13 +429,19 @@ class TestFixtureReports:
         self._check(stem, argv, want_code, tmp_path, monkeypatch)
 
     def test_mu_report_builds_no_fibre_of_its_own(self, tmp_path, monkeypatch):
+        # one certified basepoint, the pointwise kernel's, serves the
+        # whole report: the front end and unitary_rank pick none
         def refuse(*args, **kwargs):
             raise AssertionError("mu-report rebuilt a fibre")
 
-        monkeypatch.setattr(cli, "_certified_fibre", refuse)
+        picks = []
+        real = unitary.pick_basepoint
+        monkeypatch.setattr(cli, "pick_basepoint", refuse)
+        monkeypatch.setattr(unitary, "pick_basepoint", lambda *a: picks.append(a) or real(*a))
         stem, argv, want_code = cli.FIXTURE_RUNS[-1]
         assert argv[0] == "mu-report"
         self._check(stem, argv, want_code, tmp_path, monkeypatch)
+        assert len(picks) == 1
 
     @staticmethod
     def _check(stem, argv, want_code, tmp_path, monkeypatch):

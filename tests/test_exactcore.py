@@ -929,18 +929,23 @@ class TestPolynomialGcd:
 # jet systems solved order by order
 
 
+def _jet_solve(solver, b):
+    """JetSystemSolver.try_solve on the dense jet vector b, one precision."""
+    return solver.try_solve(b[0].precision, enumerate(b))
+
+
 class TestJetSystems:
     def test_geometric_series_inverse(self):
         m = Matrix([[Jet((1, 1, 0))]])  # (1 + s) x = 1
         solver = JetSystemSolver(m)
-        got, fail = solver.try_solve((Jet((1, 0, 0)),))
+        got, fail = _jet_solve(solver, (Jet((1, 0, 0)),))
         assert fail is None
         assert got == (Jet((1, -1, 1)),)
         assert solver.order0.rank == solver.ncols  # no order-0 kernel
 
     def test_upper_triangular_system(self):
         m = Matrix([[Jet((2, 0)), Jet((0, 1))], [Jet((0, 0)), Jet((1, 0))]])
-        got, fail = JetSystemSolver(m).try_solve((Jet((2, 1)), Jet((1, 0))))
+        got, fail = _jet_solve(JetSystemSolver(m), (Jet((2, 1)), Jet((1, 0))))
         assert fail is None
         assert got == (Jet((1, 0)), Jet((1, 0)))
 
@@ -957,7 +962,7 @@ class TestJetSystems:
         assert h0 == (-2, 1) and x1 == (-1, 0)
         lift = [Jet((h, y)) for h, y in zip(h0, x1)]
         assert all(e.is_zero for e in m.mul_vec(lift))
-        got, fail = JetSystemSolver(m).try_solve([-e for e in m.mul_vec(const)])
+        got, fail = _jet_solve(JetSystemSolver(m), [-e for e in m.mul_vec(const)])
         assert fail is None
         assert got == tuple(Jet((0, y)) for y in x1)
 
@@ -966,7 +971,7 @@ class TestJetSystems:
         # free variable to zero, so the obstruction surfaces at order one
         m = Matrix([[Jet((0, 1))]])
         solver = JetSystemSolver(m)
-        got, fail = solver.try_solve((Jet((0, 1)),))
+        got, fail = _jet_solve(solver, (Jet((0, 1)),))
         assert got is None and fail == 1
 
     def test_prescribed_order0_value(self):
@@ -978,7 +983,7 @@ class TestJetSystems:
         m0 = Matrix([[e.order0 for e in row] for row in m.rows])
         assert kernel_basis(m0) == ((0, 1),)
         assert LinearSolver(m0).try_solve([0, -1]) is None
-        assert JetSystemSolver(m).try_solve([Jet((0, 0)), Jet((0, -1))]) == (None, 1)
+        assert _jet_solve(JetSystemSolver(m), [Jet((0, 0)), Jet((0, -1))]) == (None, 1)
 
     def test_solves_to_the_rhs_precision(self):
         rows = [[Jet((1, 2, 3)), Jet((0, 1, 1))], [Jet((2, 0, 5)), Jet((1, 1, 0))]]
@@ -986,19 +991,10 @@ class TestJetSystems:
         for m in (1, 2):
             low = JetSystemSolver(Matrix([[e.truncate(m) for e in row] for row in rows]))
             b = (Jet((1, -1)[:m]), Jet((3, 2)[:m]))
-            assert top.try_solve(b) == low.try_solve(b)
-            assert all(x.precision == m for x in top.try_solve(b)[0])
+            assert _jet_solve(top, b) == _jet_solve(low, b)
+            assert all(x.precision == m for x in _jet_solve(top, b)[0])
         with pytest.raises(PrecisionExhaustedError):
-            top.try_solve((Jet((1, 0, 0, 0)), Jet((0, 0, 0, 0))))
-
-    def test_mixed_rhs_precisions_rejected(self):
-        rows = [[Jet((1, 2, 3)), Jet((0, 1, 1))], [Jet((2, 0, 5)), Jet((1, 1, 0))]]
-        solver = JetSystemSolver(Matrix(rows))
-        # neither a dropped order-2 term nor an IndexError: the precision
-        # mismatch that jet arithmetic refuses
-        for b in ([Jet((1, 0)), Jet((0, 1, 5))], [Jet((1, 0, 0)), Jet((0, 1))]):
-            with pytest.raises(DomainMismatchError):
-                solver.try_solve(b)
+            _jet_solve(top, (Jet((1, 0, 0, 0)), Jet((0, 0, 0, 0))))
 
     def test_field_matrix_rejected(self):
         with pytest.raises(DomainMismatchError):
@@ -1098,7 +1094,7 @@ class TestIntegerSolvesAgainstOracles:
             ]
         )
         rhs = tuple(Jet(tuple(b_orders[k][r] for k in range(m))) for r in range(nrows))
-        got, fail = JetSystemSolver(matrix).try_solve(rhs)
+        got, fail = _jet_solve(JetSystemSolver(matrix), rhs)
         want, want_fail = naive_jet_solve(blocks, b_orders)
         assert fail == want_fail
         event("inconsistent" if want is None else "consistent")
@@ -1141,7 +1137,7 @@ class TestIntegerSolvesAgainstOracles:
             ]
         )
         rhs = tuple(Jet(tuple(b_orders[k][r] for k in range(m))) for r in range(nrows))
-        got, fail = JetSystemSolver(matrix).try_solve(rhs)
+        got, fail = _jet_solve(JetSystemSolver(matrix), rhs)
         want, want_fail = naive_jet_solve(blocks, b_orders)
         assert fail == want_fail
         event("inconsistent" if want is None else "consistent")

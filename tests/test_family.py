@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flatunitary import family
 from flatunitary.exactcore import Jet
+from flatunitary.jacobian import SingularFibreError
 from flatunitary.family import (
     FamilyParseError,
     FamilySpec,
     NoSmoothFibreError,
     candidate_basepoints,
-    iter_basepoints,
     jet_expand,
     parse_family,
     pick_basepoint,
@@ -326,21 +326,38 @@ class TestBasepoints:
         assert len(certified) == 1
 
     def test_even_family_reuses_the_rejection_at_minus_t0(self, certified):
-        # F(t0) = F(-t0); only t^2 = 4 is singular. Smooth fibres are
-        # yielded, not remembered, so each is certified at both signs.
-        even = parse_family("Y0^4+Y1^4+Y2^4+1/2*T^2*Y0^2*Y1^2")
-        rejected = []
-        smooth = list(iter_basepoints(even, 0, _rejected=rejected))
-        assert len(smooth) == 299
-        assert [t0 for t0, _ in rejected] == [Fraction(2), Fraction(-2)]
-        reasons = {reason for _, reason in rejected}
-        assert reasons == {"singular fibre: certificate failed in degree 7 (dim R_7 = 6)"}
-        assert len(certified) == 300
+        # F(t0) = F(-t0), and every fibre is singular at (0:0:1): the
+        # search certifies 0 and one of each pair +-t0, and the other
+        # sign reuses that fibre's reason
+        even = parse_family("Y1^2*Y2 - Y0^3 + T^2*Y1^3")
+        with pytest.raises(NoSmoothFibreError) as exc:
+            pick_basepoint(even, 0)
+        rejected = exc.value.rejected
+        assert [t0 for t0, _ in rejected] == candidate_basepoints(0)
+        reason = dict(rejected)
+        assert all(reason[t0] == reason[-t0] for t0 in reason)
+        assert len(certified) == 151
+        assert len({frozenset(F.terms.items()) for F in certified}) == 151
 
-    def test_iter_skips_singular_values(self, mix):
-        seen = []
-        for bp in iter_basepoints(mix, seed=0):
-            seen.append(bp.t0)
-            if len(seen) >= 5:
-                break
-        assert Fraction(2) not in seen and Fraction(-2) not in seen
+    def test_pick_skips_singular_values(self, mix):
+        # the quartic is singular at t = +-2 only; a seed that visits one
+        # of them first picks the next candidate and logs the rejection
+        for seed in range(400):
+            cands = candidate_basepoints(seed)
+            if cands[0] in (Fraction(2), Fraction(-2)):
+                bp = pick_basepoint(mix, seed)
+                assert bp.t0 == cands[1]
+                assert bp.rejected == (
+                    (cands[0], "singular fibre: certificate failed in degree 7 (dim R_7 = 6)"),
+                )
+                return
+        pytest.fail("no seed below 400 visits t = +-2 first")
+
+    def test_given_t0_certifies_that_fibre_alone(self, mix, certified):
+        bp = pick_basepoint(mix, 5, t0=1)
+        assert bp.t0 == Fraction(1) and type(bp.t0) is Fraction
+        assert bp.rejected == () and certified == [specialize(mix, 1)]
+        assert bp.fiber.F == specialize(mix, 1)
+        with pytest.raises(SingularFibreError):
+            pick_basepoint(mix, t0=Fraction(-2))
+        assert len(certified) == 2

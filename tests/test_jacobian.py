@@ -172,8 +172,8 @@ class TestNormalForm:
 
     def test_jet_normal_form_specializes_at_order_zero(self, mix):
         t0 = Fraction(1)
-        jfiber = make_fiber(jet_expand(mix, t0, 3))
         rfiber = make_fiber(specialize(mix, t0))
+        jfiber = rfiber.thicken(jet_expand(mix, t0, 3))
         p = HomPoly(5, {(2, 2, 1): Fraction(1)})
         jp = p.map_coefficients(lambda c: Jet.from_fraction(c, 3), domain=jfiber.F.domain)
         jnf = jfiber.normal_form(jp)
@@ -189,6 +189,9 @@ class TestNormalForm:
             rfiber.thicken(jet_expand(mix, Fraction(-1), 3))
         with pytest.raises(ValueError):
             jfiber.thicken(jet_expand(mix, Fraction(1), 3))
+        # thickening is the one way to a jet fibre
+        with pytest.raises(ValueError, match="thickening"):
+            make_fiber(jet_expand(mix, Fraction(1), 3))
 
 
 class TestSoclePairing:
@@ -221,7 +224,7 @@ class TestSoclePairing:
                 fiber.socle_pairs((q,), p)
 
     def test_jet_fibre_has_no_socle_table(self, mix):
-        jfiber = make_fiber(jet_expand(mix, Fraction(1), 2))
+        jfiber = make_fiber(specialize(mix, Fraction(1))).thicken(jet_expand(mix, Fraction(1), 2))
         p = RingElement(1, (Jet((1, 0)),) * 3)
         q = RingElement(5, (Jet((0, 1)),) * 3)
         with pytest.raises(exactcore.DomainMismatchError):
@@ -358,7 +361,7 @@ class TestIntegralRationalFibre:
             gens = reference_generators(F, k)
             rows, pivots = naive_rref(gens) if gens else ([], ())
             cobasis = tuple(j for j in range(len(graded_basis(k))) if j not in pivots)
-            assert fiber._data(k).cobasis_idx == cobasis
+            assert tuple(c[0] for c in fiber._data(k)) == cobasis
             assert fiber.cobasis(k) == tuple(graded_basis(k)[j] for j in cobasis)
             reference[k] = (rows[: len(pivots)], pivots, cobasis)
             for _ in range(2):
@@ -438,7 +441,7 @@ class TestGenericFibreOverZt:
             gens = reference_generators(F, k)
             rows, pivots = naive_ratfun_rref([_pairs(g) for g in gens]) if gens else ([], ())
             cobasis = tuple(j for j in range(len(graded_basis(k))) if j not in pivots)
-            assert fiber._data(k).cobasis_idx == cobasis
+            assert tuple(c[0] for c in fiber._data(k)) == cobasis
             assert fiber.cobasis(k) == tuple(graded_basis(k)[j] for j in cobasis)
             reference[k] = (rows[: len(pivots)], pivots, cobasis)
             p = _random_ratfun_form(data.draw, k)
@@ -453,7 +456,7 @@ class TestGenericFibreOverZt:
         got = fiber.socle_pairs((p,), q)[0]
         assert (got.num, got.den) == want[-1]
 
-    def test_certified_fibre_builds_no_matrix_and_no_rref(self, monkeypatch):
+    def test_certifying_a_fibre_builds_no_matrix_and_no_rref(self, monkeypatch):
         built = []
         real_init = exactcore.Matrix.__init__
 
@@ -544,7 +547,7 @@ class TestClassesAgainstTheWholeMatrix:
             red = exactcore.rref(Matrix(gens, ncols=n, domain=dom)) if gens else None
             pivots = red.pivots if gens else ()
             cobasis = tuple(j for j in range(n) if j not in pivots)
-            assert fiber._data(k).cobasis_idx == cobasis
+            assert tuple(c[0] for c in fiber._data(k)) == cobasis
             rows = red.matrix.rows if gens else ()
 
             def normal_form(v):

@@ -23,6 +23,7 @@ from flatunitary.family import (
     generic_fibre,
     jet_expand,
     parse_family,
+    pick_basepoint,
     specialize,
     t_derivative,
 )
@@ -165,18 +166,15 @@ def _walk(fam, mode, t0=None, order=None, max_level=None, seed=0):
     if mode == "ratfun":
         return filtration_ranks(fam, max_level)
     _, order, rmax = unitary._settings(fam, mode, order, max_level)
-    t0, base, _ = unitary._certified_fibre(fam, t0, seed)
-    return unitary._walk_chain(*unitary._jet_fibre(fam, t0, base, order), t0, order, rmax)
+    bp = pick_basepoint(fam, seed, t0)
+    return unitary._walk_chain(*unitary._jet_fibre(fam, bp.t0, bp.fiber, order), bp.t0, order, rmax)
 
 
 def _walk_fibre(fam, res):
     """The fibre and F_T a filtration run res walked on, built afresh."""
     if res.mode == "ratfun":
         return make_fiber(generic_fibre(fam)), generic_fibre(t_derivative(fam))
-    return (
-        make_fiber(jet_expand(fam, res.t0, res.order)),
-        jet_expand(t_derivative(fam), res.t0, res.order),
-    )
+    return unitary._jet_fibre(fam, res.t0, make_fiber(specialize(fam, res.t0)), res.order)
 
 
 class TestHeldTrajectories:
@@ -840,7 +838,7 @@ class TestEta2:
         # it only the class of the Hessian, 3 e_F - (2, 2, 2)
         d, (x, y, _) = path_family.degree, next(iter(pk.fiber.F.terms))
         assert prepared == [(3 * d - 6,)] and len(reduced) == 1
-        ((j, *_),) = pk.fiber._data(3 * d - 6).cols
+        ((j, *_),) = pk.fiber._data(3 * d - 6)
         socle = graded_basis(3 * d - 6)[j]
         assert pk.fiber._key(socle[0], socle[1]) == pk.fiber._key(3 * x - 2, 3 * y - 2)
 
