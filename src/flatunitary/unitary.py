@@ -16,9 +16,10 @@ one exact kernel computation. One pass walks the chain: each section of
 V_r keeps its trajectory [p, D p, ..., D^r p], and the Leibniz rule
 passes these on to the sections of V_{r+1}, so no derivative is taken
 twice. The diagonal torus that scales every monomial of F(t) by one
-factor splits the cobasis into character classes; a cobasis section
-whose class theta maps to an empty block of R_{2d-3} is inert: it lies
-in every V_r, holds only [p] and is never differentiated.
+factor grades theta and D, so each V_r is the sum of its parts in the
+character classes of the cobasis, walked one class at a time; a class
+theta maps to an empty block of R_{2d-3} is theta-blind: its unit
+sections lie in every V_r and are never differentiated.
 
 Two computation modes share the level logic. Over the rational-function
 field (filtration_ranks) the kernels are taken over Q(t) and the answer
@@ -260,11 +261,10 @@ def filtration_ranks(fam: FamilySpec, max_level: int = None) -> FiltrationResult
     """Compute the generic kernel chain ranks over Q(t) down to max_level
     (default: genus); the jet chain at a basepoint is unitary_rank's.
 
-    The chain never stops early except on hitting rank zero, so
-    stabilization is observed rather than assumed. Inert sections, those
-    theta cannot see on any derivative (_inert_sections), are carried as
-    they are; the active sections the pass ends with are checked against
-    the last theta-condition.
+    Every level is walked, so stabilization is observed rather than
+    assumed. Theta-blind classes (_torus_classes) are carried as they
+    are; the sections the pass ends with in the classes theta sees are
+    checked against the last theta-condition.
     """
     _, _, rmax = _settings(fam, "ratfun", None, max_level)
     fiber = make_fiber(generic_fibre(fam))
@@ -281,12 +281,16 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
     """One pass down the kernel chain on one fibre: over Q(t) when order
     is None, else over jets of that order at t0.
 
-    Level r+1 extends the held trajectory of each active basis section p
-    of V_r (cobasis unit sections at level 1) to D^r p by one
+    Each torus class of the cobasis (_torus_classes) is walked on its
+    own. In a class theta sees, level r+1 extends the trajectory of each
+    held section p (a unit section at level 1) to D^r p by one
     gm_derivative step, takes the kernel of theta on the D^r p (precision
     order - r over jets) and builds the new trajectories by the Leibniz
-    rule. An inert section (_inert_sections) holds only [p] and gives a
-    zero theta column; it is never differentiated.
+    rule. A theta-blind class keeps its unit sections [p], with no theta,
+    D or kernel call. Theta maps classes to distinct blocks, so a class's
+    canonical kernel vectors are those of one walk over every column, and
+    the sections merge in its order: by the free column (b, j) of each
+    level's pick, last level first, down to the cobasis index.
 
     Jet against generic ranks, at a smooth t0 and any order N. R_{d-3}
     has one frame, every monomial, in both modes. Clear a Q(t) basis of
@@ -304,76 +308,71 @@ def _walk_chain(fiber: JacobianFiber, Ft: HomPoly, t0, order, rmax: int):
     unitary_rank needs none of it: it calls jet ranks stable only when
     they equal the exact generic ranks.
     """
-    d = fiber.d
     dom = fiber.domain if order is None else JetDomain(order)
-    cobasis = fiber.cobasis(d - 3)
-    inert = _inert_sections(fiber, Ft, cobasis)
-    trajs = [[HomPoly.monomial(e, dom.one(), domain=dom)] for e in cobasis]
-    zero = (dom.zero(),) * fiber.genus
-    ranks = []
-    for r in range(rmax):
-        active = [traj for traj, idle in zip(trajs, inert) if not idle]
-        if r:
-            for traj in active:
-                traj.append(gm_derivative(fiber, Ft, traj[-1]))
-        wcols = [
-            zero if idle else theta_eval(fiber, Ft, traj[-1]).coords
-            for traj, idle in zip(trajs, inert)
-        ]
-        if order is None:
-            combos = kernel_basis(Matrix(list(zip(*wcols)), domain=dom))
-        else:
-            # pad the precision-(order - r) kernel vectors back to order
-            combos = [
-                tuple(Jet._of(c.coeffs + (Fraction(0),) * r) for c in cv)
-                for cv in _stacked_kernel(wcols, order - r)
-            ]
-        # an inert column is zero, hence free: its kernel vector is its unit
-        # vector, which carries [p], and every other vector is 0 on it
-        held, held_inert = [], []
-        for c in combos:
-            j, *rest = (j for j, x in enumerate(c) if not _is_zero(x))
-            idle = not rest and inert[j]
-            if idle:
-                held.append(trajs[j])
-            else:
-                held.append(_leibniz(active, [x for x, i in zip(c, inert) if not i]))
-            held_inert.append(idle)
-        trajs, inert = held, held_inert
-        ranks.append(len(trajs))
-        if not trajs:
-            break
-    ranks.extend([0] * (rmax - len(ranks)))
-
-    result = FiltrationResult(
+    cobasis = fiber.cobasis(fiber.d - 3)
+    ranks = [0] * rmax
+    final = []  # (merge key, trajectory, whether theta sees its class)
+    for seen, js in _torus_classes(fiber, Ft, cobasis):
+        keys = [(j,) for j in js]
+        trajs = [[HomPoly.monomial(cobasis[j], dom.one(), domain=dom)] for j in js]
+        for r in range(rmax):
+            if seen and trajs:
+                if r:
+                    for traj in trajs:
+                        traj.append(gm_derivative(fiber, Ft, traj[-1]))
+                wcols = [theta_eval(fiber, Ft, traj[-1]).coords for traj in trajs]
+                # a canonical kernel vector's free column (b, j) is its last
+                # nonzero (s-order, column) entry, b = 0 over Q(t)
+                if order is None:
+                    combos = kernel_basis(Matrix(list(zip(*wcols)), domain=dom))
+                    free = [(0, max(j for j, x in enumerate(c) if not x.is_zero)) for c in combos]
+                else:
+                    picks = _stacked_kernel(wcols, order - r)
+                    free = [
+                        max((b, j) for j, x in enumerate(c) for b, a in enumerate(x.coeffs) if a)
+                        for c in picks
+                    ]
+                    pad = (Fraction(0),) * r  # from precision order - r back to order
+                    combos = [tuple(Jet._of(x.coeffs + pad) for x in c) for c in picks]
+                keys = [(b, *keys[j]) for b, j in free]
+                trajs = [_leibniz(trajs, c) for c in combos]
+            else:  # a theta-blind class keeps its unit sections [p]
+                keys = [(0, *key) for key in keys]
+            ranks[r] += len(trajs)
+        final.extend((key, traj, seen) for key, traj in zip(keys, trajs))
+    final.sort(key=lambda f: f[0])
+    active = [traj for _, traj, seen in final if seen]
+    if active:
+        _verify_chain(fiber, Ft, active)
+    return FiltrationResult(
         mode="ratfun" if order is None else "jet",
         t0=t0,
         order=order,
         max_level=rmax,
         ranks=tuple(ranks),
-        sections=tuple(traj[0] for traj in trajs),
+        sections=tuple(traj[0] for _, traj, _ in final),
     )
-    active = [traj for traj, idle in zip(trajs, inert) if not idle]
-    if active:
-        _verify_chain(fiber, Ft, active)
-    return result
 
 
-def _inert_sections(fiber: JacobianFiber, Ft: HomPoly, cobasis):
-    """Flags the cobasis sections of R_{d-3} that theta cannot see.
+def _torus_classes(fiber: JacobianFiber, Ft: HomPoly, cobasis):
+    """The cobasis of R_{d-3} split into torus classes: (seen, indices)
+    per class, seen False when theta is blind to the class.
 
     Let L be the lattice of differences of the exponents of F and F_T.
     The Jacobian ideal, theta and D respect the grading of monomials by
     their class modulo L, and theta adds the class [F] of F's monomials.
-    A section is inert when R_{2d-3} has dimension 0 in its class plus
-    [F], counted by socle duality (socle_dual_dims): theta vanishes on
-    every derivative of it, so it lies in every level of the chain. The
-    classes are taken modulo L rather than the fibre's own lattice,
-    because F at a basepoint can drop a monomial that F_T keeps.
+    Theta is blind to a class when R_{2d-3} has dimension 0 in the class
+    plus [F], counted by socle duality (socle_dual_dims): theta vanishes
+    on every derivative of its sections, so they lie in every level of
+    the chain. The classes are taken modulo L rather than the fibre's own
+    lattice, because F at a basepoint can drop a monomial that F_T keeps.
     """
     key, e = class_key((*fiber.F.terms, *Ft.terms)), next(iter(fiber.F.terms))
+    classes = {}  # keyed by the class plus [F], the block theta maps it to
+    for j, m in enumerate(cobasis):
+        classes.setdefault(key(m[0] + e[0], m[1] + e[1]), []).append(j)
     targets = socle_dual_dims(key, e, 2 * fiber.d - 3)
-    return [key(m[0] + e[0], m[1] + e[1]) not in targets for m in cobasis]
+    return [(c in targets, js) for c, js in classes.items()]
 
 
 def _leibniz(trajs, coeffs):
@@ -400,9 +399,9 @@ def _leibniz(trajs, coeffs):
 
 def _verify_chain(fiber: JacobianFiber, Ft: HomPoly, trajectories):
     """Check theta(D^(L-1) p) = 0 on each held trajectory [p, .., D^(L-1) p]
-    of an active final section, L = max_level. The lower conditions hold
-    already: the entries combine ones gm_derivative was applied to, which
-    raises unless theta kills them."""
+    of a final section in a class theta sees, L = max_level. The lower
+    conditions hold already: the entries combine ones gm_derivative was
+    applied to, which raises unless theta kills them."""
     for traj in trajectories:
         if not theta_eval(fiber, Ft, traj[-1]).is_zero:
             raise ExactCoreError(

@@ -36,5 +36,5 @@ def path_family():
 @pytest.fixture(scope="session")
 def septic():
     """Fermat septic with one T-monomial: at level 2 its chain ends with
-    five inert and two active sections."""
+    five theta-blind sections and two of classes theta sees."""
     return parse_family("Y0^7 + Y1^7 + Y2^7 + T*Y0^3*Y1^4")

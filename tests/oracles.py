@@ -414,7 +414,7 @@ def jacobian_quotient_dims(fexpr, degrees):
 
 
 # ---------------------------------------------------------------------------
-# the kernel chain without the inert split
+# the kernel chain without the class split
 
 
 def naive_walk_chain(fiber, Ft, order, rmax):
@@ -470,8 +470,8 @@ def naive_walk_chain(fiber, Ft, order, rmax):
 
 
 def naive_inert_sections(fiber, Ft, cobasis):
-    """unitary._inert_sections read off a cobasis: a section is inert when
-    no cobasis monomial of R_{2d-3} lies in its class plus [F], classes
+    """The theta-blind sections of unitary._torus_classes, flagged per
+    section of a cobasis: a section is inert when no cobasis monomial of R_{2d-3} lies in its class plus [F], classes
     taken modulo the differences of F's and F_T's exponents. The cobasis
     is the non-pivot columns of the whole generator matrix of the fibre
     (of its order-0 fibre over jets), row-reduced over Fraction or by

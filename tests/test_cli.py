@@ -308,8 +308,8 @@ class TestExactCoreFailures:
         if target == "_stacked_kernel":
             argv = ["unitary-rank", MIX, "--mode", "jet"]
         else:
-            # differentiated and verified sections are active ones; the
-            # septic keeps two to level 2
+            # differentiated and verified sections lie in classes theta
+            # sees; the septic keeps two to level 2
             argv = ["unitary-rank", SEPTIC, "--mode", "ratfun", "--max-level", "2"]
         report, code = run_to_dict(argv, tmp_path)
         assert code == 3
@@ -322,7 +322,7 @@ class TestExactCoreFailures:
 
     @pytest.mark.parametrize("target", ["_verify_chain", "gm_derivative"])
     def test_faults_never_reached_on_inert_sections(self, monkeypatch, tmp_path, target):
-        # every final section of the quartic is inert: none is
+        # every final section of the quartic is theta-blind: none is
         # differentiated past level 1 or verified, so the faults never fire
         monkeypatch.setattr(unitary, target, self._raise(ExactCoreError("unreached")))
         report, code = run_to_dict(["unitary-rank", MIX, "--mode", "ratfun"], tmp_path)

@@ -26,7 +26,7 @@ from flatunitary.jacobian import (
     standard_degrees,
 )
 from flatunitary.gaussmanin import theta_eval
-from flatunitary.unitary import _inert_sections, _jet_fibre
+from flatunitary.unitary import _jet_fibre, _torus_classes
 from flatunitary.polyring import HomPoly, graded_basis, monomial_count, poly_mul, poly_partial
 from oracles import (
     jacobian_quotient_dims,
@@ -626,7 +626,7 @@ def socle_case_st(draw, kinds):
 class TestSocleDuality:
     """From degree 2d-4 up a class's dimension is a monomial count
     (socle_dual_dims); fibres row-reduce only the classes it counts, and
-    _inert_sections decides by the same count."""
+    _torus_classes finds the classes theta is blind to by the same count."""
 
     @settings(max_examples=40, deadline=None)
     @given(socle_case_st(("rational", "ratfun")))
@@ -661,6 +661,8 @@ class TestSocleDuality:
             event("singular")
             return
         cobasis = fiber.cobasis(fam.degree - 3)
-        inert = _inert_sections(fiber, Ft, cobasis)
-        event(f"{kind}: {sum(inert)} inert")
-        assert inert == naive_inert_sections(fiber, Ft, cobasis)
+        classes = _torus_classes(fiber, Ft, cobasis)
+        blind = sorted(j for seen, js in classes if not seen for j in js)
+        event(f"{kind}: {len(blind)} theta-blind")
+        assert sorted(j for _, js in classes for j in js) == list(range(len(cobasis)))
+        assert blind == [j for j, inert in enumerate(naive_inert_sections(fiber, Ft, cobasis)) if inert]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import flatunitary._univar as up
 from flatunitary import exactcore, jacobian, unitary
@@ -19,6 +19,7 @@ from flatunitary.exactcore import (
     kernel_basis,
 )
 from flatunitary.family import (
+    NoSmoothFibreError,
     candidate_basepoints,
     generic_fibre,
     jet_expand,
@@ -31,8 +32,8 @@ from flatunitary.gaussmanin import gm_derivative, theta_eval
 from flatunitary.jacobian import JacobianFiber, RingElement, SingularFibreError, make_fiber
 from flatunitary.polyring import HomPoly, graded_basis
 from flatunitary.unitary import (
-    _inert_sections,
     _stacked_kernel,
+    _torus_classes,
     default_jet_order,
     eta2_on_K,
     filtration_ranks,
@@ -177,12 +178,23 @@ def _walk_fibre(fam, res):
     return unitary._jet_fibre(fam, res.t0, make_fiber(specialize(fam, res.t0)), res.order)
 
 
+def _blind_sections(fiber, Ft):
+    """The cobasis indices of the sections in the classes theta is blind to."""
+    classes = _torus_classes(fiber, Ft, fiber.cobasis(fiber.d - 3))
+    return sorted(j for seen, js in classes if not seen for j in js)
+
+
+# the one family known so far whose stable span holds a section of a class
+# theta sees: ranks (7, 6, ..., 6) in both modes, five theta-blind sections
+NON_BLIND = "Y0^6+Y1^6+Y2^6+3*T*Y0^4*Y1^2+3*T^2*Y0^2*Y1^4"
+
+
 class TestHeldTrajectories:
-    """The pass builds each active final section's trajectory by the
-    Leibniz rule and verifies the trajectories it holds; re-deriving them
-    step by step on a fresh fibre must give the same polynomials. Every
-    final section, inert ones included, re-derived to depth max_level - 1
-    must end in a zero theta value."""
+    """The pass builds the trajectory of each final section of a class
+    theta sees by the Leibniz rule and verifies the trajectories it holds;
+    re-deriving them step by step on a fresh fibre must give the same
+    polynomials. Every final section, theta-blind ones included,
+    re-derived to depth max_level - 1 must end in a zero theta value."""
 
     @pytest.mark.parametrize(
         "name,mode,t0,max_level,n_active",
@@ -193,6 +205,8 @@ class TestHeldTrajectories:
             ("tfree", "ratfun", None, None, 0),
             ("tfree", "jet", None, None, 0),
             ("septic", "ratfun", None, 2, 2),
+            (NON_BLIND, "ratfun", None, None, 1),
+            (NON_BLIND, "jet", None, None, 1),
         ],
         ids=[
             "mix-ratfun-None",
@@ -201,12 +215,14 @@ class TestHeldTrajectories:
             "tfree-ratfun-None",
             "tfree-jet-None",
             "septic-ratfun-level2",
+            "non-blind-ratfun",
+            "non-blind-jet",
         ],
     )
     def test_match_the_rederived_chain(
         self, request, monkeypatch, name, mode, t0, max_level, n_active
     ):
-        fam = request.getfixturevalue(name)
+        fam = parse_family(name) if "^" in name else request.getfixturevalue(name)
         held = []
         real = unitary._verify_chain
 
@@ -217,7 +233,8 @@ class TestHeldTrajectories:
         monkeypatch.setattr(unitary, "_verify_chain", capture)
         res = _walk(fam, mode, t0=t0, max_level=max_level)
         fiber, Ft = _walk_fibre(fam, res)
-        # _verify_chain runs once, on the active final trajectories, if any
+        # _verify_chain runs once, on the final trajectories of the classes
+        # theta sees, if any
         assert [len(t) for t in held] == ([n_active] if n_active else [])
         trajs = held[0] if held else []
         heads = [t[0] for t in trajs]
@@ -366,17 +383,25 @@ class TestStackedKernel:
         assert all(c.precision == m for pick in got for c in pick)
 
     def test_matches_the_oracle_on_a_filtration_run(self, mix, monkeypatch):
-        seen = []
+        # one call per class theta sees and level (precision order - r);
+        # the theta-blind sections make up the rest of each level's rank
+        picks = {}
 
         def checked(cols, m):
             got = _stacked_kernel(cols, m)
             assert _pick_coeffs(got) == naive_stacked_kernel(_coeff_cols(cols), m)
-            seen.append(len(got))
+            picks[m] = picks.get(m, 0) + len(got)
             return got
 
         monkeypatch.setattr(unitary, "_stacked_kernel", checked)
-        res = unitary_rank(mix, mode="jet", t0=Fraction(1), order=6).primary
-        assert tuple(seen) == res.ranks
+        for fam, t0, order in ((mix, Fraction(1), 6), (parse_family(NON_BLIND), None, 12)):
+            picks.clear()
+            res = unitary_rank(fam, mode="jet", t0=t0, order=order).primary
+            blind = len(_blind_sections(*_walk_fibre(fam, res)))
+            assert picks
+            assert res.ranks == tuple(
+                blind + picks.get(order - r, 0) for r in range(res.max_level)
+            )
 
     @settings(max_examples=120, deadline=None)
     @given(block_column_system_st())
@@ -440,15 +465,16 @@ SEXTIC = "Y0^6 + Y1^6 + Y2^6 + T*Y0^3*Y1^3"
 
 
 class TestInertSplit:
-    """The walk never differentiates an inert section; it must still give
-    the plain walk's ranks and sections."""
+    """The walk takes each torus class on its own and never differentiates
+    a theta-blind section; it must still give the plain walk's ranks and
+    sections, in its order."""
 
     @pytest.mark.parametrize("mode", ["ratfun", "jet"])
     @pytest.mark.parametrize(
         "name",
         [
             "mix", "tfree", "hesse", "mix_tt", "path_family",
-            QUINTIC, TWO_MONOMIAL_QUINTIC, SEXTIC,
+            QUINTIC, TWO_MONOMIAL_QUINTIC, SEXTIC, NON_BLIND,
         ],
     )
     def test_matches_the_plain_walk(self, request, name, mode):
@@ -475,7 +501,7 @@ class TestInertSplit:
         fam = parse_family(text)
         fiber = make_fiber(generic_fibre(fam))
         Ft = generic_fibre(t_derivative(fam))
-        assert sum(_inert_sections(fiber, Ft, fiber.cobasis(fam.degree - 3))) == inert
+        assert len(_blind_sections(fiber, Ft)) == inert
 
 
 class TestCensusSlice:
@@ -505,7 +531,7 @@ class TestCensusSlice:
         assert res.ranks == ranks
         fiber = make_fiber(generic_fibre(fam))
         Ft = generic_fibre(t_derivative(fam))
-        assert res.rank_u >= sum(_inert_sections(fiber, Ft, fiber.cobasis(d - 3)))
+        assert res.rank_u >= len(_blind_sections(fiber, Ft))
 
     @pytest.mark.parametrize(
         "text",
@@ -902,10 +928,11 @@ class TestAgainstTheJetPath:
 
 
 @st.composite
-def fermat_family_st(draw):
-    """(family, t0): the Fermat quartic or quintic plus one to three T- or
-    T^2-monomials, with a small rational t0. Half the draws take their
-    monomials in Y0 and Y1 alone, which keeps the Higgs kernel nonempty."""
+def fermat_family_st(draw, tpows=("T", "T^2")):
+    """(family, t0): the Fermat quartic or quintic plus one to three
+    monomials, each times one of tpows, with a small rational t0. Half the
+    draws take their monomials in Y0 and Y1 alone, which keeps the Higgs
+    kernel nonempty."""
     d = draw(st.sampled_from((4, 5)))
     if draw(st.booleans()):
         pool = [(a, d - a, 0) for a in range(1, d)]
@@ -914,7 +941,7 @@ def fermat_family_st(draw):
     text = f"Y0^{d} + Y1^{d} + Y2^{d}"
     for a, b, c in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)):
         coef = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
-        tpow = draw(st.sampled_from(("T", "T^2")))
+        tpow = draw(st.sampled_from(tpows))
         text += f" {'-' if coef < 0 else '+'} {abs(coef)}*{tpow}*Y0^{a}*Y1^{b}*Y2^{c}"
     t0 = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
     return parse_family(text), t0
@@ -963,6 +990,31 @@ class TestZeroRows:
         pk = _nonempty_kernel(fam, t0)
         eta = eta2_on_K(fam, _pk=pk)
         assert (eta.matrix, eta.flags) == naive_eta2_on_K(fam, pk)
+
+
+class TestClassWalk:
+    """_walk_chain walks each torus class on its own; the plain walk over
+    every column (naive_walk_chain) must give its ranks and its sections,
+    in order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fermat_family_st(("T", "T^2", "T^3")),
+        st.sampled_from(("ratfun", "jet")),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_the_plain_walk_on_random_families(self, family, mode, max_level):
+        fam, _ = family
+        try:
+            res = _walk(fam, mode, max_level=max_level)
+        except (SingularFibreError, NoSmoothFibreError):
+            assume(False)
+        event(f"{mode}: ranks {res.ranks}")
+        fiber, Ft = _walk_fibre(fam, res)
+        assert naive_walk_chain(fiber, Ft, res.order, res.max_level) == (
+            res.ranks,
+            res.sections,
+        )
 
 
 class TestCertifiedJetRanks:
