@@ -2,7 +2,8 @@
 
 Every subcommand prints one JSON document. Two runs with identical
 inputs and seed produce byte-identical output except for the final
-"timings" block. Exit codes:
+"timings" block. The argument parser is built once per process and
+reused by every run. Exit codes:
 
 * 0 success;
 * 2 input error, with a message on stderr and no report; a jet order too
@@ -24,6 +25,7 @@ inputs and seed produce byte-identical output except for the final
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -50,6 +52,7 @@ from .polyring import graded_basis, monomial_sort_key
 from .unitary import mu_report, pointwise_kernel, unitary_rank
 
 SCHEMA = "flatunitary-report/2"
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 # Canonical fixture invocations: (expected-report stem, argv, exit code).
 # Family paths are relative to the bundled fixtures directory; runners are
@@ -149,18 +152,33 @@ def _envelope(command: str, fam: FamilySpec, source: str, seed: int) -> dict:
 
 def _render(obj, indent: int = 0) -> str:
     """Deterministic JSON with short collections kept on one line."""
-    compact = json.dumps(obj, separators=(", ", ": "))
-    if len(compact) + 2 * indent <= 78:
-        return compact
-    pad = "  " * (indent + 1)
-    close = "  " * indent
+    return _layout(obj, indent)[1]
+
+
+def _layout(obj, indent: int):
+    """(compact text, text at indent) of a JSON value with str keys: a
+    collection joins its items' compact texts, and takes one line per
+    item when its own would pass 78 columns at its indent."""
     if isinstance(obj, dict):
-        rows = [f"{pad}{json.dumps(k)}: {_render(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + close + "}"
-    if isinstance(obj, list):
-        rows = [f"{pad}{_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + close + "]"
-    return compact
+        items, ends = [(_encode_str(k) + ": ", v) for k, v in obj.items()], "{}"
+    elif isinstance(obj, list):
+        items, ends = [("", v) for v in obj], "[]"
+    else:  # a scalar, or a tuple, which is never broken over lines
+        text = json.dumps(obj)
+        return text, text
+    compacts, rows = [], []
+    for head, v in items:
+        if type(v) is str:
+            compact = text = _encode_str(v)
+        else:
+            compact, text = _layout(v, indent + 1)
+        compacts.append(head + compact)
+        rows.append(head + text)
+    compact = ends[0] + ", ".join(compacts) + ends[1]
+    if len(compact) + 2 * indent <= 78:
+        return compact, compact
+    body = ",\n".join(["  " * (indent + 1) + row for row in rows])
+    return compact, f"{ends[0]}\n{body}\n{'  ' * indent}{ends[1]}"
 
 
 def _emit(report: dict, output) -> None:
@@ -203,6 +221,7 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="flatunitary",

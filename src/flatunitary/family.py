@@ -6,7 +6,7 @@ text grammar is a sum of terms `coef*Y0^a*Y1^b*Y2^c`: each factor is a
 rational literal `p/q` (ASCII digits, no space around `/`), `T`
 (optionally `T^k`), or a `Y` power; `^1` may be omitted, whitespace
 elsewhere is insignificant, and terms are joined by `+`/`-`. A term's
-T power is at most 1000.
+T power is at most 1000, and the curve degree at most 165.
 
 Specialization (T = t0), the generic fibre over the rational-function
 field, jet expansion T = t0 + s truncated at a chosen order, and T-
@@ -103,6 +103,7 @@ class FamilySpec:
 # text form
 
 _MAX_T_POWER = 1000  # T coefficients are stored densely
+_MAX_DEGREE = 165  # validate at degree 166 takes over 1 GB (CHANGES.md)
 _TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|(Y[012]|T)|([-+*^])|(\S)")
 
 
@@ -186,6 +187,8 @@ def parse_family(text: str) -> FamilySpec:
     (degree,) = degrees
     if degree < 3:
         raise FamilyParseError(f"curve degree must be >= 3, got {degree}", 0)
+    if degree > _MAX_DEGREE:
+        raise FamilyParseError(f"curve degree {degree} is above {_MAX_DEGREE}", 0)
     fam = FamilySpec(
         degree,
         {e: [b.get(k, 0) for k in range(max(b) + 1)] for e, b in acc.items()},
@@ -232,13 +235,13 @@ def t_derivative(fam: FamilySpec, order: int = 1) -> FamilySpec:
 
 
 def specialize(fam: FamilySpec, t0) -> HomPoly:
-    """The fibre polynomial at T = t0, over the rationals; t0 is a
-    Fraction or an int."""
+    """The fibre polynomial at T = t0 over the rationals (t0 a Fraction or
+    an int); a FamilySpec is valid, so its constant coefficients are copied."""
     t0 = _as_fraction(t0)
-    return HomPoly(
+    return HomPoly._of(
         fam.degree,
-        {e: up.peval(cs, t0) for e, cs in fam.terms.items()},
-        domain=RATIONAL,
+        {e: cs[0] if len(cs) == 1 else up.peval(cs, t0) for e, cs in fam.terms.items()},
+        RATIONAL,
     )
 
 

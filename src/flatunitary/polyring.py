@@ -79,6 +79,15 @@ class HomPoly:
         self.degree = degree
 
     @classmethod
+    def _of(cls, degree: int, terms, domain) -> "HomPoly":
+        """Trusted builder: terms already valid in degree and domain; drops zeros."""
+        p = object.__new__(cls)
+        p.degree = degree
+        p.terms = {e: c for e, c in terms.items() if not _is_zero(c)}
+        p.domain = domain
+        return p
+
+    @classmethod
     def zero(cls, degree: int, domain=RATIONAL) -> "HomPoly":
         return cls(degree, {}, domain=domain)
 
@@ -123,12 +132,10 @@ class HomPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out[e] + c if e in out else c
-        return HomPoly(self.degree, out, domain=self.domain)
+        return HomPoly._of(self.degree, out, self.domain)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(
-            self.degree, {e: -c for e, c in self.terms.items()}, domain=self.domain
-        )
+        return HomPoly._of(self.degree, {e: -c for e, c in self.terms.items()}, self.domain)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
@@ -173,7 +180,7 @@ def poly_mul(p: HomPoly, q: HomPoly) -> HomPoly:
                 out[e] = out[e] + c
             else:
                 out[e] = c
-    return HomPoly(p.degree + q.degree, out, domain=p.domain)
+    return HomPoly._of(p.degree + q.degree, out, p.domain)
 
 
 def poly_partial(p: HomPoly, i: int) -> HomPoly:

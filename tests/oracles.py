@@ -4,6 +4,7 @@ Everything here is deliberately naive or delegated to sympy so that a
 bug in the package cannot hide in its own oracle.
 """
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -12,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from flatunitary import _univar as up
 from flatunitary.exactcore import RATFUN, Jet, JetDomain, LinearSolver, Matrix, _is_zero, kernel_basis
-from flatunitary.family import _MAX_T_POWER, FamilyParseError, FamilySpec, specialize, t_derivative
+from flatunitary.family import _MAX_DEGREE, _MAX_T_POWER, FamilyParseError, FamilySpec, specialize, t_derivative
 from flatunitary.gaussmanin import _precision, _truncate_poly, gm_derivative, theta_eval
 from flatunitary.polyring import (
     HomPoly,
@@ -679,6 +680,8 @@ def naive_parse_family(text):
     degree = degrees.pop()
     if degree < 3:
         raise FamilyParseError(f"curve degree must be >= 3, got {degree}", 0)
+    if degree > _MAX_DEGREE:
+        raise FamilyParseError(f"curve degree {degree} is above {_MAX_DEGREE}", 0)
     acc = {}
     for e, tpow, coef in raw_terms:
         bucket = acc.setdefault(e, {})
@@ -741,3 +744,23 @@ def naive_print_family(fam):
         else:
             out.append((" - " if neg else " + ") + body)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# report layout, every subtree encoded again at every depth
+
+
+def naive_render(obj, indent=0):
+    """Deterministic JSON with short collections kept on one line."""
+    compact = json.dumps(obj, separators=(", ", ": "))
+    if len(compact) + 2 * indent <= 78:
+        return compact
+    pad = "  " * (indent + 1)
+    close = "  " * indent
+    if isinstance(obj, dict):
+        rows = [f"{pad}{json.dumps(k)}: {naive_render(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + close + "}"
+    if isinstance(obj, list):
+        rows = [f"{pad}{naive_render(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + close + "]"
+    return compact

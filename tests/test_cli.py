@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,12 +10,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import flatunitary
-from flatunitary import cli, unitary
+from flatunitary import cli, family, unitary
 from flatunitary.exactcore import ExactCoreError
 from flatunitary.gaussmanin import NotKernelSectionError
+from flatunitary.family import _MAX_DEGREE
 from flatunitary.jacobian import JacobianFiber
+from oracles import naive_render
 
 MIX = "Y0^4+Y1^4+Y2^4+T*Y0^2*Y1^2"
 SEPTIC = "Y0^7+Y1^7+Y2^7+T*Y0^3*Y1^4"
@@ -88,6 +93,18 @@ class TestExitCodes:
         assert cli.run(["validate", "Y0^3+Y1^3+Y2^3+T^1000000000*Y0^3"]) == 2
         err = capsys.readouterr().err
         assert "T power 1000000000 is above 1000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("degree", [_MAX_DEGREE + 1, 100000])
+    def test_huge_curve_degree_is_input_error(self, degree, monkeypatch, capsys):
+        # refused while parsing, before any fibre or graded basis is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fibre was built")
+
+        monkeypatch.setattr(family, "make_fiber", refuse)
+        text = f"Y0^{degree}+Y1^{degree}+Y2^{degree}"
+        assert cli.run(["validate", text]) == 2
+        err = capsys.readouterr().err
+        assert f"curve degree {degree} is above {_MAX_DEGREE}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -455,6 +472,73 @@ class TestFixtureReports:
         expected = os.path.join(fixdir, "expected", f"{stem}.json")
         with open(expected, encoding="utf-8") as fh:
             assert cli._render(report) + "\n" == fh.read()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_run(self, tmp_path, monkeypatch):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        # argparse reports a usage error on sys.stderr as it is at the time
+        for argv, message in [
+            (["frobnicate", MIX], "invalid choice: 'frobnicate'"),
+            (["higgs", MIX, "--t0", "one-half"], "not a rational number: 'one-half'"),
+        ]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                cli.run(argv)
+            assert exc.value.code == 2
+            assert err.getvalue().startswith("usage: flatunitary") and message in err.getvalue()
+        for stem, argv, want_code in cli.FIXTURE_RUNS:
+            TestFixtureReports._check(stem, argv, want_code, tmp_path, monkeypatch)
+        assert cli.build_parser() is parser
+
+
+# JSON values as reports hold them, and the strings json escapes
+_text_st = st.text(st.sampled_from('ab "\\/\n\t\u00e9\u2603\U0001f600') | st.characters(), max_size=12)
+
+
+def _json_st(max_leaves):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | _text_st,
+        lambda items: st.lists(items, max_size=5) | st.dictionaries(_text_st, items, max_size=5),
+        max_leaves=max_leaves,
+    )
+
+
+class TestRenderer:
+    """The one-pass layout against the renderer that encoded every subtree
+    again at every depth (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_st(24), st.integers(min_value=0, max_value=3))
+    def test_matches_the_naive_renderer(self, value, indent):
+        assert cli._render(value, indent) == naive_render(value, indent)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_json_st(6), st.integers(min_value=0, max_value=3), st.sampled_from([78, 79]), st.booleans())
+    def test_matches_at_the_line_width(self, value, indent, width, as_dict):
+        # a collection whose compact text is exactly 78 - 2*indent or one
+        # longer: the last width kept on one line, and the first broken
+        def wrap(pad):
+            return {"value": value, "pad": pad} if as_dict else [value, pad]
+
+        length = width - 2 * indent
+        short = len(json.dumps(wrap("")))
+        assume(short <= length)
+        obj = wrap("x" * (length - short))
+        assert len(json.dumps(obj)) == length
+        text = cli._render(obj, indent)
+        assert text == naive_render(obj, indent)
+        assert ("\n" not in text) == (width == 78)
+
+    @pytest.mark.parametrize("stem", [r[0] for r in cli.FIXTURE_RUNS])
+    def test_matches_on_every_fixture_report(self, stem):
+        path = os.path.join(
+            os.path.dirname(flatunitary.fixture_path("fermat_mix.fam")), "expected", stem + ".json"
+        )
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert cli._render(report) == naive_render(report)
 
 
 class TestOutputHandling:

@@ -11,6 +11,7 @@ from flatunitary import family
 from flatunitary.exactcore import Jet
 from flatunitary.jacobian import SingularFibreError
 from flatunitary.family import (
+    _MAX_DEGREE,
     FamilyParseError,
     FamilySpec,
     NoSmoothFibreError,
@@ -95,6 +96,16 @@ class TestParsing:
             with pytest.raises(FamilyParseError, match="T power .* is above 1000") as exc:
                 parse_family(text)
             assert exc.value.pos == pos
+
+    def test_curve_degree_is_capped(self):
+        top = _MAX_DEGREE
+        assert parse_family(f"Y0^{top}+Y1^{top}+T*Y2^{top}").degree == top
+        # the whole curve is refused, so the error points at its start
+        for degree in (top + 1, 100000):
+            text = f"Y0^3*Y1^{degree - 3} + Y2^{degree}"
+            with pytest.raises(FamilyParseError, match=f"curve degree {degree} is above {top}") as exc:
+                parse_family(text)
+            assert exc.value.pos == 0
 
 
 @st.composite
@@ -182,6 +193,9 @@ class TestAgainstTheTwoPassForm:
             "Y0^3+Y1^3+Y2^3+T^1000*Y0^3",
             "Y0^3 + T^600*Y1^3*T^401 + Y2^3 @",
             "Y0^3 + T^9999*Y1^2 + Y2^",
+            f"Y0^{_MAX_DEGREE}+Y1^{_MAX_DEGREE}",
+            f"Y0^{_MAX_DEGREE + 1}+Y1^{_MAX_DEGREE + 1}",
+            "Y0^1212 @",
         ],
     )
     def test_parse_capped_t_powers(self, text):

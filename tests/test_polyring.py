@@ -6,6 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from flatunitary.exactcore import RATFUN, RATIONAL, Jet, JetDomain, RatFun
+from flatunitary.family import _CANDIDATES, parse_family, specialize
 from flatunitary.polyring import (
     HomPoly,
     graded_basis,
@@ -97,3 +99,71 @@ class TestHomPoly:
         assert p.scale(Fraction(1, 2)) == HomPoly(1, {(1, 0, 0): Fraction(1)})
         assert (p - p).is_zero
         assert HomPoly.zero(5).is_zero
+
+
+# coefficient makers over Q, Q(t) and jets of precision 3, from three
+# Fractions each; some pairs of drawn terms cancel
+_DOMAINS = {
+    "Q": (RATIONAL, lambda a, b, c: a),
+    "Q(t)": (RATFUN, lambda a, b, c: RatFun.from_poly((a, b)) / RatFun.from_poly((1, c))),
+    "jet": (JetDomain(3), lambda a, b, c: Jet((a, b, c))),
+}
+small_st = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3)])
+
+
+@st.composite
+def domain_poly_st(draw, domain, degree):
+    """A degree-`degree` polynomial over one of _DOMAINS, zero terms included."""
+    dom, make = _DOMAINS[domain]
+    terms = draw(
+        st.dictionaries(
+            st.sampled_from(graded_basis(degree)),
+            st.tuples(small_st, small_st, small_st).map(lambda abc: make(*abc)),
+            max_size=5,
+        )
+    )
+    return HomPoly(degree, terms, domain=dom)
+
+
+def _same_as_validated(got, degree, raw, domain):
+    """got equals HomPoly(degree, raw, domain=domain), coefficient types too."""
+    want = HomPoly(degree, raw, domain=domain)
+    assert (got.degree, got.domain, got.terms) == (want.degree, want.domain, want.terms)
+    assert {e: type(c) for e, c in got.terms.items()} == {
+        e: type(c) for e, c in want.terms.items()
+    }
+
+
+class TestTrustedBuilder:
+    """poly_mul, + and - build their results without re-validating the
+    terms; they must agree with the validating constructor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(_DOMAINS)))
+    def test_arithmetic_matches_the_validating_constructor(self, data, domain):
+        dom = _DOMAINS[domain][0]
+        p = data.draw(domain_poly_st(domain, 2))
+        q = data.draw(domain_poly_st(domain, 2))
+        r = data.draw(domain_poly_st(domain, 1))
+        raw_sum = dict(p.terms)
+        for e, c in q.terms.items():
+            raw_sum[e] = raw_sum[e] + c if e in raw_sum else c
+        _same_as_validated(p + q, 2, raw_sum, dom)
+        _same_as_validated(-p, 2, {e: -c for e, c in p.terms.items()}, dom)
+        raw_product = {}
+        for ep, cp in p.terms.items():
+            for er, cr in r.terms.items():
+                e = tuple(a + b for a, b in zip(ep, er))
+                raw_product[e] = raw_product[e] + cp * cr if e in raw_product else cp * cr
+        _same_as_validated(poly_mul(p, r), 3, raw_product, dom)
+        assert (p + (-p)).terms == {}
+        assert (p - p).terms == {}
+
+    def test_specialize_copies_constant_coefficients_as_fractions(self):
+        # the cusp.validate fixture's family: T-free, one fibre at all 301 candidates
+        cusp = parse_family("Y1^2*Y2 - Y0^3")
+        fibres = {specialize(cusp, t0) for t0 in _CANDIDATES}
+        assert len(_CANDIDATES) == 301 and len(fibres) == 1
+        (fibre,) = fibres
+        assert fibre == HomPoly(3, {(0, 2, 1): 1, (3, 0, 0): -1})
+        assert all(type(c) is Fraction for c in fibre.terms.values())
